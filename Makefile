@@ -151,8 +151,8 @@ bench-baseline: build
 
 # bench-diff is the regression gate (run by CI): re-run the suite
 # $(BENCH_COUNT) times, then fail on any benchmark whose best run got
-# >$(BENCH_TOLERANCE)% slower in ns/op or regressed in allocs/op vs
-# results/bench-baseline.json. A zero-alloc baseline gates exactly (the
+# >$(BENCH_TOLERANCE)% slower in ns/op or regressed in allocs/op or B/op
+# vs results/bench-baseline.json. A zero baseline gates exactly (the
 # hot loops' 0 allocs/op is a property, not a timing); an allocating
 # baseline gets 1% slack for b.N-dependent amortization flap.
 BENCH_TOLERANCE ?= 15

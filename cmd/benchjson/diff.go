@@ -17,9 +17,12 @@ type DiffRow struct {
 	DeltaPct  float64 // ns/op change in percent; positive = slower
 	OldAllocs float64
 	NewAllocs float64
+	OldBytes  float64 // B/op
+	NewBytes  float64
 	// Reason is non-empty when the row is a regression: ns/op past the
-	// tolerance, allocs/op past allocRegressed, or the benchmark missing
-	// from the new report (a gated bench cannot silently disappear).
+	// tolerance, allocs/op or B/op past countRegressed, or the benchmark
+	// missing from the new report (a gated bench cannot silently
+	// disappear).
 	Reason string
 }
 
@@ -27,15 +30,15 @@ type DiffRow struct {
 // applies to. Below ~1µs per op, run-to-run timer jitter and host-speed
 // drift on shared CI machines routinely exceed any tolerance worth
 // gating at (a 10ns wobble on a 70ns loop is +14%), so sub-µs
-// micro-benches are gated on allocs/op only — which is exact at a
-// zero-alloc baseline and is the property the hot-loop pass actually
+// micro-benches are gated on allocs/op and B/op only — which are exact
+// at a zero-alloc baseline, the property the hot-loop pass actually
 // guarantees. Their ns/op deltas are still printed for information.
 const nsGateFloorNs = 1000.0
 
 // Diff compares every baseline benchmark against the new report.
 // tolerancePct bounds the allowed ns/op growth (15 = +15%) for
-// benchmarks whose baseline is at least nsGateFloorNs; allocs/op
-// gates per allocRegressed — exactly at a zero-alloc baseline, with 1%
+// benchmarks whose baseline is at least nsGateFloorNs; allocs/op and
+// B/op gate per countRegressed — exactly at a zero baseline, with 1%
 // slack where the baseline already allocates. Rows come back in
 // baseline order; added names are new-report benchmarks
 // absent from the baseline (informational, never gated).
@@ -52,6 +55,7 @@ func Diff(base, head *Report, tolerancePct float64) (rows []DiffRow, added []str
 			Name:      ob.Name,
 			OldNs:     ob.Metrics["ns/op"],
 			OldAllocs: ob.Metrics["allocs/op"],
+			OldBytes:  ob.Metrics["B/op"],
 		}
 		nb, ok := newBy[key(ob)]
 		if !ok {
@@ -61,12 +65,15 @@ func Diff(base, head *Report, tolerancePct float64) (rows []DiffRow, added []str
 		}
 		row.NewNs = nb.Metrics["ns/op"]
 		row.NewAllocs = nb.Metrics["allocs/op"]
+		row.NewBytes = nb.Metrics["B/op"]
 		if row.OldNs > 0 {
 			row.DeltaPct = (row.NewNs - row.OldNs) / row.OldNs * 100
 		}
 		switch {
-		case allocRegressed(row.OldAllocs, row.NewAllocs):
+		case countRegressed(row.OldAllocs, row.NewAllocs):
 			row.Reason = fmt.Sprintf("allocs/op %.0f -> %.0f", row.OldAllocs, row.NewAllocs)
+		case countRegressed(row.OldBytes, row.NewBytes):
+			row.Reason = fmt.Sprintf("B/op %.0f -> %.0f", row.OldBytes, row.NewBytes)
 		case row.DeltaPct > tolerancePct && row.OldNs >= nsGateFloorNs:
 			row.Reason = fmt.Sprintf("ns/op +%.1f%% exceeds +%.1f%% tolerance", row.DeltaPct, tolerancePct)
 		}
@@ -80,14 +87,14 @@ func Diff(base, head *Report, tolerancePct float64) (rows []DiffRow, added []str
 	return rows, added
 }
 
-// allocRegressed applies the allocs/op gate. A zero-alloc baseline is
-// an exact property — the first heap allocation sneaking back into a
+// countRegressed applies the allocs/op and B/op gates. A zero baseline
+// is an exact property — the first heap allocation sneaking back into a
 // hot loop fails, no tolerance. A baseline that already allocates gets
-// 1% slack: large per-op counts flap by a couple of allocations
-// run-to-run (b.N-dependent amortization of map growth and pool
-// warmup), while any real new allocation in an inner loop moves the
-// count by whole multiples of the op's iteration depth.
-func allocRegressed(base, head float64) bool {
+// 1% slack: large per-op counts flap a little run-to-run (b.N-dependent
+// amortization of map growth and pool warmup), while any real new
+// allocation in an inner loop moves the count by whole multiples of the
+// op's iteration depth.
+func countRegressed(base, head float64) bool {
 	if head <= base {
 		return false
 	}
@@ -141,8 +148,8 @@ func runDiff(oldPath, newPath string, tolerancePct float64, w io.Writer) (regres
 		return false, err
 	}
 	rows, added := Diff(CollapseBest(base), CollapseBest(head), tolerancePct)
-	fmt.Fprintf(w, "%-28s %14s %14s %8s %13s  %s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta", "allocs/op", "verdict")
+	fmt.Fprintf(w, "%-28s %14s %14s %8s %13s %21s  %s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "allocs/op", "B/op", "verdict")
 	n := 0
 	for _, r := range rows {
 		verdict := "ok"
@@ -153,14 +160,14 @@ func runDiff(oldPath, newPath string, tolerancePct float64, w io.Writer) (regres
 		case r.DeltaPct > tolerancePct && r.OldNs < nsGateFloorNs:
 			verdict = "ok (sub-µs bench, ns/op not gated)"
 		}
-		fmt.Fprintf(w, "%-28s %14.1f %14.1f %+7.1f%% %6.0f -> %-4.0f %s\n",
-			r.Name, r.OldNs, r.NewNs, r.DeltaPct, r.OldAllocs, r.NewAllocs, verdict)
+		fmt.Fprintf(w, "%-28s %14.1f %14.1f %+7.1f%% %6.0f -> %-4.0f %9.0f -> %-9.0f %s\n",
+			r.Name, r.OldNs, r.NewNs, r.DeltaPct, r.OldAllocs, r.NewAllocs, r.OldBytes, r.NewBytes, verdict)
 	}
 	for _, name := range added {
 		fmt.Fprintf(w, "%-28s (new benchmark, not in baseline — not gated)\n", name)
 	}
 	if n > 0 {
-		fmt.Fprintf(w, "benchjson: %d of %d benchmark(s) regressed vs %s (tolerance +%.1f%% ns/op at >=1µs/op; allocs/op exact at a zero-alloc baseline)\n",
+		fmt.Fprintf(w, "benchjson: %d of %d benchmark(s) regressed vs %s (tolerance +%.1f%% ns/op at >=1µs/op; allocs/op and B/op exact at a zero baseline)\n",
 			n, len(rows), oldPath, tolerancePct)
 		return true, nil
 	}

@@ -100,6 +100,35 @@ func TestDiffAllocRegressionHasNoTolerance(t *testing.T) {
 	}
 }
 
+// TestDiffBytesRegression: B/op gates like allocs/op — exactly at a
+// zero baseline, with 1% slack where the baseline already allocates.
+func TestDiffBytesRegression(t *testing.T) {
+	withBytes := func(ns, allocs, bytes float64) *Report {
+		rep := mkReport([3]any{"A", ns, allocs})
+		rep.Benchmarks[0].Metrics["B/op"] = bytes
+		return rep
+	}
+	cases := []struct {
+		name      string
+		old, head *Report
+		regressed bool
+	}{
+		{"zero stays zero", withBytes(100, 0, 0), withBytes(100, 0, 0), false},
+		{"first byte at a zero baseline", withBytes(100, 0, 0), withBytes(100, 0, 8), true},
+		{"fewer bytes", withBytes(100, 10, 34e6), withBytes(100, 10, 25e6), false},
+		{"within 1% of an allocating baseline", withBytes(100, 10, 34e6), withBytes(100, 10, 34.3e6), false},
+		{"beyond 1% of an allocating baseline", withBytes(100, 10, 34e6), withBytes(100, 10, 34.5e6), true},
+		{"flagged even when ns/op improved", withBytes(1e6, 10, 1000), withBytes(5e5, 10, 2000), true},
+		{"reports without B/op", mkReport([3]any{"A", 100.0, 0.0}), mkReport([3]any{"A", 100.0, 0.0}), false},
+	}
+	for _, c := range cases {
+		rows, _ := Diff(c.old, c.head, 15)
+		if got := strings.Contains(rows[0].Reason, "B/op"); got != c.regressed {
+			t.Errorf("%s: B/op regression = %v (reason %q), want %v", c.name, got, rows[0].Reason, c.regressed)
+		}
+	}
+}
+
 // TestDiffMissingAndAdded: a baseline benchmark missing from the new
 // report is a regression (a gated bench cannot silently disappear); a
 // brand-new benchmark is reported but not gated.

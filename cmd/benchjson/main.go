@@ -16,7 +16,7 @@
 // entry point): it exits 1 when any baseline benchmark got more than
 // -tolerance percent slower in ns/op (gated only at baselines of 1µs/op
 // and up — sub-µs micro-benches drown in timer jitter and are gated on
-// allocations alone), regressed in allocs/op (exactly at a zero-alloc
+// allocations alone), regressed in allocs/op or B/op (exactly at a zero
 // baseline, beyond 1% otherwise), or disappeared.
 // Benchmarks only present in the new report are listed but never gated. Both sides are collapsed best-of-N first, so
 // feeding it `-count=N` suites damps scheduler noise; -best applies the
@@ -66,7 +66,7 @@ func main() {
 	inPath := flag.String("in", "", "read bench text from this file instead of stdin")
 	outPath := flag.String("out", "", "write JSON to this file instead of stdout")
 	diff := flag.Bool("diff", false, "compare two JSON reports: benchjson -diff [-tolerance pct] old.json new.json")
-	tolerance := flag.Float64("tolerance", 15, "allowed ns/op growth in percent for -diff, applied at baselines >= 1µs/op (allocs/op gates exactly at a zero-alloc baseline, 1% otherwise)")
+	tolerance := flag.Float64("tolerance", 15, "allowed ns/op growth in percent for -diff, applied at baselines >= 1µs/op (allocs/op and B/op gate exactly at a zero baseline, 1% otherwise)")
 	best := flag.Bool("best", false, "collapse repeated runs (-count=N bench output) into one entry per benchmark, keeping each metric's minimum")
 	flag.Parse()
 

@@ -10,8 +10,8 @@ import (
 // against a core's cycle budget.
 type Hierarchy struct {
 	cfg HierarchyConfig
-	l1  []*private
-	l2  []*private
+	l1  []*private // per core; nil until the core's first Access
+	l2  []*private // per core; nil until the core's first Access
 	llc *LLC
 	mem *mem.Controller
 
@@ -40,10 +40,6 @@ func NewHierarchy(cfg HierarchyConfig, freqGHz float64, mc *mem.Controller) *Hie
 		llc:         NewLLC(cfg.LLC, cfg.Cores),
 		mem:         mc,
 		cyclesPerNS: freqGHz,
-	}
-	for i := 0; i < cfg.Cores; i++ {
-		h.l1[i] = newPrivate(cfg.L1)
-		h.l2[i] = newPrivate(cfg.L2)
 	}
 	h.remote = make([]bool, cfg.Cores)
 	return h
@@ -115,6 +111,11 @@ func (h *Hierarchy) l1Insert(core int, a uint64, dirty bool, mask WayMask) {
 // cycles.
 func (h *Hierarchy) Access(core int, a uint64, write bool, mask WayMask) int64 {
 	a &^= LineSize - 1
+	if h.l1[core] == nil {
+		// Most simulated cores never issue an access; their caches,
+		// empty either way, are built on first use.
+		h.l1[core], h.l2[core] = newPrivate(h.cfg.L1), newPrivate(h.cfg.L2)
+	}
 	if h.l1[core].lookup(a, write) {
 		return h.cfg.L1.HitCycles
 	}
@@ -146,6 +147,9 @@ func (h *Hierarchy) Access(core int, a uint64, write bool, mask WayMask) int64 {
 // has cached, so the core's next read is forced down to the LLC where the
 // fresh inbound data lives (the coherence protocol's invalidate-on-write).
 func (h *Hierarchy) InvalidatePrivate(core int, a uint64) {
+	if h.l1[core] == nil {
+		return
+	}
 	a &^= LineSize - 1
 	h.l1[core].invalidate(a)
 	h.l2[core].invalidate(a)
@@ -155,15 +159,21 @@ func (h *Hierarchy) InvalidatePrivate(core int, a uint64) {
 // Intended for tests.
 func (h *Hierarchy) PrivateContains(core int, a uint64) bool {
 	a &^= LineSize - 1
-	return h.l1[core].contains(a) || h.l2[core].contains(a)
+	return h.l1[core] != nil && (h.l1[core].contains(a) || h.l2[core].contains(a))
 }
 
 // L1Stats returns (hits, misses) of core's L1D.
 func (h *Hierarchy) L1Stats(core int) (hits, misses uint64) {
+	if h.l1[core] == nil {
+		return 0, 0
+	}
 	return h.l1[core].hits, h.l1[core].misses
 }
 
 // L2Stats returns (hits, misses) of core's L2.
 func (h *Hierarchy) L2Stats(core int) (hits, misses uint64) {
+	if h.l2[core] == nil {
+		return 0, 0
+	}
 	return h.l2[core].hits, h.l2[core].misses
 }

@@ -184,3 +184,45 @@ func TestRemoteCoreMemoryAccessAlsoPaysUPI(t *testing.T) {
 		t.Fatalf("remote memory access %d not ~UPI above local %d", remoteMem, localMem)
 	}
 }
+
+// TestUntouchedCoreIsEmpty: a core that never accessed memory has no
+// private caches built, yet reads as an empty, working pair of caches —
+// zero counters, nothing resident, invalidations are no-ops — and its
+// first access then behaves exactly like a fresh core's.
+func TestUntouchedCoreIsEmpty(t *testing.T) {
+	h := testHierarchy()
+	const a = 0xB000
+	if h1, m1 := h.L1Stats(1); h1 != 0 || m1 != 0 {
+		t.Fatalf("untouched L1Stats = %d/%d", h1, m1)
+	}
+	if h2, m2 := h.L2Stats(1); h2 != 0 || m2 != 0 {
+		t.Fatalf("untouched L2Stats = %d/%d", h2, m2)
+	}
+	if h.PrivateContains(1, a) {
+		t.Fatal("untouched core contains a line")
+	}
+	h.InvalidatePrivate(1, a)
+	if h.l1[1] != nil || h.l2[1] != nil {
+		t.Fatal("queries on an untouched core built its caches")
+	}
+
+	// Core 1 of h and core 0 of a fresh hierarchy see the same stream.
+	fresh := testHierarchy()
+	mask := FullMask(8)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		addr := uint64(rng.Intn(1<<10)) << LineShift
+		write := rng.Intn(2) == 0
+		if got, want := h.Access(1, addr, write, mask), fresh.Access(0, addr, write, mask); got != want {
+			t.Fatalf("access %d (%#x): latency %d, fresh core %d", i, addr, got, want)
+		}
+	}
+	gh1, gm1 := h.L1Stats(1)
+	wh1, wm1 := fresh.L1Stats(0)
+	gh2, gm2 := h.L2Stats(1)
+	wh2, wm2 := fresh.L2Stats(0)
+	if gh1 != wh1 || gm1 != wm1 || gh2 != wh2 || gm2 != wm2 {
+		t.Fatalf("stats L1 %d/%d L2 %d/%d, fresh core L1 %d/%d L2 %d/%d",
+			gh1, gm1, gh2, gm2, wh1, wm1, wh2, wm2)
+	}
+}

@@ -5,18 +5,15 @@ import (
 	"math/bits"
 )
 
-const (
-	stateValid uint8 = 1 << 0
-	stateDirty uint8 = 1 << 1
-)
+// lineTag is the stored tag of the line holding address a: its line
+// address plus one, so a zeroed tag array is an empty cache (no fill
+// loop at set-up, no page touched before its first fill) and probe
+// scans tags alone, without consulting the valid bits — the hottest
+// loop in the whole simulator.
+func lineTag(a uint64) uint64 { return a>>LineShift + 1 }
 
-// invalidTag marks an empty way in the tag array. Tags are line
-// addresses (address >> LineShift), so a real tag can only collide with
-// the sentinel for addresses above 2^64-64 — far outside the simulated
-// physical address space. Storing the sentinel lets probe scan tags
-// alone, without consulting the state bytes, which is the hottest loop
-// in the whole simulator.
-const invalidTag = ^uint64(0)
+// tagAddr inverts lineTag.
+func tagAddr(tag uint64) uint64 { return (tag - 1) << LineShift }
 
 // SliceStats are the per-slice CHA counters. The DDIO pair is exactly what
 // the paper's daemon samples from the uncore PMU: DDIOHits counts inbound
@@ -56,14 +53,14 @@ func (s *SliceStats) Add(o SliceStats) {
 // ("a tenant can still access its data in previously assigned LLC ways
 // UNTIL it has been evicted", Sec. IV-D).
 //
-// tags doubles as the presence index (invalidTag = empty way) and valid
-// carries a per-set occupancy bitmask, so the miss path finds a free way
-// with one AND-NOT instead of a state scan.
+// tags doubles as the presence index (0 = empty way, see lineTag) and
+// valid carries a per-set occupancy bitmask, so the miss path finds a
+// free way with one AND-NOT instead of a state scan.
 type llcSlice struct {
-	tags  []uint64 // per way; invalidTag when empty
-	state []uint8  // valid/dirty bits, authoritative for dirtiness
+	tags  []uint64 // per way; lineTag, or 0 when empty
 	rrpv  []uint8  // SRRIP age, or LRU rank (a permutation per set)
 	valid []uint32 // per set: bitmask of valid ways
+	dirty []uint32 // per set: bitmask of dirty ways
 	stats SliceStats
 	tel   sliceTel
 }
@@ -114,15 +111,11 @@ func NewLLC(cfg LLCConfig, cores int) *LLC {
 	}
 	n := cfg.SetsPerSlice * cfg.Ways
 	for i := range l.slices {
-		tags := make([]uint64, n)
-		for j := range tags {
-			tags[j] = invalidTag
-		}
 		l.slices[i] = llcSlice{
-			tags:  tags,
-			state: make([]uint8, n),
+			tags:  make([]uint64, n),
 			rrpv:  make([]uint8, n),
 			valid: make([]uint32, cfg.SetsPerSlice),
+			dirty: make([]uint32, cfg.SetsPerSlice),
 		}
 	}
 	return l
@@ -152,7 +145,7 @@ func (l *LLC) locate(a uint64) (sl *llcSlice, setIdx, setBase int) {
 }
 
 // probe searches the set for the tag; returns the way offset or -1. The
-// sentinel encoding makes this a pure tag scan: no state loads, no
+// lineTag encoding makes this a pure tag scan: no valid-bit loads, no
 // branches besides the compare.
 func (l *LLC) probe(sl *llcSlice, base int, tag uint64) int {
 	tags := sl.tags[base : base+l.cfg.Ways]
@@ -166,27 +159,23 @@ func (l *LLC) probe(sl *llcSlice, base int, tag uint64) int {
 
 // touch records a re-reference: the line's predicted re-reference interval
 // collapses to "imminent" (SRRIP), or the line moves to MRU (LRU).
-func (l *LLC) touch(sl *llcSlice, base, w int) {
+func (l *LLC) touch(sl *llcSlice, setIdx, base, w int) {
 	if l.cfg.Policy == PolicyLRU {
-		l.lruPromote(sl, base, w)
+		l.lruPromote(sl, setIdx, base, w)
 		return
 	}
 	sl.rrpv[base+w] = 0
 }
 
-// lruPromote moves way w to MRU, ageing every valid line that was younger.
-// Ranks of the valid lines in a set are a permutation 0..k-1 and stay one.
-func (l *LLC) lruPromote(sl *llcSlice, base, w int) {
+// lruPromote moves way w to MRU, ageing every valid line that was younger:
+// an lruInsertAt whose limit is the line's own rank. Ranks of the valid
+// lines in a set are a permutation 0..k-1 and stay one.
+func (l *LLC) lruPromote(sl *llcSlice, setIdx, base, w int) {
 	old := sl.rrpv[base+w]
 	if old == 0 {
 		return // already MRU: nothing can be younger
 	}
-	for i := 0; i < l.cfg.Ways; i++ {
-		if sl.state[base+i]&stateValid != 0 && i != w && sl.rrpv[base+i] < old {
-			sl.rrpv[base+i]++
-		}
-	}
-	sl.rrpv[base+w] = 0
+	l.lruInsertAt(sl, setIdx, base, w, old)
 }
 
 // lruInsertAt gives a newly installed line MRU rank, ageing only the
@@ -196,10 +185,10 @@ func (l *LLC) lruPromote(sl *llcSlice, base, w int) {
 // (the old behaviour) inflated out-of-mask lines' ranks until they all
 // saturated at 255 and their true age order was lost — the mask-shrink
 // LRU-age corruption covered by TestLLCLRUMaskShrinkAgeCorruption.
-func (l *LLC) lruInsertAt(sl *llcSlice, base, w int, limit uint8) {
-	for i := 0; i < l.cfg.Ways; i++ {
-		if sl.state[base+i]&stateValid != 0 && i != w && sl.rrpv[base+i] < limit {
-			sl.rrpv[base+i]++
+func (l *LLC) lruInsertAt(sl *llcSlice, setIdx, base, w int, limit uint8) {
+	for m := sl.valid[setIdx] &^ (1 << uint(w)); m != 0; m &= m - 1 {
+		if i := base + bits.TrailingZeros32(m); sl.rrpv[i] < limit {
+			sl.rrpv[i]++
 		}
 	}
 	sl.rrpv[base+w] = 0
@@ -267,12 +256,13 @@ func (l *LLC) victimWay(sl *llcSlice, setIdx, base int, mask WayMask) int {
 func (l *LLC) install(sl *llcSlice, setIdx, base, w int, tag uint64, dirty bool) Victim {
 	var v Victim
 	idx := base + w
+	bit := uint32(1) << uint(w)
 	victimRank := ^uint8(0) // "older than everything" when the way was empty
-	if sl.state[idx]&stateValid != 0 {
+	if sl.valid[setIdx]&bit != 0 {
 		v = Victim{
-			Addr:  sl.tags[idx] << LineShift,
+			Addr:  tagAddr(sl.tags[idx]),
 			Valid: true,
-			Dirty: sl.state[idx]&stateDirty != 0,
+			Dirty: sl.dirty[setIdx]&bit != 0,
 		}
 		if v.Dirty {
 			sl.stats.Writebacks++
@@ -281,13 +271,14 @@ func (l *LLC) install(sl *llcSlice, setIdx, base, w int, tag uint64, dirty bool)
 		victimRank = sl.rrpv[idx]
 	}
 	sl.tags[idx] = tag
-	sl.state[idx] = stateValid
+	sl.valid[setIdx] |= bit
 	if dirty {
-		sl.state[idx] |= stateDirty
+		sl.dirty[setIdx] |= bit
+	} else {
+		sl.dirty[setIdx] &^= bit
 	}
-	sl.valid[setIdx] |= 1 << uint(w)
 	if l.cfg.Policy == PolicyLRU {
-		l.lruInsertAt(sl, base, w, victimRank)
+		l.lruInsertAt(sl, setIdx, base, w, victimRank)
 	} else {
 		sl.rrpv[idx] = rrpvInsert
 	}
@@ -300,14 +291,14 @@ func (l *LLC) install(sl *llcSlice, setIdx, base, w int, tag uint64, dirty bool)
 // caller if dirty.
 func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v Victim) {
 	sl, setIdx, base := l.locate(a)
-	tag := a >> LineShift
+	tag := lineTag(a)
 	sl.stats.Lookups++
 	l.coreRefs[core]++
 	if w := l.probe(sl, base, tag); w >= 0 {
 		sl.stats.Hits++
 		sl.tel.hits.Inc()
 		if write {
-			sl.state[base+w] |= stateDirty
+			sl.dirty[setIdx] |= 1 << uint(w)
 		}
 		// SRRIP: no promotion on demand hits — the line's working copy
 		// moves into the core's private caches (Skylake's
@@ -315,7 +306,7 @@ func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v 
 		// its owner's current mask ages out under allocation pressure
 		// instead of squatting forever. LRU promotes classically.
 		if l.cfg.Policy == PolicyLRU {
-			l.lruPromote(sl, base, w)
+			l.lruPromote(sl, setIdx, base, w)
 		}
 		return true, Victim{}
 	}
@@ -337,11 +328,11 @@ func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v 
 // written back by the caller if dirty.
 func (l *LLC) FillWriteback(a uint64, mask WayMask) Victim {
 	sl, setIdx, base := l.locate(a)
-	tag := a >> LineShift
+	tag := lineTag(a)
 	if w := l.probe(sl, base, tag); w >= 0 {
-		sl.state[base+w] |= stateDirty
+		sl.dirty[setIdx] |= 1 << uint(w)
 		if l.cfg.Policy == PolicyLRU {
-			l.lruPromote(sl, base, w)
+			l.lruPromote(sl, setIdx, base, w)
 		} else {
 			sl.rrpv[base+w] = rrpvInsert
 		}
@@ -362,11 +353,11 @@ func (l *LLC) FillWriteback(a uint64, mask WayMask) Victim {
 // displaced victim is returned for writeback.
 func (l *LLC) IOWrite(a uint64, ddioMask WayMask) (hit bool, v Victim) {
 	sl, setIdx, base := l.locate(a)
-	tag := a >> LineShift
+	tag := lineTag(a)
 	if w := l.probe(sl, base, tag); w >= 0 {
 		sl.stats.DDIOHits++
-		sl.state[base+w] |= stateDirty
-		l.touch(sl, base, w)
+		sl.dirty[setIdx] |= 1 << uint(w)
+		l.touch(sl, setIdx, base, w)
 		return true, Victim{}
 	}
 	sl.stats.DDIOMisses++
@@ -386,7 +377,7 @@ func (l *LLC) IOWrite(a uint64, ddioMask WayMask) (hit bool, v Victim) {
 // keeps it dirty, so we do too — the read has no side effects.
 func (l *LLC) IORead(a uint64) (hit bool) {
 	sl, _, base := l.locate(a)
-	tag := a >> LineShift
+	tag := lineTag(a)
 	if w := l.probe(sl, base, tag); w >= 0 {
 		sl.stats.IOReads++
 		// A device read is typically the buffer's last use before the
@@ -406,7 +397,7 @@ func (l *LLC) IORead(a uint64) (hit bool) {
 // forever.
 func (l *LLC) AmbientFill(a uint64) Victim {
 	sl, setIdx, base := l.locate(a)
-	tag := a >> LineShift
+	tag := lineTag(a)
 	if l.probe(sl, base, tag) >= 0 {
 		return Victim{}
 	}
@@ -420,14 +411,14 @@ func (l *LLC) AmbientFill(a uint64) Victim {
 // disturbing LRU state or counters. Intended for tests and assertions.
 func (l *LLC) Contains(a uint64) bool {
 	sl, _, base := l.locate(a)
-	return l.probe(sl, base, a>>LineShift) >= 0
+	return l.probe(sl, base, lineTag(a)) >= 0
 }
 
 // WayOf returns the way index currently holding address a, or -1. Intended
 // for tests.
 func (l *LLC) WayOf(a uint64) int {
 	sl, _, base := l.locate(a)
-	return l.probe(sl, base, a>>LineShift)
+	return l.probe(sl, base, lineTag(a))
 }
 
 // SliceStats returns the counters of slice i. The IAT daemon samples slice 0

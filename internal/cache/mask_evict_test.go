@@ -74,7 +74,7 @@ func checkLRUPermutation(t *testing.T, l *LLC) {
 			var seen [32]bool
 			k := 0
 			for w := 0; w < l.cfg.Ways; w++ {
-				if sl.state[base+w]&stateValid == 0 {
+				if sl.valid[set]&(1<<uint(w)) == 0 {
 					continue
 				}
 				r := int(sl.rrpv[base+w])
@@ -174,7 +174,7 @@ func TestLLCMaskPairShrink(t *testing.T) {
 					if policy == PolicySRRIP {
 						sl := &l.slices[0]
 						for w := 0; w < 11; w++ {
-							if sl.state[w]&stateValid != 0 && sl.rrpv[w] > rrpvMax {
+							if sl.valid[0]&(1<<uint(w)) != 0 && sl.rrpv[w] > rrpvMax {
 								t.Fatalf("mask %s->%s: way %d RRPV %d beyond rrpvMax", a, b, w, sl.rrpv[w])
 							}
 						}

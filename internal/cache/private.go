@@ -3,19 +3,24 @@ package cache
 import "math/bits"
 
 // private is one private cache level (L1D or L2) of a single core: a plain
-// set-associative cache, address-bit indexed, LRU replaced, write-back and
-// write-allocate. Like the LLC it stores invalidTag in empty ways (so the
-// probe loop reads only the tag array) and keeps a per-set valid bitmask
+// set-associative cache, address-bit indexed, write-back and
+// write-allocate. Like the LLC it stores lineTag in occupied ways and 0 in
+// empty ones (so the probe loop reads only the tag array, and a fresh
+// cache needs no fill loop) and keeps per-set valid and dirty bitmasks
 // (so the fill path finds a free way with one AND-NOT).
+//
+// Replacement is meant to be LRU but is not: lru starts at 0 and touch
+// returns early on rank 0, so the ranks never move and a full set always
+// evicts way 0 (ROADMAP.md open item). Every recorded digest depends on
+// this, so a fix must re-record them.
 type private struct {
 	ways     int
-	sets     int
 	setMask  uint64
 	fullMask uint32
 	tags     []uint64
-	state    []uint8
 	lru      []uint8
 	valid    []uint32
+	dirty    []uint32
 	hits     uint64
 	misses   uint64
 }
@@ -23,26 +28,20 @@ type private struct {
 func newPrivate(cfg LevelConfig) *private {
 	sets := cfg.Sets()
 	n := sets * cfg.Ways
-	tags := make([]uint64, n)
-	for i := range tags {
-		tags[i] = invalidTag
-	}
 	return &private{
 		ways:     cfg.Ways,
-		sets:     sets,
 		setMask:  uint64(sets - 1),
 		fullMask: uint32(FullMask(cfg.Ways)),
-		tags:     tags,
-		state:    make([]uint8, n),
+		tags:     make([]uint64, n),
 		lru:      make([]uint8, n),
 		valid:    make([]uint32, sets),
+		dirty:    make([]uint32, sets),
 	}
 }
 
 func (p *private) locate(a uint64) (set, base int, tag uint64) {
-	line := a >> LineShift
-	set = int(line & p.setMask)
-	return set, set * p.ways, line
+	set = int((a >> LineShift) & p.setMask)
+	return set, set * p.ways, lineTag(a)
 }
 
 func (p *private) probe(base int, tag uint64) int {
@@ -71,11 +70,11 @@ func (p *private) touch(base, w int) {
 // lookup probes for a; on hit it updates LRU (and dirtiness for writes) and
 // returns true.
 func (p *private) lookup(a uint64, write bool) bool {
-	_, base, tag := p.locate(a)
+	set, base, tag := p.locate(a)
 	if w := p.probe(base, tag); w >= 0 {
 		p.hits++
 		if write {
-			p.state[base+w] |= stateDirty
+			p.dirty[set] |= 1 << uint(w)
 		}
 		p.touch(base, w)
 		return true
@@ -84,18 +83,10 @@ func (p *private) lookup(a uint64, write bool) bool {
 	return false
 }
 
-// fill installs line a, returning the displaced victim (if any).
+// fill installs line a, returning the displaced victim (if any). The
+// caller must have just missed on a in this cache: fill does not probe.
 func (p *private) fill(a uint64, dirty bool) Victim {
 	set, base, tag := p.locate(a)
-	// The line may already be present (e.g. refetch after invalidate
-	// races in tests); just update it.
-	if w := p.probe(base, tag); w >= 0 {
-		if dirty {
-			p.state[base+w] |= stateDirty
-		}
-		p.touch(base, w)
-		return Victim{}
-	}
 	// Choose victim: lowest-indexed invalid way first, else LRU-most.
 	var vw int
 	if inv := p.fullMask &^ p.valid[set]; inv != 0 {
@@ -110,19 +101,21 @@ func (p *private) fill(a uint64, dirty bool) Victim {
 	}
 	var v Victim
 	idx := base + vw
-	if p.state[idx]&stateValid != 0 {
+	bit := uint32(1) << uint(vw)
+	if p.valid[set]&bit != 0 {
 		v = Victim{
-			Addr:  p.tags[idx] << LineShift,
+			Addr:  tagAddr(p.tags[idx]),
 			Valid: true,
-			Dirty: p.state[idx]&stateDirty != 0,
+			Dirty: p.dirty[set]&bit != 0,
 		}
 	}
 	p.tags[idx] = tag
-	p.state[idx] = stateValid
+	p.valid[set] |= bit
 	if dirty {
-		p.state[idx] |= stateDirty
+		p.dirty[set] |= bit
+	} else {
+		p.dirty[set] &^= bit
 	}
-	p.valid[set] |= 1 << uint(vw)
 	p.touch(base, vw)
 	return v
 }
@@ -132,10 +125,11 @@ func (p *private) fill(a uint64, dirty bool) Victim {
 func (p *private) invalidate(a uint64) (present, dirty bool) {
 	set, base, tag := p.locate(a)
 	if w := p.probe(base, tag); w >= 0 {
-		dirty = p.state[base+w]&stateDirty != 0
-		p.state[base+w] = 0
-		p.tags[base+w] = invalidTag
-		p.valid[set] &^= 1 << uint(w)
+		bit := uint32(1) << uint(w)
+		dirty = p.dirty[set]&bit != 0
+		p.tags[base+w] = 0
+		p.valid[set] &^= bit
+		p.dirty[set] &^= bit
 		return true, dirty
 	}
 	return false, false

@@ -302,3 +302,200 @@ func TestLLCDifferentialLRU(t *testing.T) {
 		runDifferential(t, PolicyLRU, seed, 60000)
 	}
 }
+
+// refPrivate is the private cache level as it was laid out before the
+// host-memory pass: sentinel tags in empty ways, a state byte per way,
+// eager allocation and a re-probe in fill. It keeps that layout's
+// replacement exactly — including ranks that never move — so the
+// differential test below proves the compact layout changed no
+// simulated bit.
+type refPrivate struct {
+	ways, sets int
+	tags       []uint64
+	state      []uint8
+	lru        []uint8
+	hits       uint64
+	misses     uint64
+}
+
+const (
+	refInvalidTag      = ^uint64(0)
+	refValid, refDirty = uint8(1), uint8(2)
+)
+
+func newRefPrivate(cfg LevelConfig) *refPrivate {
+	sets := cfg.Sets()
+	r := &refPrivate{
+		ways:  cfg.Ways,
+		sets:  sets,
+		tags:  make([]uint64, sets*cfg.Ways),
+		state: make([]uint8, sets*cfg.Ways),
+		lru:   make([]uint8, sets*cfg.Ways),
+	}
+	for i := range r.tags {
+		r.tags[i] = refInvalidTag
+	}
+	return r
+}
+
+func (r *refPrivate) locate(a uint64) (base int, tag uint64) {
+	line := a >> LineShift
+	return int(line&uint64(r.sets-1)) * r.ways, line
+}
+
+func (r *refPrivate) probe(base int, tag uint64) int {
+	for w := 0; w < r.ways; w++ {
+		if r.tags[base+w] == tag {
+			return w
+		}
+	}
+	return -1
+}
+
+func (r *refPrivate) touch(base, w int) {
+	old := r.lru[base+w]
+	if old == 0 {
+		return
+	}
+	for i := 0; i < r.ways; i++ {
+		if r.lru[base+i] < old {
+			r.lru[base+i]++
+		}
+	}
+	r.lru[base+w] = 0
+}
+
+func (r *refPrivate) lookup(a uint64, write bool) bool {
+	base, tag := r.locate(a)
+	if w := r.probe(base, tag); w >= 0 {
+		r.hits++
+		if write {
+			r.state[base+w] |= refDirty
+		}
+		r.touch(base, w)
+		return true
+	}
+	r.misses++
+	return false
+}
+
+func (r *refPrivate) fill(a uint64, dirty bool) Victim {
+	base, tag := r.locate(a)
+	if w := r.probe(base, tag); w >= 0 {
+		if dirty {
+			r.state[base+w] |= refDirty
+		}
+		r.touch(base, w)
+		return Victim{}
+	}
+	vw := -1
+	for w := 0; w < r.ways; w++ {
+		if r.state[base+w]&refValid == 0 {
+			vw = w
+			break
+		}
+	}
+	if vw < 0 {
+		rank := -1
+		for w := 0; w < r.ways; w++ {
+			if rk := int(r.lru[base+w]); rk > rank {
+				vw, rank = w, rk
+			}
+		}
+	}
+	var v Victim
+	idx := base + vw
+	if r.state[idx]&refValid != 0 {
+		v = Victim{Addr: r.tags[idx] << LineShift, Valid: true, Dirty: r.state[idx]&refDirty != 0}
+	}
+	r.tags[idx] = tag
+	r.state[idx] = refValid
+	if dirty {
+		r.state[idx] |= refDirty
+	}
+	r.touch(base, vw)
+	return v
+}
+
+func (r *refPrivate) invalidate(a uint64) (present, dirty bool) {
+	base, tag := r.locate(a)
+	if w := r.probe(base, tag); w >= 0 {
+		dirty = r.state[base+w]&refDirty != 0
+		r.state[base+w] = 0
+		r.tags[base+w] = refInvalidTag
+		return true, dirty
+	}
+	return false, false
+}
+
+// runPrivateDifferential drives the production private cache and
+// refPrivate through nOps random operations over a small address pool,
+// in the hierarchy's calling pattern: a lookup, then a fill only after
+// a miss, with invalidations mixed in. It fails on the first divergence
+// in hits, victims (address and dirtiness) or counters, then
+// cross-checks residency over the pool.
+func runPrivateDifferential(t *testing.T, cfg LevelConfig, seed uint64, nOps int) {
+	t.Helper()
+	p := newPrivate(cfg)
+	r := newRefPrivate(cfg)
+	rng := diffSplitmix(seed)
+	addrs := uint64(cfg.Sets() * cfg.Ways * 3)
+	// High addresses too: ambient churn uses line addresses far above
+	// 2^32, which a narrowed tag would alias.
+	high := uint64(1) << 61
+	for i := 0; i < nOps; i++ {
+		a := (rng.next() % addrs) << LineShift
+		if rng.next()%4 == 0 {
+			a += high
+		}
+		a += rng.next() % LineSize // any byte of the line
+		op := rng.next() % 8
+		if op == 0 {
+			gp, gd := p.invalidate(a)
+			wp, wd := r.invalidate(a)
+			if gp != wp || gd != wd {
+				t.Fatalf("op %d invalidate(%#x): got (%v,%v) want (%v,%v)", i, a, gp, gd, wp, wd)
+			}
+			continue
+		}
+		write := op%2 == 0
+		got, want := p.lookup(a, write), r.lookup(a, write)
+		if got != want {
+			t.Fatalf("op %d lookup(%#x, write=%v): got %v want %v", i, a, write, got, want)
+		}
+		if got {
+			continue
+		}
+		dirty := rng.next()%2 == 0
+		if gv, wv := p.fill(a, dirty), r.fill(a, dirty); gv != wv {
+			t.Fatalf("op %d fill(%#x, dirty=%v): got %+v want %+v", i, a, dirty, gv, wv)
+		}
+	}
+	if p.hits != r.hits || p.misses != r.misses {
+		t.Fatalf("counters: got %d/%d hits/misses, want %d/%d", p.hits, p.misses, r.hits, r.misses)
+	}
+	for a := uint64(0); a < addrs; a++ {
+		for _, addr := range []uint64{a << LineShift, a<<LineShift + high} {
+			base, tag := r.locate(addr)
+			if got, want := p.contains(addr), r.probe(base, tag) >= 0; got != want {
+				t.Fatalf("final state: contains(%#x) = %v, ref %v", addr, got, want)
+			}
+		}
+	}
+}
+
+// TestPrivateDifferential proves the compact private-cache layout (tags
+// offset by one, per-set dirty bits, no re-probe in fill) is operation-
+// for-operation identical to the original layout, at the L1D and L2
+// shapes of the simulated Xeon (8-way and 16-way).
+func TestPrivateDifferential(t *testing.T) {
+	shapes := []LevelConfig{
+		{SizeBytes: 4 << 10, Ways: 8, HitCycles: 4},    // L1-shaped, 8 sets
+		{SizeBytes: 16 << 10, Ways: 16, HitCycles: 14}, // L2-shaped, 16 sets
+	}
+	for _, cfg := range shapes {
+		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+			runPrivateDifferential(t, cfg, seed, 60000)
+		}
+	}
+}

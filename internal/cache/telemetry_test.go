@@ -39,6 +39,22 @@ func TestAccessLiveSinkAllocatesNothing(t *testing.T) {
 	}
 }
 
+// Once a core's private caches exist, demand accesses must not allocate:
+// building them on first use may not leak into the steady state.
+func TestHierarchyAccessAllocatesNothing(t *testing.T) {
+	h := testHierarchy()
+	mask := FullMask(8)
+	h.Access(0, 0, false, mask)
+	var a uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		h.Access(0, a, a&LineSize == 0, mask)
+		a += LineSize
+	})
+	if allocs != 0 {
+		t.Fatalf("Hierarchy.Access allocates %v per run, want 0", allocs)
+	}
+}
+
 func TestAttachTelemetryCounts(t *testing.T) {
 	l := testLLC(1)
 	reg := telemetry.NewRegistry()
