@@ -7,9 +7,9 @@ GO      ?= go
 JOBS    ?= 4
 TMP     ?= /tmp/iatsim
 
-.PHONY: all build lint simlint lint-baseline vet fmtcheck test race smoke telemetry-smoke chaos-smoke fleet-smoke ckpt-smoke bench bench-baseline bench-diff determinism scaling clean
+.PHONY: all build lint simlint lint-baseline vet fmtcheck test race perfbench-check smoke telemetry-smoke chaos-smoke fleet-smoke ckpt-smoke bench bench-baseline bench-diff determinism scaling clean
 
-all: build lint test race telemetry-smoke chaos-smoke fleet-smoke ckpt-smoke
+all: build lint test race perfbench-check telemetry-smoke chaos-smoke fleet-smoke ckpt-smoke
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,13 @@ test: build
 
 race: build
 	$(GO) test -race ./...
+
+# perfbench-check vets and short-tests the benchmark module (perfbench/,
+# its own go.mod). Root `go test ./...` never builds it, so without this
+# an API change in the simulator could break the benchmark unseen.
+perfbench-check: build
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -short ./...
 
 # smoke: one figure through the full parallel path — CSV + manifest out,
 # and the manifest must report zero failed jobs.
@@ -125,10 +132,11 @@ ckpt-smoke: build
 	cmp $(TMP)/ckpt/f1/fleet.csv $(TMP)/ckpt/f8/fleet.csv
 	@echo "ckpt-smoke OK: kill+resume tail == uninterrupted run; fleet crash storm jobs=1 == jobs=8 under -race"
 
-# bench: the micro-benchmark suite (cache access, NIC poll, daemon
-# iteration, policy decision, platform step, fleet round) via `go test
-# -bench`, converted to JSON at results/bench.json by cmd/benchjson.
-BENCHES ?= LLCAccess|HierarchyAccess|NICPollRx|DaemonTick|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound
+# bench: the micro-benchmark suite (cache access, KV packet generation,
+# NIC poll, daemon iteration, policy decision, platform step, fleet
+# round) via `go test -bench`, converted to JSON at results/bench.json by
+# cmd/benchjson.
+BENCHES ?= LLCAccess|HierarchyAccess|GeneratorNextKV|NICPollRx|DaemonTick|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound
 bench: build
 	mkdir -p $(TMP) results
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem . > $(TMP)/bench.txt

@@ -9,6 +9,7 @@ package iatsim_test
 
 import (
 	"io"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -17,8 +18,11 @@ import (
 	"iatsim/internal/core"
 	"iatsim/internal/exp"
 	"iatsim/internal/mem"
+	"iatsim/internal/pkt"
 	"iatsim/internal/policy"
 	"iatsim/internal/sim"
+	"iatsim/internal/tgen"
+	"iatsim/internal/ycsb"
 )
 
 // TestMain pins the experiment harness to one worker: each BenchmarkFigNN
@@ -274,6 +278,32 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		h.Access(0, uint64(i%100000)<<6, false, mask)
 	}
 }
+
+// BenchmarkGeneratorNextKV measures one Redis client packet of the Figs.
+// 12-14 co-run: a flow pick, a YCSB-A request over 1M records, and the
+// request's wire size (writes carry their 1KB value).
+func BenchmarkGeneratorNextKV(b *testing.B) {
+	w, err := ycsb.WorkloadByName("A")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := ycsb.NewGenerator(w, 1<<20, 61)
+	g := tgen.NewGenerator(8e6, 128, pkt.NewFlowSet(8, 0, 71), 81)
+	g.NewApp = func(*rand.Rand) ycsb.Request { return gen.Next() }
+	g.SizeFor = func(r ycsb.Request) int {
+		if r.Op == ycsb.Read {
+			return 128
+		}
+		return 1088
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kvPacketSink = g.Next()
+	}
+}
+
+// kvPacketSink keeps BenchmarkGeneratorNextKV's result live.
+var kvPacketSink pkt.Packet
 
 // BenchmarkDaemonTick measures the zero-work fast path of the daemon (the
 // interval gate), which runs once per simulated epoch.

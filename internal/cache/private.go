@@ -9,16 +9,17 @@ import "math/bits"
 // cache needs no fill loop) and keeps per-set valid and dirty bitmasks
 // (so the fill path finds a free way with one AND-NOT).
 //
-// Replacement is meant to be LRU but is not: lru starts at 0 and touch
-// returns early on rank 0, so the ranks never move and a full set always
-// evicts way 0 (ROADMAP.md open item). Every recorded digest depends on
-// this, so a fix must re-record them.
+// Replacement keeps no state: a miss fills the lowest-indexed empty way,
+// and a full set always evicts way 0. That is not LRU, but every recorded
+// digest and golden hash depends on it. refPrivate in ref_test.go is a
+// reference that keeps LRU ranks (they never move) and scans them for
+// victims; the differential test proves the two agree. Real LRU needs a
+// per-set rank permutation and a re-record (ROADMAP.md open item 6).
 type private struct {
 	ways     int
 	setMask  uint64
 	fullMask uint32
 	tags     []uint64
-	lru      []uint8
 	valid    []uint32
 	dirty    []uint32
 	hits     uint64
@@ -33,7 +34,6 @@ func newPrivate(cfg LevelConfig) *private {
 		setMask:  uint64(sets - 1),
 		fullMask: uint32(FullMask(cfg.Ways)),
 		tags:     make([]uint64, n),
-		lru:      make([]uint8, n),
 		valid:    make([]uint32, sets),
 		dirty:    make([]uint32, sets),
 	}
@@ -54,21 +54,8 @@ func (p *private) probe(base int, tag uint64) int {
 	return -1
 }
 
-func (p *private) touch(base, w int) {
-	old := p.lru[base+w]
-	if old == 0 {
-		return // already MRU: no rank below can exist
-	}
-	for i := 0; i < p.ways; i++ {
-		if p.lru[base+i] < old {
-			p.lru[base+i]++
-		}
-	}
-	p.lru[base+w] = 0
-}
-
-// lookup probes for a; on hit it updates LRU (and dirtiness for writes) and
-// returns true.
+// lookup probes for a; on hit it marks the line dirty for writes and
+// returns true. Hits change no replacement state.
 func (p *private) lookup(a uint64, write bool) bool {
 	set, base, tag := p.locate(a)
 	if w := p.probe(base, tag); w >= 0 {
@@ -76,7 +63,6 @@ func (p *private) lookup(a uint64, write bool) bool {
 		if write {
 			p.dirty[set] |= 1 << uint(w)
 		}
-		p.touch(base, w)
 		return true
 	}
 	p.misses++
@@ -87,17 +73,10 @@ func (p *private) lookup(a uint64, write bool) bool {
 // caller must have just missed on a in this cache: fill does not probe.
 func (p *private) fill(a uint64, dirty bool) Victim {
 	set, base, tag := p.locate(a)
-	// Choose victim: lowest-indexed invalid way first, else LRU-most.
-	var vw int
+	// Victim: the lowest-indexed empty way, else way 0 (see private).
+	vw := 0
 	if inv := p.fullMask &^ p.valid[set]; inv != 0 {
 		vw = bits.TrailingZeros32(inv)
-	} else {
-		rank := -1
-		for w := 0; w < p.ways; w++ {
-			if r := int(p.lru[base+w]); r > rank {
-				vw, rank = w, r
-			}
-		}
 	}
 	var v Victim
 	idx := base + vw
@@ -116,7 +95,6 @@ func (p *private) fill(a uint64, dirty bool) Victim {
 	} else {
 		p.dirty[set] &^= bit
 	}
-	p.touch(base, vw)
 	return v
 }
 

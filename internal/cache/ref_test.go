@@ -221,8 +221,8 @@ func (s *diffSplitmix) next() uint64 {
 // through nOps randomized operations (demand accesses, writeback fills,
 // DDIO writes, device reads, ambient fills) under rotating, frequently
 // shrinking way masks, failing on the first divergence in hit results or
-// displaced victims, then cross-checks residency for a sample of the
-// address space.
+// displaced victims, then cross-checks residency over every address the
+// stream used.
 func runDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps int) {
 	t.Helper()
 	cfg := LLCConfig{Slices: 3, Ways: 11, SetsPerSlice: 16, HitCycles: 44, Policy: policy}
@@ -230,8 +230,21 @@ func runDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps i
 	r := newRefLLC(cfg)
 	rng := diffSplitmix(seed)
 
-	// Small address pool so sets actually fill and evict.
+	// Small address pools so sets actually fill and evict. Besides low
+	// lines, the pool holds the addresses ambient churn produces (bit 40
+	// set, random bits up to bit 61; see sim.Platform.ambientChurn) and
+	// lines at 2^61, so victims must round-trip tags far above 2^32.
 	const addrs = 3 * 11 * 16 * 3
+	pool := make([]uint64, 0, 3*addrs)
+	for a := uint64(0); a < addrs; a++ {
+		pool = append(pool, a<<LineShift)
+	}
+	for a := uint64(0); a < addrs; a++ {
+		pool = append(pool, uint64(1)<<40|rng.next()>>8<<LineShift)
+	}
+	for a := uint64(0); a < addrs; a++ {
+		pool = append(pool, uint64(1)<<61+a<<LineShift)
+	}
 	masks := []WayMask{
 		FullMask(11),
 		ContiguousMask(0, 4),
@@ -241,7 +254,7 @@ func runDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps i
 		WayMask(0b10101010101), // non-contiguous: the general datapath case
 	}
 	for i := 0; i < nOps; i++ {
-		a := (rng.next() % addrs) << LineShift
+		a := pool[rng.next()%uint64(len(pool))]
 		mask := masks[rng.next()%uint64(len(masks))]
 		op := rng.next() % 8
 		switch {
@@ -278,8 +291,7 @@ func runDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps i
 			}
 		}
 	}
-	for a := uint64(0); a < addrs; a++ {
-		addr := a << LineShift
+	for _, addr := range pool {
 		if got, want := l.WayOf(addr), r.WayOf(addr); got != want {
 			t.Fatalf("final state: WayOf(%#x) = %d, ref %d", addr, got, want)
 		}
@@ -306,9 +318,10 @@ func TestLLCDifferentialLRU(t *testing.T) {
 // refPrivate is the private cache level as it was laid out before the
 // host-memory pass: sentinel tags in empty ways, a state byte per way,
 // eager allocation and a re-probe in fill. It keeps that layout's
-// replacement exactly — including ranks that never move — so the
-// differential test below proves the compact layout changed no
-// simulated bit.
+// replacement exactly, LRU ranks and rank-scanning victim choice
+// included, so the differential test below proves that the production
+// cache, which keeps no ranks and evicts way 0 from a full set, changed
+// no simulated bit.
 type refPrivate struct {
 	ways, sets int
 	tags       []uint64
@@ -485,9 +498,9 @@ func runPrivateDifferential(t *testing.T, cfg LevelConfig, seed uint64, nOps int
 }
 
 // TestPrivateDifferential proves the compact private-cache layout (tags
-// offset by one, per-set dirty bits, no re-probe in fill) is operation-
-// for-operation identical to the original layout, at the L1D and L2
-// shapes of the simulated Xeon (8-way and 16-way).
+// offset by one, per-set dirty bits, no re-probe in fill, no rank array)
+// is operation-for-operation identical to the original layout, at the
+// L1D and L2 shapes of the simulated Xeon (8-way and 16-way).
 func TestPrivateDifferential(t *testing.T) {
 	shapes := []LevelConfig{
 		{SizeBytes: 4 << 10, Ways: 8, HitCycles: 4},    // L1-shaped, 8 sets

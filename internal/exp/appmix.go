@@ -262,14 +262,12 @@ func buildRedis(m *appMix, o AppMixOpts) {
 		// translates directly into throughput degradation, as in the paper.
 		g.Window = 64
 		dev.OnTx = func(int, nic.Entry) { g.Complete() }
-		g.NewApp = func(_ *rand.Rand) any { return gen.Next() }
+		g.NewApp = func(_ *rand.Rand) ycsb.Request { return gen.Next() }
 		// Writes carry their 1KB value inbound; reads are small gets.
-		g.SizeFor = func(app any) int {
-			if r, ok := app.(ycsb.Request); ok {
-				switch r.Op {
-				case ycsb.Update, ycsb.Insert, ycsb.ReadModifyWrite:
-					return 1088
-				}
+		g.SizeFor = func(r ycsb.Request) int {
+			switch r.Op {
+			case ycsb.Update, ycsb.Insert, ycsb.ReadModifyWrite:
+				return 1088
 			}
 			return 128
 		}

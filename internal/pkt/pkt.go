@@ -2,7 +2,11 @@
 // NIC model, the traffic generators and the networking workloads.
 package pkt
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"iatsim/internal/ycsb"
+)
 
 // MinSize and MTUSize bound the packet sizes used across the experiments
 // (64B minimum Ethernet frame to the 1500B MTU the paper rounds to 1.5KB).
@@ -32,15 +36,20 @@ func (f Flow) Hash() uint64 {
 	return x
 }
 
-// Packet is a network packet: a flow identity, a wire size, and optional
-// application payload metadata interpreted by workloads (e.g. a KV request).
+// Packet is a network packet: a flow identity, a wire size, and the KV
+// request it carries, if any, interpreted by the KVS workloads.
+//
+// The request is a plain field rather than an interface, so building a
+// KV packet allocates nothing. Packets are copied by value through NIC
+// rings and virtio queues, so Packet is kept at 48 bytes (pinned by
+// TestPacketSize).
 type Packet struct {
 	Flow Flow
 	Size int // bytes on the wire (excl. preamble/IFG)
 
-	// App carries opaque application-level request data (e.g. a
-	// ycsb.Request for the KVS workloads). nil for plain traffic.
-	App any
+	// Req is the YCSB request of a KV packet. Plain traffic leaves it
+	// zero, which reads as a Read of key 0.
+	Req ycsb.Request
 
 	// ArrivalNS is stamped by the NIC when the packet is DMA'd into the
 	// host, so workloads can report queueing-inclusive latencies.

@@ -4,7 +4,22 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"iatsim/internal/ycsb"
 )
+
+// TestPacketSize pins the by-value sizes: packets are copied through
+// every NIC ring and virtio queue, so a field that grows Packet grows
+// each ring's backing array.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(ycsb.Request{}); n != 16 {
+		t.Errorf("ycsb.Request is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Packet{}); n != 48 {
+		t.Errorf("Packet is %d bytes, want 48", n)
+	}
+}
 
 func TestFlowHashDeterministic(t *testing.T) {
 	f := Flow{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: 17, VLAN: 5}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"iatsim/internal/pkt"
+	"iatsim/internal/ycsb"
 )
 
 // LineRatePPS returns the packet rate of a fully loaded Ethernet link of
@@ -31,12 +32,12 @@ type Generator struct {
 	// rate is scaled so the average remains RatePPS. Nil means constant
 	// rate.
 	Burst *Burst
-	// NewApp, when set, attaches application payload to each packet
-	// (e.g. YCSB requests for the KVS experiments).
-	NewApp func(rng *rand.Rand) any
+	// NewApp, when set, attaches a YCSB request to each packet (the KVS
+	// experiments' client traffic).
+	NewApp func(rng *rand.Rand) ycsb.Request
 	// SizeFor, when set together with NewApp, derives the wire size from
-	// the application payload (e.g. a KV update carries its value).
-	SizeFor func(app any) int
+	// the request (e.g. a KV update carries its value).
+	SizeFor func(req ycsb.Request) int
 	// Window, when positive, makes the generator closed-loop with that
 	// many outstanding requests (a YCSB client with Window threads):
 	// arrivals stall once Window requests are in flight until Complete
@@ -132,9 +133,9 @@ func (g *Generator) onTime(a, b float64) float64 {
 func (g *Generator) Next() pkt.Packet {
 	p := pkt.Packet{Flow: g.Flows.Pick(g.rng), Size: g.Size}
 	if g.NewApp != nil {
-		p.App = g.NewApp(g.rng)
+		p.Req = g.NewApp(g.rng)
 		if g.SizeFor != nil {
-			p.Size = g.SizeFor(p.App)
+			p.Size = g.SizeFor(p.Req)
 		}
 	}
 	return p

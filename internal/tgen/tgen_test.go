@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"iatsim/internal/pkt"
+	"iatsim/internal/ycsb"
 )
 
 func TestLineRatePPS(t *testing.T) {
@@ -93,11 +94,25 @@ func TestNextRespectsSizeAndFlows(t *testing.T) {
 
 func TestSizeForHook(t *testing.T) {
 	g := NewGenerator(1e6, 100, pkt.NewFlowSet(1, 0, 1), 1)
-	g.NewApp = func(_ *rand.Rand) any { return 17 }
-	g.SizeFor = func(app any) int { return app.(int) * 10 }
-	if p := g.Next(); p.Size != 170 || p.App.(int) != 17 {
+	g.NewApp = func(_ *rand.Rand) ycsb.Request { return ycsb.Request{Key: 17, Op: ycsb.Update} }
+	g.SizeFor = func(r ycsb.Request) int { return int(r.Key) * 10 }
+	if p := g.Next(); p.Size != 170 || p.Req.Key != 17 || p.Req.Op != ycsb.Update {
 		t.Fatalf("packet = %+v", p)
 	}
+}
+
+// TestNextWithRequestAllocatesNothing guards the KV client path: a packet
+// carrying a YCSB request is built by value, with no heap object.
+func TestNextWithRequestAllocatesNothing(t *testing.T) {
+	gen := ycsb.NewGenerator(ycsb.CoreWorkloads()[0], 1<<20, 1)
+	g := NewGenerator(1e6, 128, pkt.NewFlowSet(8, 0, 1), 1)
+	g.NewApp = func(_ *rand.Rand) ycsb.Request { return gen.Next() }
+	g.SizeFor = func(r ycsb.Request) int { return 128 + int(r.Op) }
+	var sink pkt.Packet
+	if a := testing.AllocsPerRun(1000, func() { sink = g.Next() }); a != 0 {
+		t.Fatalf("Generator.Next with a request hook: %v allocs/op, want 0", a)
+	}
+	_ = sink
 }
 
 func TestReset(t *testing.T) {

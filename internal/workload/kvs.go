@@ -78,7 +78,7 @@ func (k *KVS) Run(ctx *sim.Ctx) {
 			ctx.AccessRange(e.Buf, e.Pkt.Size, false) // read request
 			ctx.Compute(k.ParseInstr)
 
-			req, _ := e.Pkt.App.(ycsb.Request)
+			req := e.Pkt.Req
 			key := req.Key % k.cfg.Records
 			// Index probe (hash bucket + object header).
 			ctx.Access(k.index.Line(int(key)), req.Op != ycsb.Read)
@@ -93,7 +93,7 @@ func (k *KVS) Run(ctx *sim.Ctx) {
 				ctx.AccessRange(k.valueAddr(key), k.cfg.ValueSize, false)
 				ctx.AccessRange(k.valueAddr(key), k.cfg.ValueSize, true)
 			case ycsb.Scan:
-				n := req.ScanLen
+				n := int(req.ScanLen)
 				if n < 1 {
 					n = 1
 				}

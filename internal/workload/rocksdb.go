@@ -133,7 +133,7 @@ func (r *RocksDB) Run(ctx *sim.Ctx) {
 			lat += ctx.AccessRange(val, vs, false)
 			lat += ctx.AccessRange(val, vs, true)
 		case ycsb.Scan:
-			n := req.ScanLen
+			n := int(req.ScanLen)
 			if n < 1 {
 				n = 1
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // Op is a key-value operation type.
-type Op int
+type Op int32
 
 // Operation kinds of the YCSB core workloads.
 const (
@@ -39,12 +39,14 @@ func (o Op) String() string {
 	return "?"
 }
 
-// Request is one generated operation.
+// Request is one generated operation. It travels by value inside every
+// KV packet (pkt.Packet.Req), so it is kept to 16 bytes: the key first,
+// then the two 32-bit fields.
 type Request struct {
-	Op  Op
 	Key uint64
 	// ScanLen is the number of records a Scan touches.
-	ScanLen int
+	ScanLen int32
+	Op      Op
 }
 
 // Workload is a YCSB core-workload definition: an operation mix plus a
@@ -129,7 +131,7 @@ func (g *Generator) Next() Request {
 		return Request{Op: Insert, Key: g.latest % g.n}
 	case r < w.ReadProp+w.UpdateProp+w.InsertProp+w.ScanProp:
 		ln := 1 + g.rng.Intn(2*w.ScanLen)
-		return Request{Op: Scan, Key: g.nextKey(), ScanLen: ln}
+		return Request{Op: Scan, Key: g.nextKey(), ScanLen: int32(ln)}
 	default:
 		return Request{Op: ReadModifyWrite, Key: g.nextKey()}
 	}
