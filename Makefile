@@ -133,10 +133,10 @@ ckpt-smoke: build
 	@echo "ckpt-smoke OK: kill+resume tail == uninterrupted run; fleet crash storm jobs=1 == jobs=8 under -race"
 
 # bench: the micro-benchmark suite (cache access, KV packet generation,
-# NIC poll, daemon iteration, policy decision, platform step, fleet
-# round) via `go test -bench`, converted to JSON at results/bench.json by
-# cmd/benchjson.
-BENCHES ?= LLCAccess|HierarchyAccess|GeneratorNextKV|NICPollRx|DaemonTick|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound
+# NIC poll, daemon tick and iteration, policy decision, platform step,
+# fleet round, host checkpoint) via `go test -bench`, converted to JSON
+# at results/bench.json by cmd/benchjson.
+BENCHES ?= LLCAccess|HierarchyAccess|GeneratorNextKV|NICPollRx|DaemonTick|DaemonIteration|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound|HostCheckpoint
 bench: build
 	mkdir -p $(TMP) results
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem . > $(TMP)/bench.txt

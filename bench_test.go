@@ -8,6 +8,7 @@
 package iatsim_test
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -17,10 +18,13 @@ import (
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
 	"iatsim/internal/exp"
+	"iatsim/internal/fleet"
 	"iatsim/internal/mem"
 	"iatsim/internal/pkt"
 	"iatsim/internal/policy"
+	"iatsim/internal/rdt"
 	"iatsim/internal/sim"
+	"iatsim/internal/telemetry"
 	"iatsim/internal/tgen"
 	"iatsim/internal/ycsb"
 )
@@ -318,6 +322,118 @@ func BenchmarkDaemonTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Tick(params.IntervalNS + 1) // gated: the fast path
+	}
+}
+
+// churnSys is a core.System of eight two-core tenants whose counters
+// swing every interval, so each daemon iteration is unstable: it polls,
+// transitions, re-packs the layout and programs registers.
+type churnSys struct {
+	tenants []core.TenantInfo
+	masks   map[int]cache.WayMask
+	ddio    cache.WayMask
+	cores   []rdt.CoreCounters
+	ddioC   rdt.DDIOCounters
+}
+
+func newChurnSys() *churnSys {
+	s := &churnSys{masks: map[int]cache.WayMask{}, ddio: cache.ContiguousMask(9, 2), cores: make([]rdt.CoreCounters, 16)}
+	for i := 0; i < 8; i++ {
+		t := core.TenantInfo{Name: fmt.Sprintf("t%d", i), Cores: []int{2 * i, 2*i + 1}, CLOS: i + 1, Priority: core.BE}
+		if i == 0 {
+			t.IO, t.Priority = true, core.PC
+		}
+		s.tenants = append(s.tenants, t)
+		s.masks[t.CLOS] = cache.ContiguousMask(i, 1)
+	}
+	return s
+}
+
+// advance feeds interval i: steady core activity with a reference rate
+// that drifts per tenant, and a DDIO miss rate that swings each interval.
+func (s *churnSys) advance(i int) {
+	for c := range s.cores {
+		s.cores[c].Instructions += 1_000_000
+		s.cores[c].Cycles += 2_000_000
+		s.cores[c].LLCRefs += uint64(10_000 + (i+c)%4*5_000)
+		s.cores[c].LLCMisses += 1_000
+	}
+	s.ddioC.Hits += 1_000_000
+	if i%2 == 0 {
+		s.ddioC.Misses += 2_000_000
+	} else {
+		s.ddioC.Misses += 100
+	}
+}
+
+func (s *churnSys) Tenants() []core.TenantInfo        { return s.tenants }
+func (s *churnSys) NumWays() int                      { return 11 }
+func (s *churnSys) ReadCore(c int) rdt.CoreCounters   { return s.cores[c] }
+func (s *churnSys) ReadDDIO() rdt.DDIOCounters        { return s.ddioC }
+func (s *churnSys) CLOSMask(clos int) cache.WayMask   { return s.masks[clos] }
+func (s *churnSys) DDIOMask() cache.WayMask           { return s.ddio }
+func (s *churnSys) SetDDIOMask(m cache.WayMask) error { s.ddio = m; return nil }
+func (s *churnSys) SetCLOSMask(clos int, m cache.WayMask) error {
+	s.masks[clos] = m
+	return nil
+}
+
+// BenchmarkDaemonIteration measures one full unstable IAT iteration
+// (poll, sanity screen, decide, re-allocate, program, trace) with a
+// telemetry sink attached, over eight tenants whose counters churn.
+func BenchmarkDaemonIteration(b *testing.B) {
+	sys := newChurnSys()
+	params := core.DefaultParams()
+	d, err := core.NewDaemon(sys, params, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Tel = telemetry.NewRegistry()
+	i := 0
+	tick := func() {
+		sys.advance(i)
+		i++
+		d.Tick(float64(i) * params.IntervalNS)
+	}
+	for i < 8 {
+		tick()
+	}
+	_, before := d.Iterations()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		tick()
+	}
+	b.StopTimer()
+	if _, after := d.Iterations(); after-before != uint64(b.N) {
+		b.Fatalf("%d of %d iterations were unstable", after-before, b.N)
+	}
+}
+
+// BenchmarkHostCheckpoint measures one fleet host checkpoint: the daemon,
+// its IAT policy and two shadow policies encoded into the host's in-memory
+// checkpoint slot, as the fleet does after every round.
+func BenchmarkHostCheckpoint(b *testing.B) {
+	o := exp.FleetOpts{
+		Hosts: 1, Topology: "striped", Rollout: "canary", Shadow: "static:2,ioca",
+		Scale: 3200, Rounds: 2, RoundNS: 0.2e9, IntervalNS: 0.05e9,
+	}
+	hosts, err := exp.BuildFleet(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := exp.FleetPlan(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := fleet.Run(fleet.Config{Hosts: hosts, Rounds: o.Rounds, RoundNS: o.RoundNS, Workers: 1, Plan: plan, CheckpointEvery: 1}); err != nil {
+		b.Fatal(err)
+	}
+	h := hosts[0]
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := h.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -9,16 +9,21 @@ import (
 
 // DiffRow is the comparison of one benchmark between a baseline report
 // and a new report. A benchmark is keyed by name + GOMAXPROCS suffix:
-// the same bench at a different -cpu count is a different measurement.
+// the same bench at a different -cpu count is a different timing. When
+// the new report has the name only at another suffix, the row still
+// compares allocs/op and B/op, which do not depend on the core count.
 type DiffRow struct {
-	Name      string
-	OldNs     float64
-	NewNs     float64
-	DeltaPct  float64 // ns/op change in percent; positive = slower
-	OldAllocs float64
-	NewAllocs float64
-	OldBytes  float64 // B/op
-	NewBytes  float64
+	Name string
+	// ProcsDiffer marks a row matched by name across GOMAXPROCS
+	// suffixes: its ns/op is shown but not gated.
+	ProcsDiffer bool
+	OldNs       float64
+	NewNs       float64
+	DeltaPct    float64 // ns/op change in percent; positive = slower
+	OldAllocs   float64
+	NewAllocs   float64
+	OldBytes    float64 // B/op
+	NewBytes    float64
 	// Reason is non-empty when the row is a regression: ns/op past the
 	// tolerance, allocs/op or B/op past countRegressed, or the benchmark
 	// missing from the new report (a gated bench cannot silently
@@ -39,18 +44,23 @@ const nsGateFloorNs = 1000.0
 // tolerancePct bounds the allowed ns/op growth (15 = +15%) for
 // benchmarks whose baseline is at least nsGateFloorNs; allocs/op and
 // B/op gate per countRegressed — exactly at a zero baseline, with 1%
-// slack where the baseline already allocates. Rows come back in
-// baseline order; added names are new-report benchmarks
-// absent from the baseline (informational, never gated).
+// slack where the baseline already allocates. A baseline benchmark the
+// new report has only at other GOMAXPROCS suffixes is matched to the
+// first of them by name, with ns/op left ungated. Rows come back in
+// baseline order; added names are new-report benchmarks matched by no
+// baseline row (informational, never gated).
 func Diff(base, head *Report, tolerancePct float64) (rows []DiffRow, added []string) {
 	key := func(b Benchmark) string { return fmt.Sprintf("%s-%d", b.Name, b.Procs) }
 	newBy := make(map[string]Benchmark, len(head.Benchmarks))
+	firstByName := make(map[string]Benchmark, len(head.Benchmarks))
 	for _, b := range head.Benchmarks {
 		newBy[key(b)] = b
+		if _, ok := firstByName[b.Name]; !ok {
+			firstByName[b.Name] = b
+		}
 	}
-	seen := make(map[string]bool, len(base.Benchmarks))
+	matched := make(map[string]bool, len(base.Benchmarks))
 	for _, ob := range base.Benchmarks {
-		seen[key(ob)] = true
 		row := DiffRow{
 			Name:      ob.Name,
 			OldNs:     ob.Metrics["ns/op"],
@@ -59,10 +69,15 @@ func Diff(base, head *Report, tolerancePct float64) (rows []DiffRow, added []str
 		}
 		nb, ok := newBy[key(ob)]
 		if !ok {
+			nb, ok = firstByName[ob.Name]
+			row.ProcsDiffer = ok
+		}
+		if !ok {
 			row.Reason = "missing from new report"
 			rows = append(rows, row)
 			continue
 		}
+		matched[key(nb)] = true
 		row.NewNs = nb.Metrics["ns/op"]
 		row.NewAllocs = nb.Metrics["allocs/op"]
 		row.NewBytes = nb.Metrics["B/op"]
@@ -74,13 +89,13 @@ func Diff(base, head *Report, tolerancePct float64) (rows []DiffRow, added []str
 			row.Reason = fmt.Sprintf("allocs/op %.0f -> %.0f", row.OldAllocs, row.NewAllocs)
 		case countRegressed(row.OldBytes, row.NewBytes):
 			row.Reason = fmt.Sprintf("B/op %.0f -> %.0f", row.OldBytes, row.NewBytes)
-		case row.DeltaPct > tolerancePct && row.OldNs >= nsGateFloorNs:
+		case row.DeltaPct > tolerancePct && row.OldNs >= nsGateFloorNs && !row.ProcsDiffer:
 			row.Reason = fmt.Sprintf("ns/op +%.1f%% exceeds +%.1f%% tolerance", row.DeltaPct, tolerancePct)
 		}
 		rows = append(rows, row)
 	}
 	for _, nb := range head.Benchmarks {
-		if !seen[key(nb)] {
+		if !matched[key(nb)] {
 			added = append(added, nb.Name)
 		}
 	}
@@ -157,6 +172,8 @@ func runDiff(oldPath, newPath string, tolerancePct float64, w io.Writer) (regres
 		case r.Reason != "":
 			verdict = "REGRESSION: " + r.Reason
 			n++
+		case r.ProcsDiffer:
+			verdict = "ok (procs differ: ns/op not gated)"
 		case r.DeltaPct > tolerancePct && r.OldNs < nsGateFloorNs:
 			verdict = "ok (sub-µs bench, ns/op not gated)"
 		}

@@ -144,15 +144,43 @@ func TestDiffMissingAndAdded(t *testing.T) {
 	}
 }
 
-// TestDiffProcsKeyed: the same name at a different GOMAXPROCS is a
-// different measurement, not a match.
-func TestDiffProcsKeyed(t *testing.T) {
-	base := mkReport([3]any{"A", 100.0, 0.0})
-	head := mkReport([3]any{"A", 100.0, 0.0})
+// TestDiffProcsDifferGatesCountsByName: a baseline benchmark the new
+// report has only at another GOMAXPROCS is matched by name — allocs/op
+// and B/op still gate, ns/op does not, and it is neither missing nor
+// added.
+func TestDiffProcsDifferGatesCountsByName(t *testing.T) {
+	at4 := func(rep *Report) *Report {
+		rep.Benchmarks[0].Procs = 4
+		return rep
+	}
+	rows, added := Diff(mkReport([3]any{"A", 1e6, 3.0}), at4(mkReport([3]any{"A", 5e6, 3.0})), 15)
+	if len(rows) != 1 || rows[0].Reason != "" || !rows[0].ProcsDiffer || len(added) != 0 {
+		t.Fatalf("5x ns/op across procs: rows=%+v added=%v, want an ungated ns/op match", rows, added)
+	}
+	rows, _ = Diff(mkReport([3]any{"A", 1e6, 3.0}), at4(mkReport([3]any{"A", 1e6, 4.0})), 15)
+	if !strings.Contains(rows[0].Reason, "allocs/op") {
+		t.Fatalf("allocs/op regression across procs not flagged: %q", rows[0].Reason)
+	}
+	withBytes := at4(mkReport([3]any{"A", 1e6, 0.0}))
+	withBytes.Benchmarks[0].Metrics["B/op"] = 8
+	rows, _ = Diff(mkReport([3]any{"A", 1e6, 0.0}), withBytes, 15)
+	if !strings.Contains(rows[0].Reason, "B/op") {
+		t.Fatalf("B/op regression across procs not flagged: %q", rows[0].Reason)
+	}
+}
+
+// TestDiffPrefersExactProcs: with the name present at the baseline's own
+// GOMAXPROCS too, that entry is the match and ns/op gates as usual; the
+// other suffix is reported as added.
+func TestDiffPrefersExactProcs(t *testing.T) {
+	head := mkReport([3]any{"A", 1e6, 0.0}, [3]any{"A", 5e6, 0.0})
 	head.Benchmarks[0].Procs = 4
-	rows, added := Diff(base, head, 15)
-	if !strings.Contains(rows[0].Reason, "missing") || len(added) != 1 {
-		t.Fatalf("procs mismatch treated as a match: rows=%+v added=%v", rows, added)
+	rows, added := Diff(mkReport([3]any{"A", 1e6, 0.0}), head, 15)
+	if rows[0].ProcsDiffer || !strings.Contains(rows[0].Reason, "ns/op") {
+		t.Fatalf("exact-procs entry not preferred: %+v", rows[0])
+	}
+	if len(added) != 1 || added[0] != "A" {
+		t.Fatalf("added = %v, want the procs=4 entry", added)
 	}
 }
 
@@ -219,5 +247,19 @@ func TestRunDiffOutput(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "1 of 2") {
 		t.Fatalf("output:\n%s", out.String())
+	}
+
+	// A baseline recorded at another core count still gates by name.
+	other := mkReport([3]any{"A", 100000.0, 0.0}, [3]any{"B", 300000.0, 0.0})
+	for i := range other.Benchmarks {
+		other.Benchmarks[i].Procs = 2
+	}
+	out.Reset()
+	regressed, err = runDiff(oldPath, writeReport("other.json", other), 15, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regressed || strings.Count(out.String(), "procs differ") != 2 || strings.Contains(out.String(), "missing") {
+		t.Fatalf("procs-differ run: regressed=%v output:\n%s", regressed, out.String())
 	}
 }

@@ -331,8 +331,8 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(out, "[%7.2fs] %-10s stable (ddio=%v hit/s=%.2e miss/s=%.2e)\n",
 				it.NowNS/1e9, it.State, it.DDIOMask, it.DDIOHitPS, it.DDIOMissPS)
 		} else {
-			fmt.Fprintf(out, "[%7.2fs] %-10s %-28s ddio=%v masks=%v\n",
-				it.NowNS/1e9, it.State, it.Action, it.DDIOMask, it.Masks)
+			fmt.Fprintf(out, "[%7.2fs] %-10s %-28s ddio=%v masks=%s\n",
+				it.NowNS/1e9, it.State, it.Action, it.DDIOMask, fmtMasks(it.Masks))
 		}
 		if resume != nil && iter == resume.Iteration && replayErr == nil {
 			if replayErr = restoreFromCheckpoint(daemon, inj, prof.Active(), resume, cfgHash, it.NowNS, iter); replayErr == nil {
@@ -449,6 +449,20 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// fmtMasks renders per-CLOS masks in the log's map[clos:mask ...] form.
+func fmtMasks(masks []core.GroupMask) string {
+	var b strings.Builder
+	b.WriteString("map[")
+	for i, m := range masks {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%d:%v", m.CLOS, m.Mask)
+	}
+	b.WriteByte(']')
+	return b.String()
+}
+
 // fmtFlag renders a float flag for the checkpoint config hash: shortest
 // exact representation, so equal values hash equally.
 func fmtFlag(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -458,11 +472,10 @@ func fmtFlag(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // a fixed program point in the iteration; restoreFromCheckpoint verifies
 // a replayed run's state at that same point, so the comparison is exact.
 func writeCheckpoint(path, cfgHash string, iter uint64, nowNS float64, d *core.Daemon, inj *faults.Injector, chaosActive bool) error {
-	st, err := d.SnapshotState()
-	if err != nil {
+	c := &ckpt.Checkpoint{Iteration: iter, SimTimeNS: nowNS, ConfigHash: cfgHash}
+	if err := d.SnapshotState(&c.Daemon); err != nil {
 		return err
 	}
-	c := &ckpt.Checkpoint{Iteration: iter, SimTimeNS: nowNS, ConfigHash: cfgHash, Daemon: st}
 	if chaosActive {
 		s := inj.Snapshot()
 		c.Injector = &s
@@ -477,11 +490,10 @@ func writeCheckpoint(path, cfgHash string, iter uint64, nowNS float64, d *core.D
 // from the checkpoint anyway — the file, not the replay, is the
 // authority the run continues from.
 func restoreFromCheckpoint(d *core.Daemon, inj *faults.Injector, chaosActive bool, c *ckpt.Checkpoint, cfgHash string, nowNS float64, iter uint64) error {
-	st, err := d.SnapshotState()
-	if err != nil {
+	replayed := &ckpt.Checkpoint{Iteration: iter, SimTimeNS: nowNS, ConfigHash: cfgHash}
+	if err := d.SnapshotState(&replayed.Daemon); err != nil {
 		return fmt.Errorf("iatd: resume: %w", err)
 	}
-	replayed := &ckpt.Checkpoint{Iteration: iter, SimTimeNS: nowNS, ConfigHash: cfgHash, Daemon: st}
 	if chaosActive {
 		s := inj.Snapshot()
 		replayed.Injector = &s

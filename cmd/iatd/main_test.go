@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -474,4 +476,55 @@ func TestResumeAndCheckpointValidation(t *testing.T) {
 		[]string{"-tenants", path, "-checkpoint-every", "3"}, "-checkpoint-every")
 	expectUsage("zero checkpoint-every",
 		[]string{"-tenants", path, "-checkpoint", filepath.Join(dir, "ck"), "-checkpoint-every", "0"}, "-checkpoint-every")
+}
+
+// tenTenants registers ten tenants, so the checkpoint's CLOS-keyed JSON
+// objects hold keys 1..10, which encoding/json orders as strings ("10"
+// before "2").
+const tenTenants = `
+fwd0  0  2  pc  io  testpmd:1500
+b2    1  1  be  -   xmem:1
+b3    2  1  be  -   xmem:1
+b4    3  1  be  -   xmem:1
+b5    4  1  be  -   xmem:1
+b6    5  1  be  -   xmem:1
+b7    6  1  be  -   xmem:1
+b8    7  1  be  -   xmem:1
+b9    8  1  be  -   xmem:1
+b10   9  1  be  -   xmem:2
+`
+
+// TestCheckpointFileGolden pins the exact bytes of an iatd checkpoint
+// file (daemon counter baselines for ten CLOS ids, IAT policy state,
+// two shadows, injector state) by SHA-256. Any change to the encoding,
+// its field order or its map-key order shows up here.
+func TestCheckpointFileGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 1.6s of platform time")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tenants.conf")
+	if err := os.WriteFile(path, []byte(tenTenants), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(dir, "ck")
+	var out bytes.Buffer
+	if err := run([]string{"-tenants", path, "-duration", "1.6", "-interval", "0.2",
+		"-chaos", "light", "-chaos-seed", "3", "-shadow", "static:2,ioca",
+		"-checkpoint", ck, "-checkpoint-every", "2"}, &out); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	data, err := os.ReadFile(filepath.Join(ck, ckptFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"prev_cum":{"1":`, `"10":`, `"shadow_state":`, `"injector":`} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Fatalf("checkpoint lacks %s:\n%s", want, data)
+		}
+	}
+	const golden = "6a159587cb9dca58393176ebba8c6d18f37ca3ce564d6b018444c44392036143"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != golden {
+		t.Fatalf("checkpoint sha256 = %s, want %s", got, golden)
+	}
 }

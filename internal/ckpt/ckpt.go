@@ -34,6 +34,7 @@ import (
 
 	"iatsim/internal/core"
 	"iatsim/internal/faults"
+	"iatsim/internal/jsonbuf"
 )
 
 // Version is the current envelope format version. Decoders accept
@@ -90,13 +91,20 @@ type Checkpoint struct {
 
 // Encode wraps payload in the checksum'd envelope.
 func Encode(payload []byte) []byte {
-	out := make([]byte, headerSize+len(payload))
-	copy(out[0:4], magic[:])
-	binary.LittleEndian.PutUint32(out[4:8], Version)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[12:16], crc32.ChecksumIEEE(payload))
-	copy(out[headerSize:], payload)
+	out := make([]byte, headerSize, headerSize+len(payload))
+	out = append(out, payload...)
+	putHeader(out)
 	return out
+}
+
+// putHeader fills the envelope header at the front of env from the
+// payload that follows it.
+func putHeader(env []byte) {
+	payload := env[headerSize:]
+	copy(env[0:4], magic[:])
+	binary.LittleEndian.PutUint32(env[4:8], Version)
+	binary.LittleEndian.PutUint32(env[8:12], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(env[12:16], crc32.ChecksumIEEE(payload))
 }
 
 // Decode validates the envelope and returns the payload. All failures
@@ -128,12 +136,18 @@ func Decode(data []byte) ([]byte, error) {
 
 // Marshal serialises a checkpoint into its enveloped byte form.
 // Deterministic: identical checkpoints yield identical bytes.
-func Marshal(c *Checkpoint) ([]byte, error) {
-	payload, err := json.Marshal(c)
+func Marshal(c *Checkpoint) ([]byte, error) { return AppendMarshal(nil, c) }
+
+// AppendMarshal appends the enveloped form of c to dst — Marshal for a
+// caller that reuses one buffer across checkpoints.
+func AppendMarshal(dst []byte, c *Checkpoint) ([]byte, error) {
+	start := len(dst)
+	out, err := jsonbuf.Append(append(dst, make([]byte, headerSize)...), c)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: marshal: %w", err)
+		return dst, fmt.Errorf("ckpt: marshal: %w", err)
 	}
-	return Encode(payload), nil
+	putHeader(out[start:])
+	return out, nil
 }
 
 // Unmarshal decodes an enveloped checkpoint. Corruption and version

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"iatsim/internal/cache"
 	"iatsim/internal/core"
 	"iatsim/internal/faults"
+	"iatsim/internal/jsonbuf"
+	"iatsim/internal/policy"
+	"iatsim/internal/rdt"
 )
 
 // sampleCheckpoint builds a representative checkpoint with nested state.
@@ -45,10 +50,77 @@ func sampleCheckpoint() *Checkpoint {
 	}
 }
 
+// shadowedCheckpoint builds the checkpoint of a daemon with three
+// groups, CLOS 10, 2 and 1 in registration order, counter baselines for
+// each, and two shadow policies that have decided on a few samples, so
+// every int-keyed member (prev_cum and each shadow's widths) holds keys
+// whose string order ("10" before "2") differs from their numeric order.
+func shadowedCheckpoint() *Checkpoint {
+	s := policy.Sample{
+		NumWays: 11, DDIOWays: 2, DDIOMask: cache.ContiguousMask(9, 2),
+		Limits: policy.Limits{
+			ThresholdStable: 0.03, ThresholdMissLowPerSec: 1e6,
+			DDIOWaysMin: 1, DDIOWaysMax: 6, MissDropFactor: 0.5, TenantMissRateFloor: 0.05,
+		},
+		DDIOHitPS: 1e7,
+	}
+	c := sampleCheckpoint()
+	d := &c.Daemon
+	d.Groups, d.PrevCum, d.HavePrevCum = nil, nil, true
+	for i, clos := range []int{10, 2, 1} {
+		s.Groups = append(s.Groups, policy.GroupView{
+			CLOS: clos, IO: i == 0, BestEffort: i > 0, Width: 2, Mask: cache.ContiguousMask(2*i, 2),
+			IPC: 0.5, RefsPS: 1e7 * float64(i+1), MissPS: 1e5, MissRate: 0.01,
+		})
+		d.Groups = append(d.Groups, core.GroupState{CLOS: clos, Names: []string{fmt.Sprintf("t%d", clos)}, Width: 2, Cores: []int{i}})
+		d.PrevCum = append(d.PrevCum, jsonbuf.IntEntry[rdt.CoreCounters]{Key: clos, Val: rdt.CoreCounters{Instructions: uint64(1000 * clos), Cycles: 2000, LLCRefs: 300, LLCMisses: 40}})
+	}
+	specs, err := policy.ParseShadowSpecs("static:2,ioca")
+	if err != nil {
+		panic(err)
+	}
+	iat, ev := policy.NewIAT(), policy.NewEvaluator(specs)
+	for i := 0; i < 4; i++ {
+		s.NowNS = float64(i) * 1e8
+		s.DDIOMissPS = []float64{5e6, 1e3}[i%2]
+		iat.Observe(s)
+		a := iat.Decide()
+		ev.Tick(s, a, s.DDIOMask)
+	}
+	if d.PolicyState, err = iat.AppendSnapshot(nil); err != nil {
+		panic(err)
+	}
+	if d.ShadowState, err = ev.AppendSnapshot(nil); err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // TestRoundTrip: marshal → unmarshal reproduces the checkpoint, and
 // marshalling is byte-deterministic.
 func TestRoundTrip(t *testing.T) {
-	c := sampleCheckpoint()
+	for _, c := range []*Checkpoint{sampleCheckpoint(), shadowedCheckpoint()} {
+		roundTrip(t, c)
+	}
+}
+
+// TestIntKeysInMapOrder: the int-keyed members of a checkpoint list
+// their keys as encoding/json lists map keys, "10" before "2".
+func TestIntKeysInMapOrder(t *testing.T) {
+	data, err := Marshal(shadowedCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"prev_cum":{"1":{"Instructions":1000,`)) {
+		t.Fatalf("prev_cum does not start at key 1:\n%s", data)
+	}
+	if i, j := bytes.Index(data, []byte(`"10":{"Instructions"`)), bytes.Index(data, []byte(`"2":{"Instructions"`)); i < 0 || j < i {
+		t.Fatalf("prev_cum key 10 at %d, key 2 at %d; want 10 first", i, j)
+	}
+}
+
+func roundTrip(t *testing.T, c *Checkpoint) {
+	t.Helper()
 	data, err := Marshal(c)
 	if err != nil {
 		t.Fatal(err)
@@ -188,11 +260,13 @@ func TestConfigHash(t *testing.T) {
 // bytes that decode, re-encoding the decoded checkpoint decodes again to
 // the same payload.
 func FuzzCkptRoundTrip(f *testing.F) {
-	seed, err := Marshal(sampleCheckpoint())
-	if err != nil {
-		f.Fatal(err)
+	for _, c := range []*Checkpoint{sampleCheckpoint(), shadowedCheckpoint()} {
+		seed, err := Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
 	}
-	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte("IATC"))
 	f.Add(Encode(nil))

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"iatsim/internal/jsonbuf"
 	"iatsim/internal/rdt"
 )
 
@@ -35,9 +37,9 @@ type GroupState struct {
 }
 
 // DaemonState is the daemon's serialised control-plane state. All fields
-// are exported scalars, slices in registration order, or maps that are
-// only marshalled through encoding/json (which sorts keys), so identical
-// daemon state always serialises to identical bytes.
+// are exported scalars, slices in registration order, or int-keyed
+// members that encode in encoding/json's sorted map-key order, so
+// identical daemon state always serialises to identical bytes.
 type DaemonState struct {
 	State    State        `json:"state"`
 	NeedInfo bool         `json:"need_info"`
@@ -46,11 +48,11 @@ type DaemonState struct {
 	DDIOWays int          `json:"ddio_ways"`
 	TopCLOS  int          `json:"top_clos"`
 
-	LastIterNS  float64                  `json:"last_iter_ns"`
-	PrevCumTime float64                  `json:"prev_cum_time"`
-	PrevCum     map[int]rdt.CoreCounters `json:"prev_cum,omitempty"`
-	PrevDDIO    rdt.DDIOCounters         `json:"prev_ddio"`
-	HavePrevCum bool                     `json:"have_prev_cum"`
+	LastIterNS  float64                          `json:"last_iter_ns"`
+	PrevCumTime float64                          `json:"prev_cum_time"`
+	PrevCum     jsonbuf.IntMap[rdt.CoreCounters] `json:"prev_cum,omitempty"`
+	PrevDDIO    rdt.DDIOCounters                 `json:"prev_ddio"`
+	HavePrevCum bool                             `json:"have_prev_cum"`
 
 	PolicyName  string `json:"policy_name"`
 	PolicyState []byte `json:"policy_state"`
@@ -70,13 +72,21 @@ type DaemonState struct {
 }
 
 // SnapshotState captures the daemon's control-plane state between
-// iterations.
-func (d *Daemon) SnapshotState() (DaemonState, error) {
-	ps, err := d.pol.Snapshot()
+// iterations into st, reusing the slices st already holds: a caller that
+// checkpoints repeatedly keeps one DaemonState and allocates nothing.
+func (d *Daemon) SnapshotState(st *DaemonState) error {
+	ps, err := d.pol.AppendSnapshot(st.PolicyState[:0])
 	if err != nil {
-		return DaemonState{}, fmt.Errorf("core: snapshot policy %s: %w", d.pol.Name(), err)
+		return fmt.Errorf("core: snapshot policy %s: %w", d.pol.Name(), err)
 	}
-	st := DaemonState{
+	ss := st.ShadowState[:0]
+	if d.shadows != nil && !d.shadows.Empty() {
+		if ss, err = d.shadows.AppendSnapshot(ss); err != nil {
+			return err
+		}
+	}
+	groups, prevCum := st.Groups, st.PrevCum[:0]
+	*st = DaemonState{
 		State:    d.state,
 		NeedInfo: d.needInfo,
 		NWays:    d.nWays,
@@ -90,6 +100,7 @@ func (d *Daemon) SnapshotState() (DaemonState, error) {
 
 		PolicyName:  d.pol.Name(),
 		PolicyState: ps,
+		ShadowState: ss,
 
 		Iters:    d.iters,
 		Unstable: d.unstable,
@@ -103,28 +114,35 @@ func (d *Daemon) SnapshotState() (DaemonState, error) {
 		WriteFailedIter: d.writeFailedIter,
 		TelState:        d.telState,
 	}
-	for _, g := range d.groups {
-		st.Groups = append(st.Groups, GroupState{
-			CLOS: g.CLOS, Names: append([]string(nil), g.Names...),
+	if n := len(d.groups); n > 0 {
+		st.Groups = slices.Grow(groups[:0], n)[:n]
+	}
+	for i, g := range d.groups {
+		gs := &st.Groups[i]
+		names, cores := gs.Names, gs.Cores
+		*gs = GroupState{
+			CLOS: g.CLOS, Names: refill(names, g.Names),
 			Priority: g.Priority, IO: g.IO, Width: g.Width,
 			RefsPerSec: g.RefsPerSec, MissPerSec: g.MissPerSec, MissRate: g.MissRate,
-			Cores: append([]int(nil), d.cores[g.CLOS]...),
-		})
+			Cores: refill(cores, d.cores[i]),
+		}
 	}
+	st.PrevCum = prevCum
 	if d.havePrevCum {
-		st.PrevCum = make(map[int]rdt.CoreCounters, len(d.prevCum))
-		for clos, c := range d.prevCum {
-			st.PrevCum[clos] = c
+		for i, g := range d.groups {
+			st.PrevCum = append(st.PrevCum, jsonbuf.IntEntry[rdt.CoreCounters]{Key: g.CLOS, Val: d.prevCum[i]})
 		}
 	}
-	if d.shadows != nil && !d.shadows.Empty() {
-		ss, err := d.shadows.Snapshot()
-		if err != nil {
-			return DaemonState{}, err
-		}
-		st.ShadowState = ss
+	return nil
+}
+
+// refill copies src into dst's array. An empty src yields nil, which
+// encodes as null, as a fresh copy of it would.
+func refill[T any](dst, src []T) []T {
+	if len(src) == 0 {
+		return nil
 	}
-	return st, nil
+	return append(dst[:0], src...)
 }
 
 // RestoreState rewinds the daemon to a checkpointed state. The checkpoint
@@ -162,23 +180,24 @@ func (d *Daemon) RestoreState(st DaemonState) error {
 	d.prevCumTime = st.PrevCumTime
 	d.prevDDIO = st.PrevDDIO
 	d.havePrevCum = st.HavePrevCum
-	d.prevCum = make(map[int]rdt.CoreCounters, len(st.PrevCum))
-	for clos, c := range st.PrevCum {
-		d.prevCum[clos] = c
-	}
 
 	d.groups = d.groups[:0]
-	d.byCLOS = make(map[int]*Group, len(st.Groups))
-	d.cores = make(map[int][]int, len(st.Groups))
+	d.cores = d.cores[:0]
 	for _, gs := range st.Groups {
-		g := &Group{
+		d.groups = append(d.groups, &Group{
 			CLOS: gs.CLOS, Names: append([]string(nil), gs.Names...),
 			Priority: gs.Priority, IO: gs.IO, Width: gs.Width,
 			RefsPerSec: gs.RefsPerSec, MissPerSec: gs.MissPerSec, MissRate: gs.MissRate,
+		})
+		d.cores = append(d.cores, append([]int(nil), gs.Cores...))
+	}
+	d.reindex()
+	// Baselines of CLOS ids without a group are dropped; groups without
+	// a baseline start from zero.
+	for _, e := range st.PrevCum {
+		if i := d.groupIndex(e.Key); i >= 0 {
+			d.prevCum[i] = e.Val
 		}
-		d.groups = append(d.groups, g)
-		d.byCLOS[g.CLOS] = g
-		d.cores[g.CLOS] = append([]int(nil), gs.Cores...)
 	}
 
 	d.iters = st.Iters
@@ -210,13 +229,12 @@ func (d *Daemon) Restart() {
 	d.state = LowKeep
 	d.needInfo = true
 	d.groups = d.groups[:0]
-	d.byCLOS = nil
-	d.cores = nil
+	d.cores = d.cores[:0]
+	d.reindex()
 	d.ddioWays = 0
 	d.topCLOS = -1
 	d.lastIterNS = -1e18
 	d.prevCumTime = 0
-	d.prevCum = nil
 	d.prevDDIO = rdt.DDIOCounters{}
 	d.havePrevCum = false
 	d.pol.Reset()

@@ -61,8 +61,8 @@ func TestDaemonSnapshotRestoreContinuesIdentically(t *testing.T) {
 		ckptLoad(m, i)
 		d1.Tick(float64(i+1) * 100e6)
 	}
-	snap, err := d1.SnapshotState()
-	if err != nil {
+	var snap DaemonState
+	if err := d1.SnapshotState(&snap); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshots must serialise deterministically.
@@ -77,8 +77,8 @@ func TestDaemonSnapshotRestoreContinuesIdentically(t *testing.T) {
 	if err := d2.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	resnap, err := d2.SnapshotState()
-	if err != nil {
+	var resnap DaemonState
+	if err := d2.SnapshotState(&resnap); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := json.Marshal(resnap)
@@ -143,8 +143,8 @@ func TestDaemonSnapshotCarriesShadows(t *testing.T) {
 		ckptLoad(m, i)
 		d1.Tick(float64(i+1) * 100e6)
 	}
-	snap, err := d1.SnapshotState()
-	if err != nil {
+	var snap DaemonState
+	if err := d1.SnapshotState(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if len(snap.ShadowState) == 0 {
@@ -178,8 +178,8 @@ func TestDaemonRestoreMismatch(t *testing.T) {
 		ckptLoad(m, i)
 		d.Tick(float64(i+1) * 100e6)
 	}
-	snap, err := d.SnapshotState()
-	if err != nil {
+	var snap DaemonState
+	if err := d.SnapshotState(&snap); err != nil {
 		t.Fatal(err)
 	}
 

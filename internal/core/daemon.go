@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"iatsim/internal/cache"
@@ -20,8 +21,10 @@ type groupRates struct {
 }
 
 // intervalSample is one interval's derived metrics for the whole system.
+// perGroup runs parallel to the daemon's groups and is refilled by the
+// next poll.
 type intervalSample struct {
-	perGroup    map[int]groupRates
+	perGroup    []groupRates
 	ddioHitPS   float64
 	ddioMissPS  float64
 	totalRefsPS float64
@@ -36,11 +39,27 @@ type IterationInfo struct {
 	Action     string
 	DDIOWays   int
 	DDIOMask   cache.WayMask
-	Masks      map[int]cache.WayMask // per CLOS
+	Masks      []GroupMask // one per group, ascending CLOS
 	DDIOHitPS  float64
 	DDIOMissPS float64
 	// Degraded reports the safe-static-fallback mode (see Daemon.Health).
 	Degraded bool
+}
+
+// GroupMask is one group's programmed CLOS mask.
+type GroupMask struct {
+	CLOS int
+	Mask cache.WayMask
+}
+
+// MaskOf returns the mask reported for clos (0 when absent).
+func (it IterationInfo) MaskOf(clos int) cache.WayMask {
+	for _, m := range it.Masks {
+		if m.CLOS == clos {
+			return m.Mask
+		}
+	}
+	return 0
 }
 
 // StepTimings are the wall-clock costs of the last iteration's steps,
@@ -68,18 +87,30 @@ type Daemon struct {
 	state    State
 	needInfo bool
 
-	groups   []*Group // registration order
-	byCLOS   map[int]*Group
-	cores    map[int][]int // CLOS -> member cores
-	nWays    int
-	ddioWays int
-	topCLOS  int // group currently (candidate for) sharing with DDIO
+	// Per-group state is dense, indexed like groups (registration
+	// order); closOrder lists group indices by ascending CLOS, the order
+	// of every float sum and register write whose result is recorded.
+	groups    []*Group
+	cores     [][]int // member cores
+	closOrder []int
+	nWays     int
+	ddioWays  int
+	topCLOS   int // group currently (candidate for) sharing with DDIO
 
 	lastIterNS  float64
 	prevCumTime float64
-	prevCum     map[int]rdt.CoreCounters
+	prevCum     []rdt.CoreCounters
 	prevDDIO    rdt.DDIOCounters
 	havePrevCum bool
+
+	// Buffers each iteration refills: poll's counter reads and rates,
+	// sampleFor's group views (policies copy what they keep), and
+	// apply's packing order and layout.
+	cum    []rdt.CoreCounters
+	rates  []groupRates
+	views  []policy.GroupView
+	order  []*Group
+	layout []cache.WayMask
 
 	// pol decides; shadows (optional) evaluate candidate policies on the
 	// same accepted samples without touching any register.
@@ -225,16 +256,16 @@ func (d *Daemon) Tick(nowNS float64) {
 // the currently programmed masks as the initial allocation.
 func (d *Daemon) getTenantInfo() {
 	tenants := d.sys.Tenants()
-	d.byCLOS = make(map[int]*Group)
-	d.cores = make(map[int][]int)
 	d.groups = d.groups[:0]
+	d.cores = d.cores[:0]
 	for _, t := range tenants {
-		g := d.byCLOS[t.CLOS]
-		if g == nil {
-			g = &Group{CLOS: t.CLOS, Priority: t.Priority}
-			d.byCLOS[t.CLOS] = g
-			d.groups = append(d.groups, g)
+		i := d.groupIndex(t.CLOS)
+		if i < 0 {
+			i = len(d.groups)
+			d.groups = append(d.groups, &Group{CLOS: t.CLOS, Priority: t.Priority})
+			d.cores = append(d.cores, nil)
 		}
+		g := d.groups[i]
 		g.Names = append(g.Names, t.Name)
 		if t.IO {
 			g.IO = true
@@ -244,11 +275,12 @@ func (d *Daemon) getTenantInfo() {
 		} else if t.Priority == PC && g.Priority != Stack {
 			g.Priority = PC
 		}
-		d.cores[t.CLOS] = append(d.cores[t.CLOS], t.Cores...)
+		d.cores[i] = append(d.cores[i], t.Cores...)
 	}
 	for _, g := range d.groups {
 		g.Width = d.sys.CLOSMask(g.CLOS).Count()
 	}
+	d.reindex()
 	d.ddioWays = d.sys.DDIOMask().Count()
 	// Reset sampling state: new tenants mean old deltas are meaningless —
 	// for the policy and every shadow alike.
@@ -260,27 +292,39 @@ func (d *Daemon) getTenantInfo() {
 	d.needInfo = false
 }
 
-// sortedCLOS returns the keys of a per-CLOS map in ascending order, so
-// aggregation loops run in a fixed order regardless of map layout.
-func sortedCLOS[V any](m map[int]V) []int {
-	ids := make([]int, 0, len(m))
-	for clos := range m {
-		ids = append(ids, clos)
+// groupIndex returns the index of the group holding clos, or -1.
+func (d *Daemon) groupIndex(clos int) int {
+	for i, g := range d.groups {
+		if g.CLOS == clos {
+			return i
+		}
 	}
-	sort.Ints(ids)
-	return ids
+	return -1
+}
+
+// reindex sizes the per-group state to the current group list and
+// rebuilds closOrder. It runs only when the groups change.
+func (d *Daemon) reindex() {
+	n := len(d.groups)
+	d.prevCum = make([]rdt.CoreCounters, n)
+	d.cum = make([]rdt.CoreCounters, n)
+	d.rates = make([]groupRates, n)
+	d.closOrder = d.closOrder[:0]
+	for i := range d.groups {
+		d.closOrder = append(d.closOrder, i)
+	}
+	slices.SortFunc(d.closOrder, func(a, b int) int { return cmp.Compare(d.groups[a].CLOS, d.groups[b].CLOS) })
 }
 
 // poll reads all counters and derives the interval sample. It returns
 // (sample, true) or (zero, false) when this is the first (baseline) read.
 func (d *Daemon) poll(nowNS float64) (intervalSample, bool) {
-	cum := make(map[int]rdt.CoreCounters, len(d.groups))
-	for _, g := range d.groups {
+	for i := range d.groups {
 		var c rdt.CoreCounters
-		for _, core := range d.cores[g.CLOS] {
+		for _, core := range d.cores[i] {
 			c.Add(d.sys.ReadCore(core))
 		}
-		cum[g.CLOS] = c
+		d.cum[i] = c
 	}
 	ddio := d.sys.ReadDDIO()
 	// Track externally applied DDIO way changes (e.g. the Fig. 10
@@ -289,7 +333,8 @@ func (d *Daemon) poll(nowNS float64) (intervalSample, bool) {
 	d.ddioWays = d.sys.DDIOMask().Count()
 
 	if !d.havePrevCum {
-		d.prevCum, d.prevDDIO, d.prevCumTime = cum, ddio, nowNS
+		d.prevCum, d.cum = d.cum, d.prevCum
+		d.prevDDIO, d.prevCumTime = ddio, nowNS
 		d.havePrevCum = true
 		return intervalSample{}, false
 	}
@@ -297,31 +342,30 @@ func (d *Daemon) poll(nowNS float64) (intervalSample, bool) {
 	if dt <= 0 {
 		dt = 1
 	}
-	s := intervalSample{perGroup: make(map[int]groupRates, len(d.groups))}
-	// Iterate CLOS ids in sorted order: totalRefsPS is a float sum, and
-	// FP addition is not associative, so map order would leak into the
-	// recorded rates across runs.
-	for _, clos := range sortedCLOS(cum) {
-		c := cum[clos]
-		dd := c.Sub(d.prevCum[clos])
+	s := intervalSample{perGroup: d.rates}
+	// Sum in ascending CLOS order: totalRefsPS is a float sum, FP
+	// addition is not associative, and the recorded rates must not
+	// depend on the order tenants registered in.
+	for _, i := range d.closOrder {
+		dd := d.cum[i].Sub(d.prevCum[i])
 		gr := groupRates{
 			IPC:      dd.IPC(),
 			RefsPS:   float64(dd.LLCRefs) / dt,
 			MissPS:   float64(dd.LLCMisses) / dt,
 			MissRate: dd.MissRate(),
 		}
-		s.perGroup[clos] = gr
+		s.perGroup[i] = gr
 		s.totalRefsPS += gr.RefsPS
-		if g := d.byCLOS[clos]; g != nil {
-			g.RefsPerSec = gr.RefsPS
-			g.MissPerSec = gr.MissPS
-			g.MissRate = gr.MissRate
-		}
+		g := d.groups[i]
+		g.RefsPerSec = gr.RefsPS
+		g.MissPerSec = gr.MissPS
+		g.MissRate = gr.MissRate
 	}
 	dd := ddio.Sub(d.prevDDIO)
 	s.ddioHitPS = float64(dd.Hits) / dt
 	s.ddioMissPS = float64(dd.Misses) / dt
-	d.prevCum, d.prevDDIO, d.prevCumTime = cum, ddio, nowNS
+	d.prevCum, d.cum = d.cum, d.prevCum
+	d.prevDDIO, d.prevCumTime = ddio, nowNS
 	return s, true
 }
 
@@ -348,13 +392,18 @@ func (d *Daemon) sampleFor(nowNS float64, cur intervalSample) policy.Sample {
 			DisableShuffle:         d.Opts.DisableShuffle,
 			DisableTenantAdjust:    d.Opts.DisableTenantAdjust,
 		},
-		Groups:      make([]policy.GroupView, 0, len(d.groups)),
 		DDIOHitPS:   cur.ddioHitPS,
 		DDIOMissPS:  cur.ddioMissPS,
 		TotalRefsPS: cur.totalRefsPS,
 	}
-	for _, g := range d.groups {
-		gr := cur.perGroup[g.CLOS]
+	if d.views == nil {
+		// Non-nil even with no groups: a retained sample encodes its
+		// groups as [], never null.
+		d.views = make([]policy.GroupView, 0, len(d.groups))
+	}
+	s.Groups = d.views[:0]
+	for i, g := range d.groups {
+		gr := cur.perGroup[i]
 		s.Groups = append(s.Groups, policy.GroupView{
 			CLOS:       g.CLOS,
 			IO:         g.IO,
@@ -368,6 +417,7 @@ func (d *Daemon) sampleFor(nowNS float64, cur intervalSample) policy.Sample {
 			MissRate:   gr.MissRate,
 		})
 	}
+	d.views = s.Groups
 	return s
 }
 
@@ -412,7 +462,7 @@ func (d *Daemon) iterate(nowNS float64) {
 	if a.Stable {
 		d.state = a.State
 		d.finishIter()
-		d.emit(nowNS, cur, true, a.Desc)
+		d.emitDecision(nowNS, cur, true, a.Desc)
 		d.shadowTick(s, a)
 		return
 	}
@@ -423,7 +473,7 @@ func (d *Daemon) iterate(nowNS float64) {
 		d.state = chosen.State
 		d.timings.Realloc = time.Since(t1) //simlint:ignore detlint Fig. 15 re-alloc cost of a continue action; wall clock only reaches StepTimings
 		d.finishIter()
-		d.emit(nowNS, cur, false, chosen.Desc)
+		d.emitDecision(nowNS, cur, false, chosen.Desc)
 		d.shadowTick(s, chosen)
 		return
 	}
@@ -433,7 +483,7 @@ func (d *Daemon) iterate(nowNS float64) {
 	d.timings.Transition = t2.Sub(t1)
 	d.timings.Realloc = time.Since(t2) //simlint:ignore detlint Fig. 15 re-alloc cost; wall clock only reaches StepTimings
 	d.finishIter()
-	d.emit(nowNS, cur, false, chosen.Desc)
+	d.emitDecision(nowNS, cur, false, chosen.Desc)
 	d.shadowTick(s, chosen)
 }
 
@@ -454,14 +504,14 @@ func (d *Daemon) execute(a policy.Actions) policy.Actions {
 	}
 	changed := false
 	if !d.Opts.DisableTenantAdjust {
-		for _, clos := range a.Grow {
-			if g := d.byCLOS[clos]; g != nil && d.growGroup(g) {
+		if a.Grow.Set {
+			if i := d.groupIndex(a.Grow.CLOS); i >= 0 && d.growGroup(d.groups[i]) {
 				changed = true
 			}
 		}
-		for _, clos := range a.Shrink {
-			if g := d.byCLOS[clos]; g != nil && g.Width > 1 {
-				g.Width--
+		if a.Shrink.Set {
+			if i := d.groupIndex(a.Shrink.CLOS); i >= 0 && d.groups[i].Width > 1 {
+				d.groups[i].Width--
 				changed = true
 			}
 		}
@@ -498,25 +548,28 @@ func (d *Daemon) growGroup(g *Group) bool {
 // apply recomputes the layout and programs every mask that changed. It
 // returns true when at least one register was written.
 func (d *Daemon) apply() bool {
-	var order []*Group
 	if d.Opts.DisableShuffle {
-		order = OrderGroups(d.groups, -1, 0) // priority order, no refs sort hysteresis
+		d.order = OrderGroups(d.order[:0], d.groups, -1, 0) // priority order, no refs sort hysteresis
 	} else {
-		order = OrderGroups(d.groups, d.topCLOS, d.P.ShuffleMargin)
+		d.order = OrderGroups(d.order[:0], d.groups, d.topCLOS, d.P.ShuffleMargin)
 	}
-	masks, err := PackBottomUp(d.nWays, order)
+	layout, err := PackBottomUp(d.layout[:0], d.nWays, d.order)
 	if err != nil {
 		return false
 	}
+	d.layout = layout
 	wrote := false
-	// Sorted CLOS order: the register writes commute, but the telemetry
-	// events they emit must appear in a run-independent order.
-	for _, clos := range sortedCLOS(masks) {
-		m := masks[clos]
-		if d.sys.CLOSMask(clos) != m {
-			if d.programCLOS(clos, m) {
+	// Ascending CLOS order: the register writes commute, but the
+	// telemetry events they emit must appear in a run-independent order.
+	for _, i := range d.closOrder {
+		g := d.groups[i]
+		m := layout[slices.Index(d.order, g)]
+		if d.sys.CLOSMask(g.CLOS) != m {
+			if d.programCLOS(g.CLOS, m) {
 				wrote = true
-				d.emitMask(fmt.Sprintf("clos%d=%v", clos, m))
+				if d.Tel != nil {
+					d.emitMask(fmt.Sprintf("clos%d=%v", g.CLOS, m))
+				}
 			}
 		}
 	}
@@ -525,12 +578,14 @@ func (d *Daemon) apply() bool {
 		if d.sys.DDIOMask() != dm {
 			if d.programDDIO(dm) {
 				wrote = true
-				d.emitMask(fmt.Sprintf("ddio=%v", dm))
+				if d.Tel != nil {
+					d.emitMask(fmt.Sprintf("ddio=%v", dm))
+				}
 			}
 		}
 	}
-	if len(order) > 0 {
-		top := order[len(order)-1]
+	if n := len(d.order); n > 0 {
+		top := d.order[n-1]
 		if top.Priority == BE {
 			d.topCLOS = top.CLOS
 		}
@@ -539,15 +594,22 @@ func (d *Daemon) apply() bool {
 }
 
 // emitMask publishes one mask-reprogramming event (a register write the
-// daemon actually performed).
+// daemon actually performed) to the attached sink.
 func (d *Daemon) emitMask(detail string) {
-	if d.Tel == nil {
-		return
-	}
 	d.Tel.Emit(telemetry.Event{
 		TimeNS: d.nowNS, Sev: telemetry.SevDebug,
 		Subsystem: "daemon", Name: "mask_write", Detail: detail,
 	})
+}
+
+// emitDecision is emit for a policy decision: the description is
+// rendered only when an iteration hook or sink will read it.
+func (d *Daemon) emitDecision(nowNS float64, cur intervalSample, stable bool, desc policy.Desc) {
+	action := ""
+	if d.OnIteration != nil || d.Tel != nil {
+		action = desc.String()
+	}
+	d.emit(nowNS, cur, stable, action)
 }
 
 // emit publishes the iteration trace to OnIteration and the telemetry
@@ -570,9 +632,11 @@ func (d *Daemon) emit(nowNS float64, cur intervalSample, stable bool, action str
 	if d.OnIteration == nil && d.Tel == nil {
 		return
 	}
-	masks := make(map[int]cache.WayMask, len(d.groups))
-	for _, g := range d.groups {
-		masks[g.CLOS] = d.sys.CLOSMask(g.CLOS)
+	// A fresh slice each time: sinks keep the IterationInfo.
+	masks := make([]GroupMask, len(d.closOrder))
+	for k, i := range d.closOrder {
+		clos := d.groups[i].CLOS
+		masks[k] = GroupMask{CLOS: clos, Mask: d.sys.CLOSMask(clos)}
 	}
 	info := IterationInfo{
 		NowNS:      nowNS,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"iatsim/internal/cache"
+	"iatsim/internal/policy"
 	"iatsim/internal/rdt"
 )
 
@@ -382,5 +384,103 @@ func TestGrowthPolicyString(t *testing.T) {
 	// value rather than an empty or aliased name.
 	if got := GrowthPolicy(7).String(); got != "GrowthPolicy(7)" {
 		t.Errorf("GrowthPolicy(7).String() = %q, want GrowthPolicy(7)", got)
+	}
+}
+
+// churn feeds interval i of a load that swings the DDIO miss rate every
+// interval, so every iteration after warm-up is unstable.
+func churn(m *mockSys, i int) {
+	for _, t := range m.tenants {
+		for _, c := range t.Cores {
+			m.advance(c, 1000, 2000, uint64(100+i%3*50), 10)
+		}
+	}
+	if i%2 == 0 {
+		m.advanceDDIO(100_000, 1_000_000)
+	} else {
+		m.advanceDDIO(100_000, 1)
+	}
+}
+
+// TestUnstableTickAllocatesNothing: with no sink and no iteration hook,
+// a steady-state unstable iteration (poll, screen, decide, re-allocate,
+// program) allocates nothing.
+func TestUnstableTickAllocatesNothing(t *testing.T) {
+	m := newMockSys([]TenantInfo{ioTenant("fwd", 1, 0, PC), beTenant("a", 2, 1), beTenant("b", 3, 2)})
+	d := testDaemon(t, m, Options{})
+	i := 0
+	tick := func() {
+		churn(m, i)
+		i++
+		d.Tick(float64(i) * 100e6)
+	}
+	for i < 10 {
+		tick()
+	}
+	_, before := d.Iterations()
+	writes := m.maskWrites + m.ddioWrites
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, tick)
+	if _, after := d.Iterations(); after-before != runs+1 {
+		t.Fatalf("%d of %d measured iterations were unstable", after-before, runs+1)
+	}
+	if m.maskWrites+m.ddioWrites == writes {
+		t.Fatal("no measured iteration programmed a register")
+	}
+	if allocs != 0 {
+		t.Fatalf("unstable Tick allocates %.1f times per iteration, want 0", allocs)
+	}
+}
+
+// prevWatch wraps the IAT policy and, on every Observe, checks that the
+// policy's state (its retained cur and prev samples) still encodes as it
+// did right after the previous Decide. The daemon refills its sample
+// buffer in place before each Observe, so this fails if a policy keeps
+// the daemon's array instead of its own copy.
+type prevWatch struct {
+	*policy.IAT
+	t      *testing.T
+	last   []byte
+	checks int
+}
+
+func (w *prevWatch) Observe(s policy.Sample) {
+	if w.last != nil {
+		now, err := w.IAT.AppendSnapshot(nil)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		if !bytes.Equal(now, w.last) {
+			w.t.Fatalf("retained samples changed before the next Observe:\n%s\nvs\n%s", w.last, now)
+		}
+		w.checks++
+	}
+	w.IAT.Observe(s)
+}
+
+func (w *prevWatch) Decide() policy.Actions {
+	a := w.IAT.Decide()
+	var err error
+	if w.last, err = w.IAT.AppendSnapshot(w.last[:0]); err != nil {
+		w.t.Fatal(err)
+	}
+	return a
+}
+
+// TestRetainedPrevSampleSurvivesNextPoll: a policy's retained prev
+// sample is unchanged by the daemon's next poll.
+func TestRetainedPrevSampleSurvivesNextPoll(t *testing.T) {
+	m := newMockSys([]TenantInfo{ioTenant("fwd", 1, 0, PC), beTenant("a", 2, 1), beTenant("b", 3, 2)})
+	d := testDaemon(t, m, Options{})
+	w := &prevWatch{IAT: policy.NewIAT(), t: t}
+	if err := d.SetPolicy(w); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		churn(m, i)
+		d.Tick(float64(i+1) * 100e6)
+	}
+	if w.checks < 15 {
+		t.Fatalf("only %d polls checked", w.checks)
 	}
 }

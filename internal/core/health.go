@@ -35,8 +35,8 @@ func (d *Daemon) sampleInsane(s intervalSample) string {
 	if s.ddioHitPS > d.P.SaneRateMax || s.ddioMissPS > d.P.SaneRateMax {
 		return fmt.Sprintf("ddio rate %.3g/%.3g exceeds %.3g/s", s.ddioHitPS, s.ddioMissPS, d.P.SaneRateMax)
 	}
-	for _, clos := range sortedCLOS(s.perGroup) {
-		g := s.perGroup[clos]
+	for _, i := range d.closOrder {
+		clos, g := d.groups[i].CLOS, s.perGroup[i]
 		if g.RefsPS > d.P.SaneRateMax || g.MissPS > d.P.SaneRateMax {
 			return fmt.Sprintf("clos %d LLC rate %.3g/%.3g exceeds %.3g/s", clos, g.RefsPS, g.MissPS, d.P.SaneRateMax)
 		}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"iatsim/internal/cache"
 )
@@ -29,39 +30,41 @@ type Group struct {
 }
 
 // PackBottomUp assigns each group a contiguous mask, packing from way 0
-// upward in slice order. The total width must not exceed nWays. Groups
-// whose span crosses nWays-ddioWays end up overlapping the DDIO ways —
-// which is exactly how the layout expresses core/I-O sharing.
-func PackBottomUp(nWays int, groups []*Group) (map[int]cache.WayMask, error) {
-	masks := make(map[int]cache.WayMask, len(groups))
+// upward in slice order, and appends the masks to dst in that order. The
+// total width must not exceed nWays. Groups whose span crosses
+// nWays-ddioWays end up overlapping the DDIO ways — which is exactly how
+// the layout expresses core/I-O sharing.
+func PackBottomUp(dst []cache.WayMask, nWays int, groups []*Group) ([]cache.WayMask, error) {
 	pos := 0
 	for _, g := range groups {
 		if g.Width < 1 {
-			return nil, fmt.Errorf("core: group clos=%d has width %d", g.CLOS, g.Width)
+			return dst, fmt.Errorf("core: group clos=%d has width %d", g.CLOS, g.Width)
 		}
 		if pos+g.Width > nWays {
-			return nil, fmt.Errorf("core: layout overflows %d ways (at clos=%d)", nWays, g.CLOS)
+			return dst, fmt.Errorf("core: layout overflows %d ways (at clos=%d)", nWays, g.CLOS)
 		}
-		masks[g.CLOS] = cache.ContiguousMask(pos, g.Width)
+		dst = append(dst, cache.ContiguousMask(pos, g.Width))
 		pos += g.Width
 	}
-	return masks, nil
+	return dst, nil
 }
 
-// OrderGroups returns the bottom-up packing order implementing the paper's
-// shuffling policy: the software stack lowest, then performance-critical
-// groups, then best-effort groups sorted by descending LLC reference rate —
-// so the least memory-intensive BE group lands on top, adjacent to (and,
-// under pressure, overlapping) the DDIO ways.
+// OrderGroups appends groups to dst in the bottom-up packing order
+// implementing the paper's shuffling policy: the software stack lowest,
+// then performance-critical groups, then best-effort groups sorted by
+// descending LLC reference rate — so the least memory-intensive BE group
+// lands on top, adjacent to (and, under pressure, overlapping) the DDIO
+// ways. groups itself is left as it is.
 //
 // prevTopCLOS is the group currently sharing with DDIO (-1 if none);
 // shuffleMargin applies hysteresis: the incumbent keeps the top slot unless
 // the challenger's reference rate is below margin times the incumbent's.
 // Within a priority class the original slice order breaks ties, so the
 // result is deterministic.
-func OrderGroups(groups []*Group, prevTopCLOS int, shuffleMargin float64) []*Group {
-	ordered := make([]*Group, len(groups))
-	copy(ordered, groups)
+func OrderGroups(dst, groups []*Group, prevTopCLOS int, shuffleMargin float64) []*Group {
+	base := len(dst)
+	dst = append(dst, groups...)
+	ordered := dst[base:]
 	rank := func(p Priority) int {
 		switch p {
 		case Stack:
@@ -72,15 +75,15 @@ func OrderGroups(groups []*Group, prevTopCLOS int, shuffleMargin float64) []*Gro
 			return 2
 		}
 	}
-	sort.SliceStable(ordered, func(i, j int) bool {
-		ri, rj := rank(ordered[i].Priority), rank(ordered[j].Priority)
-		if ri != rj {
-			return ri < rj
+	slices.SortStableFunc(ordered, func(a, b *Group) int {
+		ra, rb := rank(a.Priority), rank(b.Priority)
+		if ra != rb {
+			return cmp.Compare(ra, rb)
 		}
-		if ri == 2 { // BE: descending refs, least-referencing last (topmost)
-			return ordered[i].RefsPerSec > ordered[j].RefsPerSec
+		if ra == 2 && a.RefsPerSec > b.RefsPerSec { // BE: descending refs, least-referencing last (topmost)
+			return -1
 		}
-		return false // keep stable order for stack/PC
+		return 0 // keep stable order for stack/PC and equal refs
 	})
 	// Hysteresis on the DDIO-sharing (topmost) slot.
 	n := len(ordered)
@@ -100,7 +103,7 @@ func OrderGroups(groups []*Group, prevTopCLOS int, shuffleMargin float64) []*Gro
 			}
 		}
 	}
-	return ordered
+	return dst
 }
 
 // TotalWidth sums group widths.

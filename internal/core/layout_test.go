@@ -13,32 +13,33 @@ func g(clos, width int, prio Priority, refs float64) *Group {
 
 func TestPackBottomUpContiguousDisjoint(t *testing.T) {
 	groups := []*Group{g(1, 3, Stack, 0), g(2, 2, PC, 0), g(3, 2, BE, 0)}
-	masks, err := PackBottomUp(11, groups)
+	masks, err := PackBottomUp(nil, 11, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if masks[1] != cache.ContiguousMask(0, 3) ||
-		masks[2] != cache.ContiguousMask(3, 2) ||
-		masks[3] != cache.ContiguousMask(5, 2) {
+	if len(masks) != 3 ||
+		masks[0] != cache.ContiguousMask(0, 3) ||
+		masks[1] != cache.ContiguousMask(3, 2) ||
+		masks[2] != cache.ContiguousMask(5, 2) {
 		t.Fatalf("masks = %v", masks)
 	}
-	for clos, m := range masks {
+	for i, m := range masks {
 		if !m.Contiguous() {
-			t.Errorf("clos %d mask %v not contiguous", clos, m)
+			t.Errorf("group %d mask %v not contiguous", i, m)
 		}
-		for clos2, m2 := range masks {
-			if clos != clos2 && m.Overlaps(m2) {
-				t.Errorf("clos %d and %d overlap", clos, clos2)
+		for j, m2 := range masks {
+			if i != j && m.Overlaps(m2) {
+				t.Errorf("groups %d and %d overlap", i, j)
 			}
 		}
 	}
 }
 
 func TestPackBottomUpOverflowRejected(t *testing.T) {
-	if _, err := PackBottomUp(4, []*Group{g(1, 3, PC, 0), g(2, 2, BE, 0)}); err == nil {
+	if _, err := PackBottomUp(nil, 4, []*Group{g(1, 3, PC, 0), g(2, 2, BE, 0)}); err == nil {
 		t.Fatal("overflow accepted")
 	}
-	if _, err := PackBottomUp(4, []*Group{g(1, 0, PC, 0)}); err == nil {
+	if _, err := PackBottomUp(nil, 4, []*Group{g(1, 0, PC, 0)}); err == nil {
 		t.Fatal("zero width accepted")
 	}
 }
@@ -60,7 +61,7 @@ func TestPackBottomUpProperty(t *testing.T) {
 		if len(groups) == 0 {
 			return true
 		}
-		masks, err := PackBottomUp(20, groups)
+		masks, err := PackBottomUp(nil, 20, groups)
 		if err != nil {
 			return false
 		}
@@ -87,7 +88,7 @@ func TestOrderGroupsPriorityOrder(t *testing.T) {
 		g(3, 2, Stack, 0),
 		g(4, 2, BE, 50),
 	}
-	ordered := OrderGroups(groups, -1, 0.9)
+	ordered := OrderGroups(nil, groups, -1, 0.9)
 	if ordered[0].CLOS != 3 {
 		t.Fatalf("stack not first: %d", ordered[0].CLOS)
 	}
@@ -104,13 +105,13 @@ func TestOrderGroupsPriorityOrder(t *testing.T) {
 func TestOrderGroupsHysteresis(t *testing.T) {
 	a := g(1, 2, BE, 100) // incumbent sharer
 	b := g(2, 2, BE, 95)  // challenger, within the 0.9 margin
-	ordered := OrderGroups([]*Group{a, b}, 1, 0.9)
+	ordered := OrderGroups(nil, []*Group{a, b}, 1, 0.9)
 	if ordered[1].CLOS != 1 {
 		t.Fatalf("incumbent displaced by a challenger inside the margin: top=%d", ordered[1].CLOS)
 	}
 	// Outside the margin the challenger wins.
 	b.RefsPerSec = 50
-	ordered = OrderGroups([]*Group{a, b}, 1, 0.9)
+	ordered = OrderGroups(nil, []*Group{a, b}, 1, 0.9)
 	if ordered[1].CLOS != 2 {
 		t.Fatalf("clearly quieter challenger not promoted: top=%d", ordered[1].CLOS)
 	}
@@ -118,7 +119,7 @@ func TestOrderGroupsHysteresis(t *testing.T) {
 
 func TestOrderGroupsStableWithinPriority(t *testing.T) {
 	groups := []*Group{g(1, 2, PC, 0), g(2, 2, PC, 0), g(3, 2, PC, 0)}
-	ordered := OrderGroups(groups, -1, 0.9)
+	ordered := OrderGroups(nil, groups, -1, 0.9)
 	for i, gr := range ordered {
 		if gr.CLOS != i+1 {
 			t.Fatalf("PC order not stable: %v", []int{ordered[0].CLOS, ordered[1].CLOS, ordered[2].CLOS})
@@ -128,7 +129,7 @@ func TestOrderGroupsStableWithinPriority(t *testing.T) {
 
 func TestOrderGroupsDoesNotMutateInput(t *testing.T) {
 	groups := []*Group{g(1, 2, BE, 10), g(2, 2, Stack, 0)}
-	OrderGroups(groups, -1, 0.9)
+	OrderGroups(nil, groups, -1, 0.9)
 	if groups[0].CLOS != 1 || groups[1].CLOS != 2 {
 		t.Fatal("input slice mutated")
 	}

@@ -5,6 +5,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -211,4 +212,71 @@ func TestHostRelaunchRestoreAndFallback(t *testing.T) {
 	if r, f := h.RestoreStats(); r != 2 || f != 2 {
 		t.Fatalf("restore stats = (%d,%d), want (2,2)", r, f)
 	}
+}
+
+// checkpointedFleet runs a small fleet with two shadow policies for
+// three rounds, checkpointing every host after every round.
+func checkpointedFleet(t *testing.T) []*fleet.Host {
+	t.Helper()
+	o := crashFleetOpts(4)
+	o.Rounds = 3
+	o.Shadow = "static:2,ioca"
+	hosts, err := exp.BuildFleet(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := exp.FleetPlan(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.Run(fleet.Config{
+		Hosts: hosts, Rounds: o.Rounds, RoundNS: o.RoundNS,
+		Workers: 1, Plan: plan, CheckpointEvery: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return hosts
+}
+
+// TestHostCheckpointGolden pins the exact bytes of every host's
+// checkpoint after three rounds (counter baselines, policy state, both
+// shadows' counterfactual machines) by one SHA-256 over all of them.
+func TestHostCheckpointGolden(t *testing.T) {
+	h := sha256.New()
+	for _, host := range checkpointedFleet(t) {
+		data := host.CheckpointBytes()
+		for _, want := range []string{`"prev_cum":{`, `"shadow_state":`} {
+			if !bytes.Contains(data, []byte(want)) {
+				t.Fatalf("%s checkpoint lacks %s", host.Name, want)
+			}
+		}
+		h.Write(data)
+	}
+	const golden = "b5f7cb047eccd4566a4731ed4f7f9f0c263e610988d6e2c556775bddf250a198"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
+		t.Fatalf("fleet checkpoints sha256 = %s, want %s", got, golden)
+	}
+}
+
+// TestHostCheckpointAllocs: a steady-state checkpoint (daemon, policy
+// and two shadows encoded into the host's reused buffers) stays within
+// a dozen allocations, and re-encodes the same state to the same bytes.
+func TestHostCheckpointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	h := checkpointedFleet(t)[0]
+	want := h.CheckpointBytes()
+	var err error
+	allocs := testing.AllocsPerRun(20, func() { err = h.Checkpoint() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.CheckpointBytes(); !bytes.Equal(got, want) {
+		t.Fatal("re-checkpointing unchanged state changed the bytes")
+	}
+	if allocs > 12 {
+		t.Fatalf("Host.Checkpoint allocates %.1f times, want <= 12", allocs)
+	}
+	t.Logf("Host.Checkpoint: %.1f allocs", allocs)
 }

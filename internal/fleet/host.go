@@ -73,6 +73,10 @@ type Host struct {
 	restores     uint64
 	restoreFails uint64
 
+	// ckpt and spare are Checkpoint's reused state and encode buffer.
+	ckpt  ckpt.Checkpoint
+	spare []byte
+
 	prev hostCounters
 }
 
@@ -170,20 +174,17 @@ func (h *Host) crashInjector() *faults.Injector {
 // which a daemon death does not reset), so only the daemon state is
 // captured.
 func (h *Host) Checkpoint() error {
-	st, err := h.Daemon.SnapshotState()
+	if err := h.Daemon.SnapshotState(&h.ckpt.Daemon); err != nil {
+		return fmt.Errorf("fleet: %s: checkpoint: %w", h.Name, err)
+	}
+	h.ckpt.Iteration, _ = h.Daemon.Iterations()
+	h.ckpt.SimTimeNS = h.P.NowNS()
+	data, err := ckpt.AppendMarshal(h.spare[:0], &h.ckpt)
 	if err != nil {
 		return fmt.Errorf("fleet: %s: checkpoint: %w", h.Name, err)
 	}
-	iters, _ := h.Daemon.Iterations()
-	data, err := ckpt.Marshal(&ckpt.Checkpoint{
-		Iteration: iters,
-		SimTimeNS: h.P.NowNS(),
-		Daemon:    st,
-	})
-	if err != nil {
-		return fmt.Errorf("fleet: %s: checkpoint: %w", h.Name, err)
-	}
-	h.lastCkpt = data
+	// The previous checkpoint's bytes become the next encode buffer.
+	h.spare, h.lastCkpt = h.lastCkpt, data
 	if h.Tel != nil {
 		h.Tel.Counter("ckpt", "", "writes").Inc()
 	}

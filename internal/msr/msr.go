@@ -15,6 +15,7 @@ package msr
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Register addresses. The numeric values follow the real Intel layout where
@@ -115,7 +116,9 @@ type File struct {
 	handlers map[uint32]ReadHandler
 	hook     FaultHook
 	ops      Ops
-	gen      uint64
+	// gen is bumped under mu, after the mutation it counts, and read
+	// without it: the datapath polls it every microtick.
+	gen atomic.Uint64
 }
 
 // NewFile returns an empty register file.
@@ -131,7 +134,7 @@ func (f *File) MapRead(addr uint32, h ReadHandler) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.handlers[addr] = h
-	f.gen++
+	f.gen.Add(1)
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault hook applied to
@@ -178,7 +181,7 @@ func (f *File) Write(addr uint32, v uint64) error {
 		v = stored
 	}
 	f.regs[addr] = v
-	f.gen++
+	f.gen.Add(1)
 	return nil
 }
 
@@ -204,9 +207,7 @@ func (f *File) Ops() Ops {
 // file's contents (Write or MapRead). Datapath-side caches of register-
 // derived state (the effective CAT mask of a core, the DDIO way mask) key
 // their validity on it: an unchanged generation guarantees every register
-// still Peeks the same value.
-func (f *File) Generation() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.gen
-}
+// still Peeks the same value. It takes no lock: a caller that reads the
+// generation and then Peeks sees at least the state that generation
+// counts.
+func (f *File) Generation() uint64 { return f.gen.Load() }

@@ -110,3 +110,54 @@ func TestConcurrentAccessSafe(t *testing.T) {
 		t.Fatalf("ops = %+v", ops)
 	}
 }
+
+// TestGenerationLockFree: readers polling Generation without the lock,
+// beside writers, see it only grow; a value Peeked while the generation
+// held still is what the register holds whenever that generation is
+// seen again; and the final count is one bump per mutation.
+func TestGenerationLockFree(t *testing.T) {
+	f := NewFile()
+	const writers, writes = 4, 500
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 1; j <= writes; j++ {
+				_ = f.Write(uint32(i), uint64(j))
+			}
+		}(i)
+	}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last, cachedGen, cached uint64
+			for n := 0; n < 2000; n++ {
+				g := f.Generation()
+				if g < last {
+					t.Errorf("generation went back from %d to %d", last, g)
+					return
+				}
+				last = g
+				v := f.Peek(0)
+				if f.Generation() != g {
+					continue // a write landed around the Peek
+				}
+				if g == cachedGen && v != cached {
+					t.Errorf("generation %d unchanged but register 0 moved %d -> %d", g, cached, v)
+					return
+				}
+				cachedGen, cached = g, v
+			}
+		}()
+	}
+	wg.Wait()
+	if g := f.Generation(); g != writers*writes {
+		t.Fatalf("generation = %d after %d writes", g, writers*writes)
+	}
+	f.MapRead(0x99, func() uint64 { return 1 })
+	if g := f.Generation(); g != writers*writes+1 {
+		t.Fatalf("MapRead did not bump the generation: %d", g)
+	}
+}

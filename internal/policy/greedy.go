@@ -1,7 +1,5 @@
 package policy
 
-import "fmt"
-
 // Greedy is the deliberately naive comparison point: every interval it
 // finds the single largest demander — DDIO by write-allocate miss rate, or
 // a tenant group by LLC miss rate — and grants it one way, with no
@@ -9,8 +7,9 @@ import "fmt"
 // the IAT FSM's damping actually buys: under shifting load Greedy ratchets
 // allocations up until everything saturates and then can only hold.
 type Greedy struct {
-	cur Sample
-	h   Health
+	cur  Sample
+	h    Health
+	snap greedyState // AppendSnapshot's scratch form
 }
 
 // NewGreedy returns the grant-the-largest-demander policy.
@@ -29,7 +28,7 @@ func (p *Greedy) Health() Health { return p.h }
 func (p *Greedy) Reset() {}
 
 // Observe implements Policy.
-func (p *Greedy) Observe(s Sample) { p.cur = s }
+func (p *Greedy) Observe(s Sample) { keep(&p.cur, s) }
 
 // Decide implements Policy.
 func (p *Greedy) Decide() Actions {
@@ -72,19 +71,19 @@ func (p *Greedy) Decide() Actions {
 			if target >= L.DDIOWaysMax {
 				st = HighKeep
 			}
-			a = Actions{State: st, DDIOWays: target, Desc: fmt.Sprintf("greedy: ddio=%d", target)}
+			a = Actions{State: st, DDIOWays: target, Desc: desc(descGreedyDDIO, target)}
 		} else {
-			a = Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: "greedy: ddio saturated"}
+			a = Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: desc(descGreedyDDIOFull, 0)}
 		}
 	case demandGroup:
 		if !L.DisableTenantAdjust && s.totalWidth()+1 <= s.NumWays {
 			a = Actions{State: CoreDemand, DDIOWays: s.DDIOWays,
-				Grow: []int{bestG.CLOS}, Desc: fmt.Sprintf("greedy: +1 way clos %d", bestG.CLOS)}
+				Grow: Ref(bestG.CLOS), Desc: desc(descGreedyGrow, bestG.CLOS)}
 		} else {
-			a = Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: "greedy: tenants saturated"}
+			a = Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: desc(descGreedyTenantFull, 0)}
 		}
 	default:
-		a = Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: "stable"}
+		a = Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
 	}
 	p.h.note(a, s.DDIOWays)
 	return a

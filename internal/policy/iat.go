@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"fmt"
-	"sort"
-)
+import "slices"
 
 // IAT is the paper's decision logic — Sec. IV-B's special cases routing
 // into the Mealy FSM of Fig. 6 — extracted verbatim from the daemon. Given
@@ -17,6 +14,12 @@ type IAT struct {
 	prev    Sample
 	have    bool
 	h       Health
+
+	// changed is detect's reused CLOS list, fallback backs a case-3
+	// shuffle's Fallback, and snap is AppendSnapshot's scratch form.
+	changed  []int
+	fallback Actions
+	snap     iatState
 }
 
 // NewIAT returns the paper's IAT policy.
@@ -40,7 +43,7 @@ func (p *IAT) Reset() {
 
 // Observe implements Policy.
 func (p *IAT) Observe(s Sample) {
-	p.cur = s
+	keep(&p.cur, s)
 	p.haveCur = true
 }
 
@@ -56,15 +59,14 @@ func (p *IAT) Decide() Actions {
 	if !p.have {
 		// First observed sample becomes the comparison baseline — the
 		// daemon's silent warmup tick.
-		p.prev = s
+		keep(&p.prev, s)
 		p.have = true
 		a := Actions{Warmup: true, State: s.State, DDIOWays: s.DDIOWays}
 		p.h.note(a, s.DDIOWays)
 		return a
 	}
-	ch := detect(s, p.prev)
-	prev := p.prev
-	p.prev = s
+	ch := detect(s, p.prev, p.changed[:0])
+	p.changed = ch.coreChanged
 
 	var a Actions
 	if !ch.any {
@@ -76,17 +78,18 @@ func (p *IAT) Decide() Actions {
 		case s.State == Reclaim:
 			a = actFor(Reclaim, s)
 			a.Continue = true
-			a.Desc = "continue: " + a.Desc
+			a.Desc.cont = true
 		case s.State == IODemand && s.DDIOMissPS > s.Limits.ThresholdMissLowPerSec:
 			a = actFor(IODemand, s)
 			a.Continue = true
-			a.Desc = "continue: " + a.Desc
+			a.Desc.cont = true
 		default:
-			a = Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: "stable"}
+			a = Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
 		}
 	} else {
-		a = p.decide(s, prev, ch)
+		a = p.decide(s, p.prev, ch)
 	}
+	keep(&p.prev, s)
 	p.h.note(a, s.DDIOWays)
 	return a
 }
@@ -121,14 +124,15 @@ func relDelta(cur, prev, floor float64) float64 {
 	return (cur - prev) / denom
 }
 
-// detect compares two samples under cur's thresholds.
-func detect(cur, prev Sample) changes {
+// detect compares two samples under cur's thresholds, collecting the
+// changed CLOS ids into buf.
+func detect(cur, prev Sample, buf []int) changes {
 	T := cur.Limits.ThresholdStable
 	const ipcFloor = 0.05
 	refsFloor := cur.Limits.ThresholdMissLowPerSec / 10
 	ddioFloor := cur.Limits.ThresholdMissLowPerSec / 20
 
-	var ch changes
+	ch := changes{coreChanged: buf}
 	relHit := relDelta(cur.DDIOHitPS, prev.DDIOHitPS, ddioFloor)
 	relMiss := relDelta(cur.DDIOMissPS, prev.DDIOMissPS, ddioFloor)
 	ch.ddio = relHit > T || relHit < -T || relMiss > T || relMiss < -T
@@ -157,7 +161,7 @@ func detect(cur, prev Sample) changes {
 			ch.coreChanged = append(ch.coreChanged, g.CLOS)
 		}
 	}
-	sort.Ints(ch.coreChanged)
+	slices.Sort(ch.coreChanged)
 	return ch
 }
 
@@ -169,7 +173,7 @@ func (p *IAT) decide(s, prev Sample, ch changes) Actions {
 	// neither cache/memory nor I/O; detect() already excludes such
 	// groups from coreChanged, so if nothing else moved we are done.
 	if !ch.ddio && len(ch.coreChanged) == 0 {
-		return Actions{State: s.State, DDIOWays: s.DDIOWays, Desc: "ipc-only: ignored"}
+		return Actions{State: s.State, DDIOWays: s.DDIOWays, Desc: desc(descIPCOnly, 0)}
 	}
 
 	// Case (2): a tenant's IPC and LLC behaviour changed while the I/O is
@@ -180,18 +184,18 @@ func (p *IAT) decide(s, prev Sample, ch changes) Actions {
 	ioQuiet := s.DDIOMissPS < L.ThresholdMissLowPerSec && !ch.missUp
 	if !ch.ddio || (ioQuiet && len(ch.coreChanged) > 0) {
 		if L.DisableTenantAdjust {
-			return Actions{State: s.State, DDIOWays: s.DDIOWays, Desc: "core-demand (tenant adjust disabled)"}
+			return Actions{State: s.State, DDIOWays: s.DDIOWays, Desc: desc(descCoreDemandOff, 0)}
 		}
 		if g := pickCoreChanged(s, prev, ch.coreChanged); g != nil {
 			if s.totalWidth()+1 <= s.NumWays {
 				return Actions{
 					State: s.State, DDIOWays: s.DDIOWays,
-					Grow: []int{g.CLOS},
-					Desc: fmt.Sprintf("case2: +1 way for clos %d", g.CLOS),
+					Grow: Ref(g.CLOS),
+					Desc: desc(descCase2Grow, g.CLOS),
 				}
 			}
 		}
-		return Actions{State: s.State, DDIOWays: s.DDIOWays, Desc: "case2: no action"}
+		return Actions{State: s.State, DDIOWays: s.DDIOWays, Desc: desc(descCase2None, 0)}
 	}
 
 	fsm := p.fsm(s, ch)
@@ -199,9 +203,10 @@ func (p *IAT) decide(s, prev Sample, ch changes) Actions {
 	// the DDIO counters — try shuffling first; if the shuffle writes no
 	// register the daemon falls through to the FSM decision.
 	if !L.DisableShuffle && overlappedNonIOChanged(s, ch.coreChanged) {
+		p.fallback = fsm
 		return Actions{
 			State: s.State, DDIOWays: s.DDIOWays,
-			Desc: "case3: shuffled", TryShuffle: true, Fallback: &fsm,
+			Desc: desc(descShuffled, 0), TryShuffle: true, Fallback: &p.fallback,
 		}
 	}
 	return fsm
@@ -214,7 +219,7 @@ func (p *IAT) fsm(s Sample, ch changes) Actions {
 	from := s.State
 	next := transition(s, ch)
 	a := actFor(next, s)
-	a.Desc = fmt.Sprintf("%s->%s %s", from, a.State, a.Desc)
+	a.Desc.fsm, a.Desc.from, a.Desc.to = true, from, a.State
 	return a
 }
 
@@ -310,7 +315,7 @@ func actFor(state State, s Sample) Actions {
 	switch state {
 	case IODemand:
 		if L.DisableDDIOAdjust {
-			a.Desc = "(ddio adjust disabled)"
+			a.Desc = desc(descDDIOOff, 0)
 			return a
 		}
 		w := s.DDIOWays
@@ -323,36 +328,36 @@ func actFor(state State, s Sample) Actions {
 		}
 		if w >= L.DDIOWaysMax {
 			a.State = HighKeep // (10)
-			a.Desc = fmt.Sprintf("ddio=%d (max, ->HighKeep)", w)
+			a.Desc = desc(descDDIOMax, w)
 			return a
 		}
-		a.Desc = fmt.Sprintf("ddio=%d", w)
+		a.Desc = desc(descDDIO, w)
 		return a
 	case CoreDemand:
 		if L.DisableTenantAdjust {
-			a.Desc = "(tenant adjust disabled)"
+			a.Desc = desc(descTenantOff, 0)
 			return a
 		}
 		g := selectCoreDemand(s)
 		if g != nil && s.totalWidth()+1 <= s.NumWays {
-			a.Grow = []int{g.CLOS}
-			a.Desc = fmt.Sprintf("+1 way clos %d", g.CLOS)
+			a.Grow = Ref(g.CLOS)
+			a.Desc = desc(descGrowCLOS, g.CLOS)
 			return a
 		}
-		a.Desc = "no grow candidate"
+		a.Desc = desc(descNoGrow, 0)
 		return a
 	case Reclaim:
 		a = reclaimOne(s)
 		if a.DDIOWays <= L.DDIOWaysMin {
 			a.State = LowKeep // (2)
-			a.Desc += " ->LowKeep"
+			a.Desc.lowKeep = true
 		}
 		return a
 	case LowKeep, HighKeep:
-		a.Desc = "hold"
+		a.Desc = desc(descHold, 0)
 		return a
 	}
-	a.Desc = ""
+	a.Desc = desc(descNone, 0)
 	return a
 }
 
@@ -406,7 +411,7 @@ func reclaimOne(s Sample) Actions {
 	quietIO := s.DDIOMissPS < L.ThresholdMissLowPerSec
 	if !L.DisableDDIOAdjust && quietIO && s.DDIOWays > L.DDIOWaysMin {
 		a.DDIOWays = s.DDIOWays - 1
-		a.Desc = fmt.Sprintf("ddio=%d", a.DDIOWays)
+		a.Desc = desc(descDDIO, a.DDIOWays)
 		return a
 	}
 	if !L.DisableTenantAdjust {
@@ -421,16 +426,16 @@ func reclaimOne(s Sample) Actions {
 			}
 		}
 		if victim != nil {
-			a.Shrink = []int{victim.CLOS}
-			a.Desc = fmt.Sprintf("-1 way clos %d", victim.CLOS)
+			a.Shrink = Ref(victim.CLOS)
+			a.Desc = desc(descShrinkCLOS, victim.CLOS)
 			return a
 		}
 	}
 	if !L.DisableDDIOAdjust && s.DDIOWays > L.DDIOWaysMin {
 		a.DDIOWays = s.DDIOWays - 1
-		a.Desc = fmt.Sprintf("ddio=%d", a.DDIOWays)
+		a.Desc = desc(descDDIO, a.DDIOWays)
 		return a
 	}
-	a.Desc = "nothing to reclaim"
+	a.Desc = desc(descNothing, 0)
 	return a
 }

@@ -98,8 +98,8 @@ func TestFSMEntryActionsOnBoundaries(t *testing.T) {
 	if a.State != HighKeep || a.DDIOWays != L.DDIOWaysMax {
 		t.Fatalf("after max grow: state=%v ways=%d", a.State, a.DDIOWays)
 	}
-	if !strings.Contains(a.Desc, "->HighKeep") {
-		t.Fatalf("desc %q lacks HighKeep entry", a.Desc)
+	if !strings.Contains(a.Desc.String(), "->HighKeep") {
+		t.Fatalf("desc %q lacks HighKeep entry", a.Desc.String())
 	}
 
 	// ②: at min+1 ways, one reclaim lands in Low Keep.
@@ -108,8 +108,8 @@ func TestFSMEntryActionsOnBoundaries(t *testing.T) {
 	if a.State != LowKeep || a.DDIOWays != L.DDIOWaysMin {
 		t.Fatalf("after min reclaim: state=%v ways=%d", a.State, a.DDIOWays)
 	}
-	if !strings.Contains(a.Desc, "->LowKeep") {
-		t.Fatalf("desc %q lacks LowKeep entry", a.Desc)
+	if !strings.Contains(a.Desc.String(), "->LowKeep") {
+		t.Fatalf("desc %q lacks LowKeep entry", a.Desc.String())
 	}
 }
 
@@ -154,7 +154,7 @@ func TestIATWarmupAdoptsBaseline(t *testing.T) {
 		t.Fatalf("first decision = %+v, want warmup", a)
 	}
 	p.Observe(s)
-	if a := p.Decide(); a.Warmup || !a.Stable || a.Desc != "stable" {
+	if a := p.Decide(); a.Warmup || !a.Stable || a.Desc.String() != "stable" {
 		t.Fatalf("identical second sample = %+v, want stable", a)
 	}
 	p.Reset()
@@ -177,13 +177,13 @@ func TestIATContinueProgression(t *testing.T) {
 	p.Decide() // warmup
 	p.Observe(s)
 	a := p.Decide()
-	if !a.Continue || a.DDIOWays != 2 || a.Desc != "continue: ddio=2" {
+	if !a.Continue || a.DDIOWays != 2 || a.Desc.String() != "continue: ddio=2" {
 		t.Fatalf("first continue = %+v", a)
 	}
 	s = sample(Reclaim, 2, 0)
 	p.Observe(s)
 	a = p.Decide()
-	if !a.Continue || a.DDIOWays != 1 || a.Desc != "continue: ddio=1 ->LowKeep" || a.State != LowKeep {
+	if !a.Continue || a.DDIOWays != 1 || a.Desc.String() != "continue: ddio=1 ->LowKeep" || a.State != LowKeep {
 		t.Fatalf("boundary continue = %+v", a)
 	}
 }
@@ -221,12 +221,12 @@ func TestReclaimVictimSelection(t *testing.T) {
 		{CLOS: 4, Width: 4, MissRate: 0.9, RefsPS: 1},    // busy: exempt
 	}
 	a := reclaimOne(s)
-	if len(a.Shrink) != 1 || a.Shrink[0] != 2 || a.Desc != "-1 way clos 2" {
+	if a.Shrink != Ref(2) || a.Desc.String() != "-1 way clos 2" {
 		t.Fatalf("reclaim = %+v", a)
 	}
 	// Nothing eligible: "nothing to reclaim".
 	s.Groups = s.Groups[2:]
-	if a := reclaimOne(s); a.Desc != "nothing to reclaim" || len(a.Shrink) != 0 {
+	if a := reclaimOne(s); a.Desc.String() != "nothing to reclaim" || a.Shrink.Set {
 		t.Fatalf("reclaim with no victim = %+v", a)
 	}
 }

@@ -1,7 +1,5 @@
 package policy
 
-import "fmt"
-
 // IOCAStyle thresholds: the contention detector considers DDIO contended
 // when the DDIO miss *ratio* (misses over hits+misses) sits above
 // iocaHighRatio, and quiet below iocaLowRatio; the gap between the two
@@ -26,6 +24,7 @@ type IOCAStyle struct {
 	hot  int // consecutive contended intervals
 	cold int // consecutive quiet intervals
 	h    Health
+	snap iocaState // AppendSnapshot's scratch form
 }
 
 // NewIOCAStyle returns the IOCA-style contention-threshold policy.
@@ -47,7 +46,7 @@ func (p *IOCAStyle) Reset() {
 }
 
 // Observe implements Policy.
-func (p *IOCAStyle) Observe(s Sample) { p.cur = s }
+func (p *IOCAStyle) Observe(s Sample) { keep(&p.cur, s) }
 
 // Decide implements Policy.
 func (p *IOCAStyle) Decide() Actions {
@@ -84,7 +83,7 @@ func (p *IOCAStyle) Decide() Actions {
 			st = HighKeep
 		}
 		a = Actions{State: st, DDIOWays: target,
-			Desc: fmt.Sprintf("ioca: contended (miss ratio %.2f) ddio=%d", ratio, target)}
+			Desc: Desc{kind: descIOCAHot, n: target, ratio: ratio}}
 	case p.cold >= iocaPatience && !L.DisableDDIOAdjust && s.DDIOWays > L.DDIOWaysMin:
 		target := s.DDIOWays - 1
 		st := Reclaim
@@ -92,9 +91,9 @@ func (p *IOCAStyle) Decide() Actions {
 			st = LowKeep
 		}
 		a = Actions{State: st, DDIOWays: target,
-			Desc: fmt.Sprintf("ioca: quiet (miss ratio %.2f) ddio=%d", ratio, target)}
+			Desc: Desc{kind: descIOCACold, n: target, ratio: ratio}}
 	default:
-		a = Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: "stable"}
+		a = Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
 	}
 	p.h.note(a, s.DDIOWays)
 	return a

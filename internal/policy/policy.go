@@ -122,6 +122,17 @@ type Sample struct {
 	TotalRefsPS float64
 }
 
+// keep copies s into *dst, reusing dst's Groups array. The daemon
+// refills the array it hands to Observe on its next poll, so a policy
+// that retains a sample must retain its own copy.
+func keep(dst *Sample, s Sample) {
+	groups := dst.Groups
+	*dst = s
+	if s.Groups != nil {
+		dst.Groups = append(groups[:0], s.Groups...)
+	}
+}
+
 // group returns the view for a CLOS id (nil when absent).
 func (s *Sample) group(clos int) *GroupView {
 	for i := range s.Groups {
@@ -141,6 +152,16 @@ func (s *Sample) totalWidth() int {
 	return t
 }
 
+// GroupRef names the one allocation group an action widens or narrows
+// by a way. The zero GroupRef names none.
+type GroupRef struct {
+	CLOS int
+	Set  bool
+}
+
+// Ref returns the GroupRef naming clos.
+func Ref(clos int) GroupRef { return GroupRef{CLOS: clos, Set: true} }
+
 // Actions is one decision: the next FSM state, a human-readable
 // description (the daemon's emitted action string), and the re-allocation
 // operations to execute. The daemon applies the operations, resolves
@@ -148,8 +169,8 @@ func (s *Sample) totalWidth() int {
 type Actions struct {
 	// State is the state to commit after executing this decision.
 	State State
-	// Desc is the action string emitted in the iteration trace.
-	Desc string
+	// Desc describes the decision in the iteration trace.
+	Desc Desc
 
 	// Warmup marks a baseline-adoption tick: the daemon skips the
 	// iteration count, the trace emit, and all operations.
@@ -163,13 +184,14 @@ type Actions struct {
 	// DDIOWays is the target DDIO way count (equal to the sample's for
 	// "no change"). The daemon programs the delta.
 	DDIOWays int
-	// Grow / Shrink list CLOS ids to widen / narrow by one way each.
-	Grow   []int
-	Shrink []int
+	// Grow / Shrink name the group to widen / narrow by one way.
+	Grow   GroupRef
+	Shrink GroupRef
 
 	// TryShuffle asks the daemon to re-run the layout (best-effort
 	// re-ordering against DDIO). If the shuffle writes no register, the
 	// daemon executes Fallback instead (the paper's case-3 fall-through).
+	// Fallback points into the policy and is valid until its next Decide.
 	TryShuffle bool
 	Fallback   *Actions
 }
@@ -201,9 +223,9 @@ func (h *Health) note(a Actions, prevDDIO int) {
 		h.GrowDDIO++
 	case a.DDIOWays < prevDDIO:
 		h.ShrinkDDIO++
-	case len(a.Grow) > 0:
+	case a.Grow.Set:
 		h.GrowTenant++
-	case len(a.Shrink) > 0:
+	case a.Shrink.Set:
 		h.ShrinkTenant++
 	default:
 		h.Holds++
@@ -225,9 +247,9 @@ func Classify(a Actions, prevDDIO int) string {
 		return "grow-ddio"
 	case a.DDIOWays < prevDDIO:
 		return "shrink-ddio"
-	case len(a.Grow) > 0:
+	case a.Grow.Set:
 		return "grow-tenant"
-	case len(a.Shrink) > 0:
+	case a.Shrink.Set:
 		return "shrink-tenant"
 	}
 	return "hold"
@@ -252,11 +274,12 @@ type Policy interface {
 	Decide() Actions
 	// Health returns the running decision-mix counters.
 	Health() Health
-	// Snapshot serialises the policy's internal state (baselines,
-	// hysteresis streaks, health counters) for checkpointing.
-	// Deterministic: identical state yields identical bytes.
-	Snapshot() ([]byte, error)
-	// Restore rewinds the policy to a Snapshot taken from an instance
+	// AppendSnapshot appends the policy's serialised internal state
+	// (baselines, hysteresis streaks, health counters) to dst, for
+	// checkpointing. Deterministic: identical state yields identical
+	// bytes.
+	AppendSnapshot(dst []byte) ([]byte, error)
+	// Restore rewinds the policy to a snapshot taken from an instance
 	// with the same Name. A failed restore leaves the policy unchanged
 	// and returns a typed error — never panics.
 	Restore(data []byte) error

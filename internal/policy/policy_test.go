@@ -108,8 +108,8 @@ func TestClassify(t *testing.T) {
 		{Actions{TryShuffle: true, DDIOWays: 2}, "shuffle"},
 		{Actions{DDIOWays: 3}, "grow-ddio"},
 		{Actions{DDIOWays: 1}, "shrink-ddio"},
-		{Actions{DDIOWays: 2, Grow: []int{1}}, "grow-tenant"},
-		{Actions{DDIOWays: 2, Shrink: []int{1}}, "shrink-tenant"},
+		{Actions{DDIOWays: 2, Grow: Ref(1)}, "grow-tenant"},
+		{Actions{DDIOWays: 2, Shrink: Ref(1)}, "shrink-tenant"},
 		{Actions{DDIOWays: 2}, "hold"},
 	}
 	for _, c := range cases {
@@ -125,11 +125,11 @@ func TestStaticConvergesThenHolds(t *testing.T) {
 	p := NewStatic(4)
 	p.Observe(sample(LowKeep, 2, 0))
 	a := p.Decide()
-	if a.Stable || a.DDIOWays != 4 || a.State != LowKeep || a.Desc != "static: ddio=4" {
+	if a.Stable || a.DDIOWays != 4 || a.State != LowKeep || a.Desc.String() != "static: ddio=4" {
 		t.Fatalf("corrective move = %+v", a)
 	}
 	p.Observe(sample(LowKeep, 4, 0))
-	if a := p.Decide(); !a.Stable || a.DDIOWays != 4 || a.Desc != "stable" {
+	if a := p.Decide(); !a.Stable || a.DDIOWays != 4 || a.Desc.String() != "stable" {
 		t.Fatalf("at target = %+v", a)
 	}
 	h := p.Health()
@@ -185,7 +185,7 @@ func TestIOCAPatience(t *testing.T) {
 	}
 	p.Observe(hot)
 	a := p.Decide()
-	if a.DDIOWays != 3 || a.State != IODemand || !strings.HasPrefix(a.Desc, "ioca: contended") {
+	if a.DDIOWays != 3 || a.State != IODemand || !strings.HasPrefix(a.Desc.String(), "ioca: contended") {
 		t.Fatalf("second hot interval = %+v", a)
 	}
 	// At max-1 the grow enters High Keep.
@@ -213,7 +213,7 @@ func TestIOCAQuietShrinks(t *testing.T) {
 	p.Decide()
 	p.Observe(quiet)
 	a := p.Decide()
-	if a.DDIOWays != 2 || a.State != Reclaim || !strings.HasPrefix(a.Desc, "ioca: quiet") {
+	if a.DDIOWays != 2 || a.State != Reclaim || !strings.HasPrefix(a.Desc.String(), "ioca: quiet") {
 		t.Fatalf("second quiet interval = %+v", a)
 	}
 	p.Observe(iocaSample(2, 1e7, 1e3))
@@ -264,7 +264,7 @@ func TestGreedyDemandSelection(t *testing.T) {
 	// Idle (all rates at or under the noise floor): hold.
 	idle := sample(LowKeep, 2, limits().ThresholdMissLowPerSec/10)
 	p.Observe(idle)
-	if a := p.Decide(); !a.Stable || a.Desc != "stable" {
+	if a := p.Decide(); !a.Stable || a.Desc.String() != "stable" {
 		t.Fatalf("idle = %+v", a)
 	}
 
@@ -273,7 +273,7 @@ func TestGreedyDemandSelection(t *testing.T) {
 	s.Groups = []GroupView{{CLOS: 1, Width: 2, MissPS: 5e6}}
 	p.Observe(s)
 	a := p.Decide()
-	if a.DDIOWays != 3 || a.State != IODemand || len(a.Grow) != 0 || a.Desc != "greedy: ddio=3" {
+	if a.DDIOWays != 3 || a.State != IODemand || a.Grow.Set || a.Desc.String() != "greedy: ddio=3" {
 		t.Fatalf("ddio tie = %+v", a)
 	}
 
@@ -286,7 +286,7 @@ func TestGreedyDemandSelection(t *testing.T) {
 	}
 	p.Observe(s)
 	a = p.Decide()
-	if a.State != CoreDemand || len(a.Grow) != 1 || a.Grow[0] != 4 || a.Desc != "greedy: +1 way clos 4" {
+	if a.State != CoreDemand || a.Grow != Ref(4) || a.Desc.String() != "greedy: +1 way clos 4" {
 		t.Fatalf("group demand = %+v", a)
 	}
 }
@@ -297,7 +297,7 @@ func TestGreedySaturation(t *testing.T) {
 	// DDIO at max: demand can only hold in High Keep.
 	s := sample(HighKeep, limits().DDIOWaysMax, 5e6)
 	p.Observe(s)
-	if a := p.Decide(); a.State != HighKeep || a.DDIOWays != limits().DDIOWaysMax || a.Desc != "greedy: ddio saturated" {
+	if a := p.Decide(); a.State != HighKeep || a.DDIOWays != limits().DDIOWaysMax || a.Desc.String() != "greedy: ddio saturated" {
 		t.Fatalf("ddio saturated = %+v", a)
 	}
 	// Grow into High Keep at max-1.
@@ -314,7 +314,7 @@ func TestGreedySaturation(t *testing.T) {
 		{CLOS: 2, Width: 5, MissPS: 1e5},
 	}
 	p.Observe(s)
-	if a := p.Decide(); a.Desc != "greedy: tenants saturated" || len(a.Grow) != 0 {
+	if a := p.Decide(); a.Desc.String() != "greedy: tenants saturated" || a.Grow.Set {
 		t.Fatalf("tenants saturated = %+v", a)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"iatsim/internal/cache"
+	"iatsim/internal/jsonbuf"
 	"iatsim/internal/telemetry"
 )
 
@@ -26,7 +28,7 @@ type DivergenceRow struct {
 	ActiveDDIO  int    // DDIO ways after the applied decision
 	ShadowDDIO  int    // DDIO ways in the shadow's counterfactual machine
 	Hamming     int    // bit distance between applied and shadow DDIO masks
-	ShadowDesc  string
+	ShadowDesc  Desc
 }
 
 // ShadowSummary aggregates one shadow policy over a run.
@@ -67,8 +69,21 @@ type shadowState struct {
 	init  bool
 	state State
 	ddio  int
-	width map[int]int // CLOS -> counterfactual width
-	sum   ShadowSummary
+	// widths holds each group's counterfactual width, keyed by CLOS.
+	widths jsonbuf.IntMap[int]
+	// groups is rebase's reused view array (policies copy what they keep).
+	groups []GroupView
+	sum    ShadowSummary
+}
+
+// width returns the index of clos in sh.widths, or -1.
+func (sh *shadowState) width(clos int) int {
+	for i := range sh.widths {
+		if sh.widths[i].Key == clos {
+			return i
+		}
+	}
+	return -1
 }
 
 // Evaluator runs N candidate policies side-by-side on the active daemon's
@@ -89,13 +104,14 @@ type Evaluator struct {
 	rows    []DivergenceRow
 	maxRows int
 	dropped uint64
+	snap    evaluatorState // AppendSnapshot's scratch form
 }
 
 // NewEvaluator builds an evaluator running one shadow per spec.
 func NewEvaluator(specs []Spec) *Evaluator {
 	e := &Evaluator{maxRows: DefaultMaxRows}
 	for _, sp := range specs {
-		sh := &shadowState{pol: sp.New(), width: map[int]int{}}
+		sh := &shadowState{pol: sp.New()}
 		sh.sum.Name = sh.pol.Name()
 		e.shadows = append(e.shadows, sh)
 	}
@@ -126,11 +142,9 @@ func (e *Evaluator) Tick(s Sample, active Actions, appliedDDIO cache.WayMask) {
 			// starting point.
 			sh.state = s.State
 			sh.ddio = s.DDIOWays
-			for clos := range sh.width {
-				delete(sh.width, clos)
-			}
+			sh.widths = sh.widths[:0]
 			for i := range s.Groups {
-				sh.width[s.Groups[i].CLOS] = s.Groups[i].Width
+				sh.widths = append(sh.widths, jsonbuf.IntEntry[int]{Key: s.Groups[i].CLOS, Val: s.Groups[i].Width})
 			}
 			sh.init = true
 		}
@@ -154,10 +168,10 @@ func (e *Evaluator) Tick(s Sample, active Actions, appliedDDIO cache.WayMask) {
 		if a.DDIOWays < cs.DDIOWays {
 			sh.sum.WouldShrinkDDIO++
 		}
-		if len(a.Grow) > 0 {
+		if a.Grow.Set {
 			sh.sum.WouldGrowTenant++
 		}
-		if len(a.Shrink) > 0 {
+		if a.Shrink.Set {
 			sh.sum.WouldShrinkTenant++
 		}
 		sh.sum.HammingTotal += uint64(hamming)
@@ -175,10 +189,10 @@ func (e *Evaluator) Tick(s Sample, active Actions, appliedDDIO cache.WayMask) {
 			if a.DDIOWays < cs.DDIOWays {
 				e.Tel.Counter("policy", name, "shadow_would_shrink_ddio").Inc()
 			}
-			if len(a.Grow) > 0 {
+			if a.Grow.Set {
 				e.Tel.Counter("policy", name, "shadow_would_grow_tenant").Inc()
 			}
-			if len(a.Shrink) > 0 {
+			if a.Shrink.Set {
 				e.Tel.Counter("policy", name, "shadow_would_shrink_tenant").Inc()
 			}
 			e.Tel.Counter("policy", name, "shadow_hamming_total").Add(uint64(hamming))
@@ -213,17 +227,24 @@ func (e *Evaluator) rebase(s Sample, sh *shadowState) Sample {
 	cs.State = sh.state
 	cs.DDIOWays = sh.ddio
 	cs.DDIOMask = cache.ContiguousMask(s.NumWays-sh.ddio, sh.ddio)
-	cs.Groups = make([]GroupView, len(s.Groups))
+	if sh.groups == nil {
+		// Non-nil even with no groups: the shadow's retained sample
+		// encodes its groups as [], never null.
+		sh.groups = make([]GroupView, 0, len(s.Groups))
+	}
+	sh.groups = append(sh.groups[:0], s.Groups...)
+	cs.Groups = sh.groups
 	lo := 0
-	for i := range s.Groups {
-		g := s.Groups[i]
-		w, ok := sh.width[g.CLOS]
-		if !ok {
+	for i := range cs.Groups {
+		g := &cs.Groups[i]
+		k := sh.width(g.CLOS)
+		if k < 0 {
 			// A group registered after adoption (tenant add without the
 			// daemon-level Reset firing first): take its machine width.
-			w = g.Width
-			sh.width[g.CLOS] = w
+			k = len(sh.widths)
+			sh.widths = append(sh.widths, jsonbuf.IntEntry[int]{Key: g.CLOS, Val: g.Width})
 		}
+		w := sh.widths[k].Val
 		if w < 1 {
 			w = 1
 		}
@@ -236,7 +257,6 @@ func (e *Evaluator) rebase(s Sample, sh *shadowState) Sample {
 		g.Width = w
 		g.Mask = cache.ContiguousMask(lo, w)
 		lo += w
-		cs.Groups[i] = g
 	}
 	return cs
 }
@@ -252,14 +272,14 @@ func (e *Evaluator) commit(sh *shadowState, cs Sample, a Actions) {
 	}
 	L := cs.Limits
 	if !L.DisableTenantAdjust {
-		for _, clos := range a.Grow {
-			if _, ok := sh.width[clos]; ok && cs.totalWidth()+1 <= cs.NumWays {
-				sh.width[clos]++
+		if a.Grow.Set {
+			if k := sh.width(a.Grow.CLOS); k >= 0 && cs.totalWidth()+1 <= cs.NumWays {
+				sh.widths[k].Val++
 			}
 		}
-		for _, clos := range a.Shrink {
-			if w, ok := sh.width[clos]; ok && w > 1 {
-				sh.width[clos] = w - 1
+		if a.Shrink.Set {
+			if k := sh.width(a.Shrink.CLOS); k >= 0 && sh.widths[k].Val > 1 {
+				sh.widths[k].Val--
 			}
 		}
 	}
@@ -285,38 +305,42 @@ type evaluatorState struct {
 
 // shadowSnap is one shadow's serialised counterfactual machine.
 type shadowSnap struct {
-	Name     string        `json:"name"`
-	PolState []byte        `json:"pol_state"`
-	Init     bool          `json:"init"`
-	State    State         `json:"state"`
-	DDIO     int           `json:"ddio"`
-	Width    map[int]int   `json:"width,omitempty"`
-	Sum      ShadowSummary `json:"sum"`
+	Name     string              `json:"name"`
+	PolState []byte              `json:"pol_state"`
+	Init     bool                `json:"init"`
+	State    State               `json:"state"`
+	DDIO     int                 `json:"ddio"`
+	Width    jsonbuf.IntMap[int] `json:"width,omitempty"`
+	Sum      ShadowSummary       `json:"sum"`
 }
 
-// Snapshot serialises every shadow's policy state, counterfactual
-// machine, and running summary for checkpointing. A nil or empty
-// evaluator snapshots to an empty state that Restore accepts.
-func (e *Evaluator) Snapshot() ([]byte, error) {
-	var st evaluatorState
-	if e != nil {
-		for _, sh := range e.shadows {
-			ps, err := sh.pol.Snapshot()
-			if err != nil {
-				return nil, fmt.Errorf("policy: snapshot shadow %s: %w", sh.pol.Name(), err)
-			}
-			w := make(map[int]int, len(sh.width))
-			for clos, width := range sh.width {
-				w[clos] = width
-			}
-			st.Shadows = append(st.Shadows, shadowSnap{
-				Name: sh.pol.Name(), PolState: ps,
-				Init: sh.init, State: sh.state, DDIO: sh.ddio,
-				Width: w, Sum: sh.sum,
-			})
+// AppendSnapshot appends every shadow's serialised policy state,
+// counterfactual machine, and running summary to dst, for
+// checkpointing. A nil or empty evaluator snapshots to an empty state
+// that Restore accepts.
+func (e *Evaluator) AppendSnapshot(dst []byte) ([]byte, error) {
+	if e == nil {
+		return jsonbuf.Append(dst, &evaluatorState{})
+	}
+	n := len(e.shadows)
+	if n == 0 {
+		e.snap.Shadows = nil
+	} else {
+		e.snap.Shadows = slices.Grow(e.snap.Shadows[:0], n)[:n]
+	}
+	for i, sh := range e.shadows {
+		ss := &e.snap.Shadows[i]
+		ps, err := sh.pol.AppendSnapshot(ss.PolState[:0])
+		if err != nil {
+			return dst, fmt.Errorf("policy: snapshot shadow %s: %w", sh.pol.Name(), err)
+		}
+		*ss = shadowSnap{
+			Name: sh.pol.Name(), PolState: ps,
+			Init: sh.init, State: sh.state, DDIO: sh.ddio,
+			Width: sh.widths, Sum: sh.sum,
 		}
 	}
-	return json.Marshal(st)
+	return jsonbuf.Append(dst, &e.snap)
 }
 
 // Restore rewinds the evaluator to a Snapshot. The shadow set is matched
@@ -348,10 +372,7 @@ func (e *Evaluator) Restore(data []byte) error {
 		sh.init = snap.Init
 		sh.state = snap.State
 		sh.ddio = snap.DDIO
-		sh.width = make(map[int]int, len(snap.Width))
-		for clos, width := range snap.Width {
-			sh.width[clos] = width
-		}
+		sh.widths = append(sh.widths[:0], snap.Width...)
 		sh.sum = snap.Sum
 	}
 	return nil
@@ -370,7 +391,7 @@ func (e *Evaluator) Restart() {
 		sh.init = false
 		sh.state = 0
 		sh.ddio = 0
-		sh.width = map[int]int{}
+		sh.widths = sh.widths[:0]
 		sh.sum = ShadowSummary{Name: sh.pol.Name()}
 	}
 	e.rows = nil

@@ -21,7 +21,7 @@ func mustSpecs(t *testing.T, text string) []Spec {
 // tick feeds one sample to the evaluator as if the daemon had executed a
 // stable decision at the sample's allocation.
 func tick(e *Evaluator, s Sample) {
-	active := Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: "stable"}
+	active := Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
 	e.Tick(s, active, s.DDIOMask)
 }
 
@@ -77,7 +77,7 @@ func TestEvaluatorCounterfactualMachine(t *testing.T) {
 	}
 	r := rows[0]
 	if r.ActiveClass != "stable" || r.ShadowClass != "grow-ddio" || r.Agree ||
-		r.ShadowDDIO != 5 || r.Hamming != 3 || r.ShadowDesc != "static: ddio=5" {
+		r.ShadowDDIO != 5 || r.Hamming != 3 || r.ShadowDesc.String() != "static: ddio=5" {
 		t.Fatalf("row 0 = %+v", r)
 	}
 	if !rows[1].Agree || rows[1].ShadowClass != "stable" {
@@ -107,7 +107,7 @@ func TestEvaluatorTenantCommit(t *testing.T) {
 	// The second row's decision was made against the counterfactual width
 	// of 3, so greedy keeps granting the same CLOS.
 	rows := e.Rows()
-	if rows[1].ShadowDesc != "greedy: +1 way clos 1" {
+	if rows[1].ShadowDesc.String() != "greedy: +1 way clos 1" {
 		t.Fatalf("row 1 = %+v", rows[1])
 	}
 }

@@ -3,6 +3,8 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
+
+	"iatsim/internal/jsonbuf"
 )
 
 // Policy snapshot/restore: every policy can serialise its internal state
@@ -22,9 +24,10 @@ type iatState struct {
 	H       Health `json:"health"`
 }
 
-// Snapshot implements Policy.
-func (p *IAT) Snapshot() ([]byte, error) {
-	return json.Marshal(iatState{Cur: p.cur, HaveCur: p.haveCur, Prev: p.prev, Have: p.have, H: p.h})
+// AppendSnapshot implements Policy.
+func (p *IAT) AppendSnapshot(dst []byte) ([]byte, error) {
+	p.snap = iatState{Cur: p.cur, HaveCur: p.haveCur, Prev: p.prev, Have: p.have, H: p.h}
+	return jsonbuf.Append(dst, &p.snap)
 }
 
 // Restore implements Policy.
@@ -46,9 +49,10 @@ type staticState struct {
 	H    Health `json:"health"`
 }
 
-// Snapshot implements Policy.
-func (p *Static) Snapshot() ([]byte, error) {
-	return json.Marshal(staticState{Ways: p.ways, Cur: p.cur, H: p.h})
+// AppendSnapshot implements Policy.
+func (p *Static) AppendSnapshot(dst []byte) ([]byte, error) {
+	p.snap = staticState{Ways: p.ways, Cur: p.cur, H: p.h}
+	return jsonbuf.Append(dst, &p.snap)
 }
 
 // Restore implements Policy.
@@ -72,9 +76,10 @@ type iocaState struct {
 	H    Health `json:"health"`
 }
 
-// Snapshot implements Policy.
-func (p *IOCAStyle) Snapshot() ([]byte, error) {
-	return json.Marshal(iocaState{Cur: p.cur, Hot: p.hot, Cold: p.cold, H: p.h})
+// AppendSnapshot implements Policy.
+func (p *IOCAStyle) AppendSnapshot(dst []byte) ([]byte, error) {
+	p.snap = iocaState{Cur: p.cur, Hot: p.hot, Cold: p.cold, H: p.h}
+	return jsonbuf.Append(dst, &p.snap)
 }
 
 // Restore implements Policy.
@@ -94,9 +99,10 @@ type greedyState struct {
 	H   Health `json:"health"`
 }
 
-// Snapshot implements Policy.
-func (p *Greedy) Snapshot() ([]byte, error) {
-	return json.Marshal(greedyState{Cur: p.cur, H: p.h})
+// AppendSnapshot implements Policy.
+func (p *Greedy) AppendSnapshot(dst []byte) ([]byte, error) {
+	p.snap = greedyState{Cur: p.cur, H: p.h}
+	return jsonbuf.Append(dst, &p.snap)
 }
 
 // Restore implements Policy.

@@ -33,7 +33,7 @@ func drive(p Policy, from, to int) []string {
 		s.DDIOHitPS = 1e7 + float64(i%5)*3e6
 		s.TotalRefsPS = 2e7
 		p.Observe(s)
-		out = append(out, p.Decide().Desc)
+		out = append(out, p.Decide().Desc.String())
 	}
 	return out
 }
@@ -50,7 +50,7 @@ func TestPolicySnapshotRoundTrip(t *testing.T) {
 
 			orig := sp.New()
 			drive(orig, 0, 25)
-			snap, err := orig.Snapshot()
+			snap, err := orig.AppendSnapshot(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestPolicySnapshotRoundTrip(t *testing.T) {
 			if err := restored.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-			resnap, err := restored.Snapshot()
+			resnap, err := restored.AppendSnapshot(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestPolicyRestoreErrors(t *testing.T) {
 	// A static snapshot carries its way count; restoring into a
 	// differently-configured instance must be rejected.
 	s2 := NewStatic(2)
-	snap, err := s2.Snapshot()
+	snap, err := s2.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestEvaluatorSnapshotRoundTrip(t *testing.T) {
 
 	orig := NewEvaluator(specs)
 	run(orig, 0, 12)
-	snap, err := orig.Snapshot()
+	snap, err := orig.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

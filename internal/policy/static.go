@@ -14,8 +14,10 @@ const DefaultStaticWays = 2
 // daemon is deployed.
 type Static struct {
 	ways int
+	name string
 	cur  Sample
 	h    Health
+	snap staticState // AppendSnapshot's scratch form
 }
 
 // NewStatic returns a fixed-allocation policy holding ways DDIO ways.
@@ -23,11 +25,11 @@ func NewStatic(ways int) *Static {
 	if ways < 1 {
 		ways = DefaultStaticWays
 	}
-	return &Static{ways: ways}
+	return &Static{ways: ways, name: fmt.Sprintf("static:%d", ways)}
 }
 
 // Name implements Policy.
-func (p *Static) Name() string { return fmt.Sprintf("static:%d", p.ways) }
+func (p *Static) Name() string { return p.name }
 
 // Kind implements Policy.
 func (p *Static) Kind() Kind { return KindStatic }
@@ -39,7 +41,7 @@ func (p *Static) Health() Health { return p.h }
 func (p *Static) Reset() {}
 
 // Observe implements Policy.
-func (p *Static) Observe(s Sample) { p.cur = s }
+func (p *Static) Observe(s Sample) { keep(&p.cur, s) }
 
 // Decide implements Policy: converge to the fixed target, then hold.
 func (p *Static) Decide() Actions {
@@ -54,9 +56,9 @@ func (p *Static) Decide() Actions {
 	}
 	var a Actions
 	if !s.Limits.DisableDDIOAdjust && target != s.DDIOWays {
-		a = Actions{State: LowKeep, DDIOWays: target, Desc: fmt.Sprintf("static: ddio=%d", target)}
+		a = Actions{State: LowKeep, DDIOWays: target, Desc: desc(descStatic, target)}
 	} else {
-		a = Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: "stable"}
+		a = Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
 	}
 	p.h.note(a, s.DDIOWays)
 	return a

@@ -14,7 +14,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"iatsim/internal/core"
@@ -38,12 +37,10 @@ func NewWriter(w io.Writer) *Writer {
 // first record.
 func (t *Writer) header(info core.IterationInfo) error {
 	cols := []string{"time_s", "state", "stable", "action", "ddio_ways", "ddio_mask", "ddio_hit_ps", "ddio_miss_ps"}
-	clos := make([]int, 0, len(info.Masks))
-	for c := range info.Masks {
-		clos = append(clos, c)
+	t.clos = make([]int, 0, len(info.Masks))
+	for _, m := range info.Masks {
+		t.clos = append(t.clos, m.CLOS)
 	}
-	sort.Ints(clos)
-	t.clos = clos
 	for _, clos := range t.clos {
 		cols = append(cols, fmt.Sprintf("clos%d_mask", clos))
 	}
@@ -69,7 +66,7 @@ func (t *Writer) Record(info core.IterationInfo) error {
 		strconv.FormatFloat(info.DDIOMissPS, 'e', 3, 64),
 	}
 	for _, clos := range t.clos {
-		row = append(row, info.Masks[clos].String())
+		row = append(row, info.MaskOf(clos).String())
 	}
 	return t.csv.Write(row)
 }

@@ -18,9 +18,9 @@ func sampleInfo(t float64, state core.State) core.IterationInfo {
 		Action:   "test",
 		DDIOWays: 2,
 		DDIOMask: cache.ContiguousMask(9, 2),
-		Masks: map[int]cache.WayMask{
-			1: cache.ContiguousMask(0, 3),
-			4: cache.ContiguousMask(3, 2),
+		Masks: []core.GroupMask{
+			{CLOS: 1, Mask: cache.ContiguousMask(0, 3)},
+			{CLOS: 4, Mask: cache.ContiguousMask(3, 2)},
 		},
 		DDIOHitPS:  1e6,
 		DDIOMissPS: 5e3,
