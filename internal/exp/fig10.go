@@ -30,13 +30,12 @@ type latentScenario struct {
 func newLatentScenario(scale float64, pktSize int, seed int64) *latentScenario {
 	p := sim.NewPlatform(sim.XeonGold6140(scale))
 	s := &latentScenario{P: p}
-	ways := p.Cfg.Hier.LLC.Ways
 
 	// Two forwarding containers, one per NIC VF, sharing CLOS 1.
 	mustMask(p, 1, cache.ContiguousMask(0, 3))
 	for i := 0; i < 2; i++ {
 		dev := p.AddDevice(nic.Config{Name: devName(i), VFs: 1})
-		vf := dev.VF(i * 0)
+		vf := dev.VF(0)
 		vf.ConsumerCore = i
 		fwd := workload.NewTestPMD(vf)
 		mustTenant(p, &sim.Tenant{
@@ -68,7 +67,6 @@ func newLatentScenario(scale float64, pktSize int, seed int64) *latentScenario {
 		Priority: sim.PerformanceCritical,
 		Workers:  []sim.Worker{s.C4},
 	})
-	_ = ways
 	return s
 }
 
@@ -204,7 +202,6 @@ func runFig10Point(size int, mode string, seed int64, o Fig10Opts, series *[]Fig
 	default:
 		panic("unknown mode " + mode)
 	}
-	_ = daemon
 
 	run := func(durNS float64) {
 		if series == nil {

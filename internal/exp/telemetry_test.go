@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,78 +8,6 @@ import (
 
 	"iatsim/internal/telemetry"
 )
-
-// readDir loads every file in dir keyed by base name.
-func readDir(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string][]byte{}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[e.Name()] = data
-	}
-	return out
-}
-
-// TestSameSeedByteIdenticalSnapshots extends the determinism guarantee
-// to the telemetry plane: a figure run with -telemetry must produce
-// byte-identical snapshot files (JSON, CSV, and Chrome trace) for the
-// same seed at any worker count. Runs under -race: each parallel job
-// owns a private registry, so this also proves telemetry adds no shared
-// state to the harness.
-func TestSameSeedByteIdenticalSnapshots(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	t.Cleanup(func() { SetExec(Exec{}) })
-	o := DefaultFig8Opts()
-	o.Sizes = []int{64}
-	o.WarmNS, o.MeasureNS = 0.1e9, 0.1e9
-
-	render := func(seed int64, jobs int) map[string][]byte {
-		dir := t.TempDir()
-		SetExec(Exec{Jobs: jobs, Seed: seed, TelemetryDir: dir})
-		if rows := RunFig8(io.Discard, o); len(rows) != 2 {
-			t.Fatalf("rows = %d, want 2 (baseline + iat)", len(rows))
-		}
-		files := readDir(t, dir)
-		// 2 jobs x {json, csv, trace.json}.
-		if len(files) != 6 {
-			t.Fatalf("snapshot dir holds %d files, want 6: %v", len(files), files)
-		}
-		return files
-	}
-
-	first := render(42, 4)
-	second := render(42, 4)
-	sequential := render(42, 1)
-	for name, data := range first {
-		if !bytes.Equal(data, second[name]) {
-			t.Errorf("same seed, same jobs: %s diverged", name)
-		}
-		if !bytes.Equal(data, sequential[name]) {
-			t.Errorf("same seed, jobs=4 vs jobs=1: %s diverged", name)
-		}
-	}
-	// A different seed must actually change the telemetry.
-	other := render(7, 4)
-	changed := false
-	for name, data := range first {
-		if !bytes.Equal(data, other[name]) {
-			changed = true
-		}
-		_ = name
-	}
-	if !changed {
-		t.Fatal("different seeds produced identical snapshots: seed is not reaching the instrumentation")
-	}
-}
 
 // TestFigureSnapshotContents spot-checks that a harness-collected
 // snapshot is valid and actually covers the instrumented layers.

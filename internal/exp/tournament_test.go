@@ -21,29 +21,6 @@ func testTournamentOpts() TournamentOpts {
 	}
 }
 
-// TestTournamentDeterministicAcrossWorkers is the tournament acceptance
-// criterion: the ranked CSV is byte-identical at -jobs 1 and -jobs 8.
-func TestTournamentDeterministicAcrossWorkers(t *testing.T) {
-	t.Cleanup(func() { SetExec(Exec{}) })
-	run := func(jobs int) string {
-		SetExec(Exec{Jobs: jobs})
-		rows := RunPolicyTournament(nil, testTournamentOpts())
-		var buf bytes.Buffer
-		if err := WriteRowsCSV(&buf, rows); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	csv1 := run(1)
-	csv8 := run(8)
-	if csv1 != csv8 {
-		t.Errorf("tournament CSV differs between -jobs 1 and -jobs 8:\n--- jobs=1\n%s\n--- jobs=8\n%s", csv1, csv8)
-	}
-	if csv1 == "" {
-		t.Fatal("empty tournament CSV")
-	}
-}
-
 // TestTournamentRanking checks the ranking invariants: every (workload,
 // faults) cell ranks each entered policy exactly once, 1..N, ordered by
 // non-increasing OVS IPC.

@@ -95,7 +95,7 @@ type Profile struct {
 	Rates [NumKinds]float64
 }
 
-// Named profiles. "default" is the chaos-smoke and acceptance profile:
+// Named profiles. "default" is the chaos experiment's acceptance profile:
 // frequent enough that every fault kind fires in a short run, mild enough
 // that a hardened daemon should keep (or recover) a valid allocation.
 var namedProfiles = map[string]Profile{

@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -128,7 +129,7 @@ func ParseWithEvents(r io.Reader) ([]Entry, []Event, error) {
 		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("tenantfile: %w", err)
 	}
 	if len(entries) == 0 {
 		return nil, nil, fmt.Errorf("tenantfile: no tenants defined")
@@ -149,8 +150,10 @@ func parseEvent(fields []string) (Event, error) {
 	}
 	ts := strings.TrimPrefix(fields[0], "@")
 	ts = strings.TrimSuffix(ts, "s")
+	// ParseFloat accepts "nan" and "inf"; an event time must be a
+	// finite, non-negative number of nanoseconds.
 	sec, err := strconv.ParseFloat(ts, 64)
-	if err != nil || sec < 0 {
+	if err != nil || !(sec >= 0) || math.IsInf(sec*1e9, 1) {
 		return Event{}, fmt.Errorf("bad event time %q", fields[0])
 	}
 	arg, err := strconv.Atoi(fields[3])

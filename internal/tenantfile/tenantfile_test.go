@@ -1,6 +1,7 @@
 package tenantfile
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -120,4 +121,50 @@ func TestParseEventErrors(t *testing.T) {
 			t.Errorf("%s: accepted %q", name, input)
 		}
 	}
+}
+
+func TestParseRejectsNonFiniteEventTime(t *testing.T) {
+	for _, ev := range []string{"@NaNs a xmem-ws 8", "@infs ddio ways 2", "@1e300s ddio ways 2"} {
+		_, _, err := ParseWithEvents(strings.NewReader("a 0 2 pc io\n" + ev + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2: bad event time") {
+			t.Errorf("%q: err = %v, want a line 2 bad event time error", ev, err)
+		}
+	}
+}
+
+// FuzzParseWithEvents: for arbitrary input the parser never panics,
+// every error is a tenantfile error, and whatever it accepts is usable:
+// finite non-negative event times, event arguments >= 1, entries with at
+// least one way and no core claimed twice.
+func FuzzParseWithEvents(f *testing.F) {
+	f.Add(goodFile)
+	f.Add("fwd0 0 2 pc io testpmd:1500\nswitch 1,2 2 stack io ovs\nbatch 3 2 be - xmem:8\njob 4 2 pc - spec:mcf\n@5s batch xmem-ws 16\n@15s ddio ways 4\n")
+	f.Add("a 0 2 pc io\n@NaNs a xmem-ws 8\n")
+	f.Add("a 0 2 pc io\n@infs ddio ways 2\n")
+	f.Fuzz(func(t *testing.T, input string) {
+		entries, events, err := ParseWithEvents(strings.NewReader(input))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "tenantfile:") {
+				t.Fatalf("error %q lacks the tenantfile: prefix", err)
+			}
+			return
+		}
+		for _, ev := range events {
+			if math.IsNaN(ev.AtNS) || math.IsInf(ev.AtNS, 0) || ev.AtNS < 0 || ev.Arg < 1 {
+				t.Fatalf("accepted event %+v", ev)
+			}
+		}
+		cores := map[int]bool{}
+		for _, e := range entries {
+			if e.Ways < 1 {
+				t.Fatalf("accepted entry %+v", e)
+			}
+			for _, c := range e.Cores {
+				if cores[c] {
+					t.Fatalf("core %d accepted twice", c)
+				}
+				cores[c] = true
+			}
+		}
+	})
 }
