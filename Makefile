@@ -96,7 +96,7 @@ ckpt-smoke: build
 # NIC poll, daemon tick and iteration, policy decision, platform step,
 # fleet round, host checkpoint) via `go test -bench`, converted to JSON
 # at results/bench.json by cmd/benchjson.
-BENCHES ?= LLCAccess|HierarchyAccess|GeneratorNextKV|NICPollRx|DaemonTick|DaemonIteration|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound|HostCheckpoint
+BENCHES ?= LLCAccess|LLCIOWrite|HierarchyAccess|GeneratorNextKV|NICPollRx|DaemonTick|DaemonIteration|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound|HostCheckpoint
 bench: build
 	mkdir -p $(TMP) results
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem . > $(TMP)/bench.txt

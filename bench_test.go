@@ -271,6 +271,19 @@ func BenchmarkLLCAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkLLCIOWrite measures one DDIO write allocate: a stream of fresh
+// lines into the default 2-way DDIO mask, which is Leaky DMA's inbound
+// traffic once the Rx ring outgrows the DDIO ways.
+func BenchmarkLLCIOWrite(b *testing.B) {
+	cfg := sim.XeonGold6140(1).Hier.LLC
+	llc := cache.NewLLC(cfg, 18)
+	ddio := cache.ContiguousMask(cfg.Ways-2, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		llc.IOWrite(uint64(i&(1<<31-1))<<6, ddio)
+	}
+}
+
 // BenchmarkHierarchyAccess measures one access through L1/L2/LLC/memory.
 func BenchmarkHierarchyAccess(b *testing.B) {
 	cfg := sim.XeonGold6140(1)

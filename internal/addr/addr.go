@@ -64,6 +64,12 @@ func (r Region) String() string {
 	return fmt.Sprintf("[%#x,%#x) %dB", r.Base, r.End(), r.Size)
 }
 
+// Limit bounds the simulated address space: every region an Allocator
+// hands out ends at or below it. The cache model keeps 32-bit line tags,
+// which hold any address up to cache.MaxAddr (about 2^38); real runs
+// allocate from 1 GiB upward and stay far below 2^37.
+const Limit = 1 << 37
+
 // Allocator hands out non-overlapping Regions by bump allocation. The zero
 // value is not ready for use; construct with NewAllocator.
 type Allocator struct {
@@ -80,7 +86,8 @@ func NewAllocator(base uint64) *Allocator {
 
 // Alloc carves a region of the given size (rounded up to whole lines) out of
 // the address space, aligned to align bytes (0 or 1 means line alignment;
-// align must be a power of two otherwise).
+// align must be a power of two otherwise). It panics if the region would
+// end past Limit.
 func (a *Allocator) Alloc(size, align uint64) Region {
 	if align < LineSize {
 		align = LineSize
@@ -88,8 +95,11 @@ func (a *Allocator) Alloc(size, align uint64) Region {
 	if align&(align-1) != 0 {
 		panic(fmt.Sprintf("addr: alignment %d is not a power of two", align))
 	}
-	size = (size + LineSize - 1) &^ (LineSize - 1)
 	start := (a.next + align - 1) &^ (align - 1)
+	if size > Limit || start > Limit-size {
+		panic(fmt.Sprintf("addr: %d bytes at %#x would end past the address-space limit %#x", size, start, uint64(Limit)))
+	}
+	size = (size + LineSize - 1) &^ (LineSize - 1)
 	a.next = start + size
 	return Region{Base: start, Size: size}
 }

@@ -5,15 +5,39 @@ import (
 	"math/bits"
 )
 
+// ambientTag is the tag AmbientFill installs for an address past
+// MaxAddr. No lineTag reaches it, so a background line never matches a
+// probe and the fill skips the probe altogether.
+const ambientTag = ^uint32(0)
+
+// MaxAddr is the last simulated address the caches accept: the last one
+// whose lineTag stays below ambientTag (about 2^38, 256 GiB). Tags are 32
+// bits wide, so an address past it fails loudly instead of aliasing;
+// addr.Allocator's limit keeps every allocated region below it.
+const MaxAddr = uint64(ambientTag-1)<<LineShift - 1
+
 // lineTag is the stored tag of the line holding address a: its line
 // address plus one, so a zeroed tag array is an empty cache (no fill
 // loop at set-up, no page touched before its first fill) and probe
 // scans tags alone, without consulting the valid bits — the hottest
 // loop in the whole simulator.
-func lineTag(a uint64) uint64 { return a>>LineShift + 1 }
+func lineTag(a uint64) uint32 {
+	if a > MaxAddr {
+		tagOutOfRange(a)
+	}
+	return uint32(a>>LineShift) + 1
+}
 
-// tagAddr inverts lineTag.
-func tagAddr(tag uint64) uint64 { return (tag - 1) << LineShift }
+// tagOutOfRange is lineTag's cold path, kept out of line so lineTag
+// inlines.
+//
+//go:noinline
+func tagOutOfRange(a uint64) {
+	panic(fmt.Sprintf("cache: address %#x is past MaxAddr %#x and has no 32-bit tag", a, MaxAddr))
+}
+
+// tagAddr inverts lineTag. For ambientTag it gives MaxAddr+1.
+func tagAddr(tag uint32) uint64 { return uint64(tag-1) << LineShift }
 
 // SliceStats are the per-slice CHA counters. The DDIO pair is exactly what
 // the paper's daemon samples from the uncore PMU: DDIOHits counts inbound
@@ -42,25 +66,32 @@ func (s *SliceStats) Add(o SliceStats) {
 	s.Writebacks += o.Writebacks
 }
 
-// llcSlice is one NUCA slice: a sets×ways structure stored as flat arrays
-// for speed. Replacement is SRRIP (2-bit re-reference prediction values),
-// the policy family modern Intel LLCs implement: insertions start with a
-// long predicted re-reference interval (rrpvInsert), hits reset it to 0,
-// and victims are lines that aged to rrpvMax. Unlike true LRU, sustained
+// llcSlice is one NUCA slice: SetsPerSlice set records of
+// 1<<LLC.strideShift uint32 words each, packed into one array so that a
+// probe, a hit and a fill all stay on the set's own host cache line (at
+// the Xeon's 11 ways a record is exactly 64 B). A record holds, in order:
+//
+//   - ways tags: lineTag, or 0 when the way is empty;
+//   - ceil(ways/4) rank words: way w's SRRIP age or LRU rank (a
+//     permutation per set) is byte lane w%4 of word w/4;
+//   - the valid word: a bitmask of the occupied ways;
+//   - the dirty word: a bitmask of the dirty ways.
+//
+// Replacement is SRRIP (2-bit re-reference prediction values), the policy
+// family modern Intel LLCs implement: insertions start with a long
+// predicted re-reference interval (rrpvInsert), hits reset it to 0, and
+// victims are lines that aged to rrpvMax. Unlike true LRU, sustained
 // allocation pressure (e.g. line-rate DDIO write allocates) eventually
 // evicts rarely re-referenced lines that squat outside their owner's
 // current way mask — the behaviour the paper's shuffling step relies on
 // ("a tenant can still access its data in previously assigned LLC ways
 // UNTIL it has been evicted", Sec. IV-D).
 //
-// tags doubles as the presence index (0 = empty way, see lineTag) and
-// valid carries a per-set occupancy bitmask, so the miss path finds a
-// free way with one AND-NOT instead of a state scan.
+// The tags double as the presence index (0 = empty way, see lineTag) and
+// the valid word lets the miss path find a free way with one AND-NOT
+// instead of a state scan.
 type llcSlice struct {
-	tags  []uint64 // per way; lineTag, or 0 when empty
-	rrpv  []uint8  // SRRIP age, or LRU rank (a permutation per set)
-	valid []uint32 // per set: bitmask of valid ways
-	dirty []uint32 // per set: bitmask of dirty ways
+	sets  []uint32 // set records, stride words each
 	stats SliceStats
 	tel   sliceTel
 }
@@ -81,6 +112,12 @@ type LLC struct {
 	setMask  uint64 // SetsPerSlice-1
 	fullMask uint32 // FullMask(cfg.Ways), the in-range way bits
 	vicRR    uint32 // rotating tie-break for victim selection
+
+	// Set-record layout (see llcSlice): a record is 1<<strideShift
+	// words, its rank words start at word cfg.Ways, and its valid and
+	// dirty words sit at validOff and validOff+1.
+	strideShift uint
+	validOff    int
 
 	// Per-core demand counters, the source for the "LLC reference and
 	// miss" events IAT polls (LONGEST_LAT_CACHE.{REFERENCE,MISS}).
@@ -109,14 +146,10 @@ func NewLLC(cfg LLCConfig, cores int) *LLC {
 		coreRefs:   make([]uint64, cores),
 		coreMisses: make([]uint64, cores),
 	}
-	n := cfg.SetsPerSlice * cfg.Ways
+	l.validOff = cfg.Ways + (cfg.Ways+3)/4
+	l.strideShift = uint(bits.Len(uint(l.validOff + 1))) // next power of two ≥ validOff+2 words
 	for i := range l.slices {
-		l.slices[i] = llcSlice{
-			tags:  make([]uint64, n),
-			rrpv:  make([]uint8, n),
-			valid: make([]uint32, cfg.SetsPerSlice),
-			dirty: make([]uint32, cfg.SetsPerSlice),
-		}
+		l.slices[i].sets = make([]uint32, cfg.SetsPerSlice<<l.strideShift)
 	}
 	return l
 }
@@ -135,20 +168,18 @@ func hashLine(line uint64) uint64 {
 	return x
 }
 
-// locate maps an address to (slice, set index, base index of its set).
-func (l *LLC) locate(a uint64) (sl *llcSlice, setIdx, setBase int) {
-	line := a >> LineShift
-	h := hashLine(line)
-	s := int(h % uint64(l.cfg.Slices))
-	set := int((h >> 24) & l.setMask)
-	return &l.slices[s], set, set * l.cfg.Ways
+// locate maps an address to its slice and the base word of its set record.
+func (l *LLC) locate(a uint64) (sl *llcSlice, base int) {
+	h := hashLine(a >> LineShift)
+	sl = &l.slices[h%uint64(l.cfg.Slices)]
+	return sl, int((h>>24)&l.setMask) << l.strideShift
 }
 
 // probe searches the set for the tag; returns the way offset or -1. The
 // lineTag encoding makes this a pure tag scan: no valid-bit loads, no
 // branches besides the compare.
-func (l *LLC) probe(sl *llcSlice, base int, tag uint64) int {
-	tags := sl.tags[base : base+l.cfg.Ways]
+func (l *LLC) probe(sl *llcSlice, base int, tag uint32) int {
+	tags := sl.sets[base : base+l.cfg.Ways]
 	for w := range tags {
 		if tags[w] == tag {
 			return w
@@ -157,25 +188,44 @@ func (l *LLC) probe(sl *llcSlice, base int, tag uint64) int {
 	return -1
 }
 
+// ranks returns the set's rank words (see llcSlice).
+func (l *LLC) ranks(sl *llcSlice, base int) []uint32 {
+	return sl.sets[base+l.cfg.Ways : base+l.validOff]
+}
+
+// rank reads way w's byte lane from a set's rank words.
+func rank(rr []uint32, w int) uint8 { return uint8(rr[w>>2] >> (uint(w&3) * 8)) }
+
+// setRank writes way w's byte lane.
+func setRank(rr []uint32, w int, r uint8) {
+	sh := uint(w&3) * 8
+	rr[w>>2] = rr[w>>2]&^(0xFF<<sh) | uint32(r)<<sh
+}
+
+// ageRank adds d to way w's byte lane. Ranks stay far below 256 (SRRIP
+// ages top out at rrpvMax, LRU ranks below the way count), so the add
+// never carries into the next lane.
+func ageRank(rr []uint32, w int, d uint8) { rr[w>>2] += uint32(d) << (uint(w&3) * 8) }
+
 // touch records a re-reference: the line's predicted re-reference interval
 // collapses to "imminent" (SRRIP), or the line moves to MRU (LRU).
-func (l *LLC) touch(sl *llcSlice, setIdx, base, w int) {
+func (l *LLC) touch(sl *llcSlice, base, w int) {
 	if l.cfg.Policy == PolicyLRU {
-		l.lruPromote(sl, setIdx, base, w)
+		l.lruPromote(sl, base, w)
 		return
 	}
-	sl.rrpv[base+w] = 0
+	setRank(l.ranks(sl, base), w, 0)
 }
 
 // lruPromote moves way w to MRU, ageing every valid line that was younger:
 // an lruInsertAt whose limit is the line's own rank. Ranks of the valid
 // lines in a set are a permutation 0..k-1 and stay one.
-func (l *LLC) lruPromote(sl *llcSlice, setIdx, base, w int) {
-	old := sl.rrpv[base+w]
+func (l *LLC) lruPromote(sl *llcSlice, base, w int) {
+	old := rank(l.ranks(sl, base), w)
 	if old == 0 {
 		return // already MRU: nothing can be younger
 	}
-	l.lruInsertAt(sl, setIdx, base, w, old)
+	l.lruInsertAt(sl, base, w, old)
 }
 
 // lruInsertAt gives a newly installed line MRU rank, ageing only the
@@ -185,34 +235,34 @@ func (l *LLC) lruPromote(sl *llcSlice, setIdx, base, w int) {
 // (the old behaviour) inflated out-of-mask lines' ranks until they all
 // saturated at 255 and their true age order was lost — the mask-shrink
 // LRU-age corruption covered by TestLLCLRUMaskShrinkAgeCorruption.
-func (l *LLC) lruInsertAt(sl *llcSlice, setIdx, base, w int, limit uint8) {
-	for m := sl.valid[setIdx] &^ (1 << uint(w)); m != 0; m &= m - 1 {
-		if i := base + bits.TrailingZeros32(m); sl.rrpv[i] < limit {
-			sl.rrpv[i]++
+func (l *LLC) lruInsertAt(sl *llcSlice, base, w int, limit uint8) {
+	rr := l.ranks(sl, base)
+	for m := sl.sets[base+l.validOff] &^ (1 << uint(w)); m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros32(m); rank(rr, i) < limit {
+			ageRank(rr, i, 1)
 		}
 	}
-	sl.rrpv[base+w] = 0
+	setRank(rr, w, 0)
 }
 
 // victimWay picks the allocation victim inside the allowed mask: an invalid
 // allowed way if one exists, else (SRRIP) an allowed way whose RRPV has aged
 // to rrpvMax — ageing the whole allowed set as needed — or (LRU) the
-// least-recently-used allowed way. setIdx indexes the slice's per-set
-// valid bitmask for base.
-func (l *LLC) victimWay(sl *llcSlice, setIdx, base int, mask WayMask) int {
+// least-recently-used allowed way.
+func (l *LLC) victimWay(sl *llcSlice, base int, mask WayMask) int {
 	allowed := uint32(mask) & l.fullMask
 	if allowed == 0 {
 		panic(fmt.Sprintf("cache: way mask %s has no ways below %d; refusing out-of-set allocation", mask, l.cfg.Ways))
 	}
-	if inv := allowed &^ sl.valid[setIdx]; inv != 0 {
+	if inv := allowed &^ sl.sets[base+l.validOff]; inv != 0 {
 		return bits.TrailingZeros32(inv) // lowest-indexed empty allowed way
 	}
-	rr := sl.rrpv[base : base+l.cfg.Ways]
+	rr := l.ranks(sl, base)
 	if l.cfg.Policy == PolicyLRU {
 		best, bestRank := -1, -1
 		for m := allowed; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros32(m)
-			if r := int(rr[w]); r > bestRank {
+			if r := int(rank(rr, w)); r > bestRank {
 				best, bestRank = w, r
 			}
 		}
@@ -225,64 +275,86 @@ func (l *LLC) victimWay(sl *llcSlice, setIdx, base int, mask WayMask) int {
 	// one and rescanned until the maximum reached rrpvMax; ageing is
 	// uniform over the allowed set, so one batched add of
 	// (rrpvMax - max) is identical and the argmax never moves.
+	//
+	// RRPVs are 2-bit, so the set's ages fold into two way bitmasks, one
+	// per RRPV bit, and the candidates holding the maximum are one or two
+	// ANDs away, with no per-way loop.
+	var hi, lo uint32
+	for j, word := range rr {
+		lo |= laneBits(word) << uint(4*j)
+		hi |= laneBits(word>>1) << uint(4*j)
+	}
+	maxRRPV, cand := rrpvMax, allowed&hi&lo
+	if cand == 0 {
+		maxRRPV, cand = rrpvMax-1, allowed&hi
+	}
+	if cand == 0 {
+		maxRRPV, cand = rrpvMax-2, allowed&lo
+	}
+	if cand == 0 {
+		maxRRPV, cand = 0, allowed
+	}
 	l.vicRR++
-	start := int(l.vicRR) % l.cfg.Ways
-	best, bestRRPV := -1, -1
-	for w := start; w < l.cfg.Ways; w++ {
-		if allowed&(1<<uint(w)) != 0 {
-			if r := int(rr[w]); r > bestRRPV {
-				best, bestRRPV = w, r
-			}
-		}
+	start := uint(int(l.vicRR) % l.cfg.Ways)
+	best := bits.TrailingZeros32(cand) // wrapped past the top way
+	if c := cand >> start << start; c != 0 {
+		best = bits.TrailingZeros32(c)
 	}
-	for w := 0; w < start; w++ {
-		if allowed&(1<<uint(w)) != 0 {
-			if r := int(rr[w]); r > bestRRPV {
-				best, bestRRPV = w, r
-			}
-		}
-	}
-	if bestRRPV < int(rrpvMax) {
-		delta := rrpvMax - uint8(bestRRPV)
-		for m := allowed; m != 0; m &= m - 1 {
-			rr[bits.TrailingZeros32(m)] += delta
+	if delta := uint32(rrpvMax - maxRRPV); delta != 0 {
+		for j := range rr {
+			rr[j] += laneSpread(allowed>>uint(4*j)&0xF) * delta
 		}
 	}
 	return best
 }
 
-// install places the tag into way w of the set at (setIdx, base),
-// returning the displaced victim.
-func (l *LLC) install(sl *llcSlice, setIdx, base, w int, tag uint64, dirty bool) Victim {
+// laneBits gathers bit 0 of each of word's four byte lanes into bits 0-3
+// (lane i to bit i): the multiply moves lane i's bit 8i to bit 28+i, and
+// no two partial products meet below bit 32.
+func laneBits(word uint32) uint32 { return (word & 0x01010101) * 0x10204080 >> 28 }
+
+// laneSpread is laneBits' inverse: bit i of nib (0-15) becomes byte lane
+// i's bit 0.
+func laneSpread(nib uint32) uint32 { return nib * 0x00204081 & 0x01010101 }
+
+// install places the tag into way w of the set at base, returning the
+// displaced victim.
+func (l *LLC) install(sl *llcSlice, base, w int, tag uint32, dirty bool) Victim {
 	var v Victim
-	idx := base + w
+	rec := sl.sets[base : base+l.validOff+2]
+	valid, dirtyBits := &rec[l.validOff], &rec[l.validOff+1]
 	bit := uint32(1) << uint(w)
 	victimRank := ^uint8(0) // "older than everything" when the way was empty
-	if sl.valid[setIdx]&bit != 0 {
+	if *valid&bit != 0 {
 		v = Victim{
-			Addr:  tagAddr(sl.tags[idx]),
+			Addr:  tagAddr(rec[w]),
 			Valid: true,
-			Dirty: sl.dirty[setIdx]&bit != 0,
+			Dirty: *dirtyBits&bit != 0,
 		}
 		if v.Dirty {
 			sl.stats.Writebacks++
 		}
 		sl.tel.evictions.Inc()
-		victimRank = sl.rrpv[idx]
+		victimRank = rank(l.ranks(sl, base), w)
 	}
-	sl.tags[idx] = tag
-	sl.valid[setIdx] |= bit
+	rec[w] = tag
+	*valid |= bit
 	if dirty {
-		sl.dirty[setIdx] |= bit
+		*dirtyBits |= bit
 	} else {
-		sl.dirty[setIdx] &^= bit
+		*dirtyBits &^= bit
 	}
 	if l.cfg.Policy == PolicyLRU {
-		l.lruInsertAt(sl, setIdx, base, w, victimRank)
+		l.lruInsertAt(sl, base, w, victimRank)
 	} else {
-		sl.rrpv[idx] = rrpvInsert
+		setRank(l.ranks(sl, base), w, rrpvInsert)
 	}
 	return v
+}
+
+// markDirty sets way w's dirty bit.
+func (l *LLC) markDirty(sl *llcSlice, base, w int) {
+	sl.sets[base+l.validOff+1] |= 1 << uint(w)
 }
 
 // Access performs a demand lookup from a core (i.e. the L2-miss path).
@@ -290,15 +362,15 @@ func (l *LLC) install(sl *llcSlice, setIdx, base, w int, tag uint64, dirty bool)
 // choose the fill location. The returned Victim must be written back by the
 // caller if dirty.
 func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v Victim) {
-	sl, setIdx, base := l.locate(a)
 	tag := lineTag(a)
+	sl, base := l.locate(a)
 	sl.stats.Lookups++
 	l.coreRefs[core]++
 	if w := l.probe(sl, base, tag); w >= 0 {
 		sl.stats.Hits++
 		sl.tel.hits.Inc()
 		if write {
-			sl.dirty[setIdx] |= 1 << uint(w)
+			l.markDirty(sl, base, w)
 		}
 		// SRRIP: no promotion on demand hits — the line's working copy
 		// moves into the core's private caches (Skylake's
@@ -306,7 +378,7 @@ func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v 
 		// its owner's current mask ages out under allocation pressure
 		// instead of squatting forever. LRU promotes classically.
 		if l.cfg.Policy == PolicyLRU {
-			l.lruPromote(sl, setIdx, base, w)
+			l.lruPromote(sl, base, w)
 		}
 		return true, Victim{}
 	}
@@ -316,8 +388,8 @@ func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v 
 	if mask == 0 {
 		mask = FullMask(l.cfg.Ways)
 	}
-	w := l.victimWay(sl, setIdx, base, mask)
-	v = l.install(sl, setIdx, base, w, tag, write)
+	w := l.victimWay(sl, base, mask)
+	v = l.install(sl, base, w, tag, write)
 	sl.tel.fillsApp.Inc()
 	return false, v
 }
@@ -327,22 +399,22 @@ func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v 
 // It does not count as a demand reference. The returned victim must be
 // written back by the caller if dirty.
 func (l *LLC) FillWriteback(a uint64, mask WayMask) Victim {
-	sl, setIdx, base := l.locate(a)
 	tag := lineTag(a)
+	sl, base := l.locate(a)
 	if w := l.probe(sl, base, tag); w >= 0 {
-		sl.dirty[setIdx] |= 1 << uint(w)
+		l.markDirty(sl, base, w)
 		if l.cfg.Policy == PolicyLRU {
-			l.lruPromote(sl, setIdx, base, w)
+			l.lruPromote(sl, base, w)
 		} else {
-			sl.rrpv[base+w] = rrpvInsert
+			setRank(l.ranks(sl, base), w, rrpvInsert)
 		}
 		return Victim{}
 	}
 	if mask == 0 {
 		mask = FullMask(l.cfg.Ways)
 	}
-	w := l.victimWay(sl, setIdx, base, mask)
-	v := l.install(sl, setIdx, base, w, tag, true)
+	w := l.victimWay(sl, base, mask)
+	v := l.install(sl, base, w, tag, true)
 	sl.tel.fillsApp.Inc()
 	return v
 }
@@ -352,39 +424,36 @@ func (l *LLC) FillWriteback(a uint64, mask WayMask) Victim {
 // it is allocated into the DDIO mask (write allocate — a DDIO miss) and the
 // displaced victim is returned for writeback.
 func (l *LLC) IOWrite(a uint64, ddioMask WayMask) (hit bool, v Victim) {
-	sl, setIdx, base := l.locate(a)
 	tag := lineTag(a)
+	sl, base := l.locate(a)
 	if w := l.probe(sl, base, tag); w >= 0 {
 		sl.stats.DDIOHits++
-		sl.dirty[setIdx] |= 1 << uint(w)
-		l.touch(sl, setIdx, base, w)
+		l.markDirty(sl, base, w)
+		l.touch(sl, base, w)
 		return true, Victim{}
 	}
 	sl.stats.DDIOMisses++
 	if ddioMask == 0 {
 		ddioMask = FullMask(l.cfg.Ways)
 	}
-	w := l.victimWay(sl, setIdx, base, ddioMask)
-	v = l.install(sl, setIdx, base, w, tag, true)
+	w := l.victimWay(sl, base, ddioMask)
+	v = l.install(sl, base, w, tag, true)
 	sl.tel.fillsDDIO.Inc()
 	return false, v
 }
 
 // IORead models a device (Tx) read of one line. A hit is served from the
 // LLC and the line stays put; a miss falls through to memory and does NOT
-// allocate (Sec. II-B). The line is cleaned on read-hit so a later eviction
-// needs no writeback only if nothing else dirtied it again; real hardware
-// keeps it dirty, so we do too — the read has no side effects.
+// allocate (Sec. II-B). A device read neither cleans nor promotes the
+// line: a dirty line stays dirty, and a read is typically the buffer's
+// last use before its slot recycles.
 func (l *LLC) IORead(a uint64) (hit bool) {
-	sl, _, base := l.locate(a)
 	tag := lineTag(a)
-	if w := l.probe(sl, base, tag); w >= 0 {
-		sl.stats.IOReads++
-		// A device read is typically the buffer's last use before the
-		// slot recycles; no promotion.
+	sl, base := l.locate(a)
+	sl.stats.IOReads++
+	if l.probe(sl, base, tag) >= 0 {
 		return true
 	}
-	sl.stats.IOReads++
 	sl.stats.IOReadMiss++
 	return false
 }
@@ -395,30 +464,35 @@ func (l *LLC) IORead(a uint64) (hit bool) {
 // victim for writeback accounting. A real consolidated host is never
 // sterile; without this churn, data parked in idle ways would stay resident
 // forever.
+//
+// An address past MaxAddr (sim.Platform's churn draws from a 2^56-line
+// region above it) is installed as ambientTag without a probe: such a
+// line is taken never to be drawn again while still resident, and no
+// demand or I/O probe can match it.
 func (l *LLC) AmbientFill(a uint64) Victim {
-	sl, setIdx, base := l.locate(a)
-	tag := lineTag(a)
-	if l.probe(sl, base, tag) >= 0 {
-		return Victim{}
+	sl, base := l.locate(a)
+	tag := ambientTag
+	if a <= MaxAddr {
+		if tag = lineTag(a); l.probe(sl, base, tag) >= 0 {
+			return Victim{}
+		}
 	}
-	w := l.victimWay(sl, setIdx, base, WayMask(l.fullMask))
-	v := l.install(sl, setIdx, base, w, tag, false)
+	w := l.victimWay(sl, base, WayMask(l.fullMask))
+	v := l.install(sl, base, w, tag, false)
 	sl.tel.fillsApp.Inc()
 	return v
 }
 
 // Contains reports whether the line holding address a is resident, without
 // disturbing LRU state or counters. Intended for tests and assertions.
-func (l *LLC) Contains(a uint64) bool {
-	sl, _, base := l.locate(a)
-	return l.probe(sl, base, lineTag(a)) >= 0
-}
+func (l *LLC) Contains(a uint64) bool { return l.WayOf(a) >= 0 }
 
 // WayOf returns the way index currently holding address a, or -1. Intended
 // for tests.
 func (l *LLC) WayOf(a uint64) int {
-	sl, _, base := l.locate(a)
-	return l.probe(sl, base, lineTag(a))
+	tag := lineTag(a)
+	sl, base := l.locate(a)
+	return l.probe(sl, base, tag)
 }
 
 // SliceStats returns the counters of slice i. The IAT daemon samples slice 0
@@ -451,9 +525,9 @@ func (l *LLC) CoreMisses(core int) uint64 { return l.coreMisses[core] }
 func (l *LLC) OccupancyByWay() []int {
 	occ := make([]int, l.cfg.Ways)
 	for s := range l.slices {
-		sl := &l.slices[s]
-		for set := 0; set < l.cfg.SetsPerSlice; set++ {
-			for m := sl.valid[set]; m != 0; m &= m - 1 {
+		sets := l.slices[s].sets
+		for base := 0; base < len(sets); base += 1 << l.strideShift {
+			for m := sets[base+l.validOff]; m != 0; m &= m - 1 {
 				occ[bits.TrailingZeros32(m)]++
 			}
 		}

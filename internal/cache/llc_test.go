@@ -2,8 +2,12 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"iatsim/internal/addr"
 )
 
 // testLLC returns a small LLC for focused tests: 2 slices, 8 ways, 64 sets.
@@ -255,9 +259,9 @@ func TestLLCInvariantsProperty(t *testing.T) {
 func TestLocateDeterministicProperty(t *testing.T) {
 	l := testLLC(1)
 	f := func(a uint64) bool {
-		s1, i1, b1 := l.locate(a)
-		s2, i2, b2 := l.locate(a)
-		return s1 == s2 && i1 == i2 && b1 == b2
+		s1, b1 := l.locate(a)
+		s2, b2 := l.locate(a)
+		return s1 == s2 && b1 == b2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -316,4 +320,83 @@ func TestPolicyString(t *testing.T) {
 	if PolicySRRIP.String() != "srrip" || PolicyLRU.String() != "lru" {
 		t.Error("policy strings wrong")
 	}
+}
+
+// TestLLCSetRecordIsOneHostLine pins the packed set layout: at the Xeon's
+// 11 ways a set's tags, rank bytes, valid and dirty words fill exactly
+// one 64 B record, and every slice's array starts on a 64 B boundary, so
+// a probe, hit or fill touches one host cache line. A field added to the
+// record later must not silently spill a set onto a second line.
+func TestLLCSetRecordIsOneHostLine(t *testing.T) {
+	l := NewLLC(XeonGold6140Hierarchy(18).LLC, 18)
+	if stride := 4 << l.strideShift; stride != 64 {
+		t.Fatalf("Xeon set record is %d B, want 64", stride)
+	}
+	for i := range l.slices {
+		if p := reflect.ValueOf(l.slices[i].sets).Pointer(); p%64 != 0 {
+			t.Fatalf("slice %d records start at %#x, not 64 B-aligned", i, p)
+		}
+	}
+	// Every valid shape gets the smallest power-of-two record that holds
+	// it.
+	for ways := 1; ways <= 32; ways++ {
+		l := NewLLC(LLCConfig{Slices: 1, Ways: ways, SetsPerSlice: 1}, 1)
+		need, stride := ways+(ways+3)/4+2, 1<<l.strideShift
+		if l.validOff+2 != need || stride < need || stride >= 2*need {
+			t.Errorf("%d ways: record of %d words for %d needed (valid word at %d)", ways, stride, need, l.validOff)
+		}
+	}
+}
+
+// TestTagBoundFailsLoudly proves that 32-bit tags cannot alias: every
+// cache entry point refuses an address past MaxAddr with a cache: panic
+// (only AmbientFill accepts one, as a background line), and the address
+// allocator refuses to hand out memory past its limit, which lies inside
+// the bound.
+func TestTagBoundFailsLoudly(t *testing.T) {
+	if addr.Limit > MaxAddr {
+		t.Fatalf("addr.Limit %#x is past cache.MaxAddr %#x", uint64(addr.Limit), MaxAddr)
+	}
+	mustPanic := func(name, prefix string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, prefix) {
+				t.Errorf("%s: recovered %q, want a %q panic", name, msg, prefix)
+			}
+		}()
+		f()
+	}
+	l := testLLC(1)
+	h := testHierarchy()
+	h.Mem().BeginEpoch(1e12)
+	full := FullMask(8)
+	for _, a := range []uint64{MaxAddr + 1, 1 << 40, 1 << 61, ^uint64(0)} {
+		mustPanic("Access", "cache:", func() { l.Access(0, a, false, full) })
+		mustPanic("IOWrite", "cache:", func() { l.IOWrite(a, full) })
+		mustPanic("FillWriteback", "cache:", func() { l.FillWriteback(a, full) })
+		mustPanic("IORead", "cache:", func() { l.IORead(a) })
+		mustPanic("Hierarchy.Access", "cache:", func() { h.Access(0, a, true, full) })
+	}
+	// The last in-range line still works at every entry point, and a
+	// background fill from past the bound is accepted.
+	l.Access(0, MaxAddr, true, full)
+	if hit, _ := l.IOWrite(MaxAddr, full); !hit {
+		t.Fatal("the line at MaxAddr was not cached")
+	}
+	h.Access(0, MaxAddr, true, full)
+	if !h.PrivateContains(0, MaxAddr) {
+		t.Fatal("the line at MaxAddr was not cached privately")
+	}
+	if v := l.AmbientFill(1 << 40); v.Valid {
+		t.Fatalf("background fill into a non-full set displaced %+v", v)
+	}
+
+	al := addr.NewAllocator(addr.Limit - 2*addr.LineSize)
+	al.Alloc(addr.LineSize, 0)
+	al.Alloc(addr.LineSize, 0) // ends exactly at the limit
+	mustPanic("Alloc", "addr:", func() { al.Alloc(1, 0) })
+	mustPanic("Alloc", "addr:", func() { addr.NewAllocator(1<<30).Alloc(addr.Limit, 0) })
+	mustPanic("Alloc", "addr:", func() { addr.NewAllocator(0).Alloc(^uint64(0), 0) })
 }

@@ -70,14 +70,15 @@ func checkLRUPermutation(t *testing.T, l *LLC) {
 	for s := range l.slices {
 		sl := &l.slices[s]
 		for set := 0; set < l.cfg.SetsPerSlice; set++ {
-			base := set * l.cfg.Ways
+			base := set << l.strideShift
+			rr := l.ranks(sl, base)
 			var seen [32]bool
 			k := 0
 			for w := 0; w < l.cfg.Ways; w++ {
-				if sl.valid[set]&(1<<uint(w)) == 0 {
+				if sl.sets[base+l.validOff]&(1<<uint(w)) == 0 {
 					continue
 				}
-				r := int(sl.rrpv[base+w])
+				r := int(rank(rr, w))
 				if r >= l.cfg.Ways || seen[r] {
 					t.Fatalf("slice %d set %d: LRU ranks are not a permutation (way %d rank %d)", s, set, w, r)
 				}
@@ -173,9 +174,10 @@ func TestLLCMaskPairShrink(t *testing.T) {
 					// SRRIP ages stay in the 2-bit domain.
 					if policy == PolicySRRIP {
 						sl := &l.slices[0]
+						rr := l.ranks(sl, 0)
 						for w := 0; w < 11; w++ {
-							if sl.valid[0]&(1<<uint(w)) != 0 && sl.rrpv[w] > rrpvMax {
-								t.Fatalf("mask %s->%s: way %d RRPV %d beyond rrpvMax", a, b, w, sl.rrpv[w])
+							if sl.sets[l.validOff]&(1<<uint(w)) != 0 && rank(rr, w) > rrpvMax {
+								t.Fatalf("mask %s->%s: way %d RRPV %d beyond rrpvMax", a, b, w, rank(rr, w))
 							}
 						}
 					}

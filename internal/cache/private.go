@@ -4,22 +4,27 @@ import "math/bits"
 
 // private is one private cache level (L1D or L2) of a single core: a plain
 // set-associative cache, address-bit indexed, write-back and
-// write-allocate. Like the LLC it stores lineTag in occupied ways and 0 in
-// empty ones (so the probe loop reads only the tag array, and a fresh
-// cache needs no fill loop) and keeps per-set valid and dirty bitmasks
-// (so the fill path finds a free way with one AND-NOT).
+// write-allocate. Like the LLC it stores the 32-bit lineTag in occupied
+// ways and 0 in empty ones (so the probe loop reads only the tag array, a
+// fresh cache needs no fill loop, and an L2 set's 16 tags are one 64 B
+// host line) and keeps per-set valid and dirty bitmasks (so the fill path
+// finds a free way with one AND-NOT). A victim's address is recovered
+// from its tag exactly, as the L1->L2 spill and the L2->LLC writeback
+// need it.
 //
 // Replacement keeps no state: a miss fills the lowest-indexed empty way,
 // and a full set always evicts way 0. That is not LRU, but every recorded
 // digest and golden hash depends on it. refPrivate in ref_test.go is a
 // reference that keeps LRU ranks (they never move) and scans them for
 // victims; the differential test proves the two agree. Real LRU needs a
-// per-set rank permutation and a re-record (ROADMAP.md open item 6).
+// per-set rank permutation and a re-record (ROADMAP.md open item 2); its
+// rank bytes would sit beside the valid and dirty words, not in the tag
+// rows.
 type private struct {
 	ways     int
 	setMask  uint64
 	fullMask uint32
-	tags     []uint64
+	tags     []uint32
 	valid    []uint32
 	dirty    []uint32
 	hits     uint64
@@ -33,18 +38,18 @@ func newPrivate(cfg LevelConfig) *private {
 		ways:     cfg.Ways,
 		setMask:  uint64(sets - 1),
 		fullMask: uint32(FullMask(cfg.Ways)),
-		tags:     make([]uint64, n),
+		tags:     make([]uint32, n),
 		valid:    make([]uint32, sets),
 		dirty:    make([]uint32, sets),
 	}
 }
 
-func (p *private) locate(a uint64) (set, base int, tag uint64) {
+func (p *private) locate(a uint64) (set, base int, tag uint32) {
 	set = int((a >> LineShift) & p.setMask)
 	return set, set * p.ways, lineTag(a)
 }
 
-func (p *private) probe(base int, tag uint64) int {
+func (p *private) probe(base int, tag uint32) int {
 	tags := p.tags[base : base+p.ways]
 	for w := range tags {
 		if tags[w] == tag {

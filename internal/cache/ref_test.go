@@ -189,10 +189,13 @@ func (r *refLLC) IORead(a uint64) bool {
 	return r.probe(s, base, a>>LineShift) >= 0
 }
 
+// AmbientFill never hits for an address past MaxAddr: background lines
+// are drawn from a region so large that none is drawn twice while
+// resident, which is what lets the production LLC skip their probe.
 func (r *refLLC) AmbientFill(a uint64) Victim {
 	s, base := r.locate(a)
 	tag := a >> LineShift
-	if r.probe(s, base, tag) >= 0 {
+	if a <= MaxAddr && r.probe(s, base, tag) >= 0 {
 		return Victim{}
 	}
 	full := FullMask(r.cfg.Ways)
@@ -223,35 +226,35 @@ func (s *diffSplitmix) next() uint64 {
 // shrinking way masks, failing on the first divergence in hit results or
 // displaced victims, then cross-checks residency over every address the
 // stream used.
-func runDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps int) {
+func runDifferential(t *testing.T, policy ReplacementPolicy, ways int, seed uint64, nOps int) {
 	t.Helper()
-	cfg := LLCConfig{Slices: 3, Ways: 11, SetsPerSlice: 16, HitCycles: 44, Policy: policy}
+	cfg := LLCConfig{Slices: 3, Ways: ways, SetsPerSlice: 16, HitCycles: 44, Policy: policy}
 	l := NewLLC(cfg, 2)
 	r := newRefLLC(cfg)
 	rng := diffSplitmix(seed)
 
 	// Small address pools so sets actually fill and evict. Besides low
-	// lines, the pool holds the addresses ambient churn produces (bit 40
-	// set, random bits up to bit 61; see sim.Platform.ambientChurn) and
-	// lines at 2^61, so victims must round-trip tags far above 2^32.
-	const addrs = 3 * 11 * 16 * 3
-	pool := make([]uint64, 0, 3*addrs)
+	// lines, the pool holds the lines just below MaxAddr, so victims must
+	// round-trip tags next to 2^32.
+	addrs := uint64(3 * ways * 16 * 3)
+	pool := make([]uint64, 0, 2*addrs)
 	for a := uint64(0); a < addrs; a++ {
 		pool = append(pool, a<<LineShift)
 	}
 	for a := uint64(0); a < addrs; a++ {
-		pool = append(pool, uint64(1)<<40|rng.next()>>8<<LineShift)
+		pool = append(pool, MaxAddr+1-(a+1)<<LineShift)
 	}
-	for a := uint64(0); a < addrs; a++ {
-		pool = append(pool, uint64(1)<<61+a<<LineShift)
-	}
+	// Half the ambient fills draw fresh addresses past MaxAddr the way
+	// sim.Platform.ambientChurn does (its generator, bit 40 set, random
+	// bits up to bit 61), so they never repeat.
+	ambient := rng.next()
 	masks := []WayMask{
-		FullMask(11),
+		FullMask(ways),
 		ContiguousMask(0, 4),
-		ContiguousMask(2, 5),   // overlaps the first partially
-		ContiguousMask(7, 4),   // disjoint high ways
-		ContiguousMask(0, 1),   // maximal shrink
-		WayMask(0b10101010101), // non-contiguous: the general datapath case
+		ContiguousMask(2, 5),                 // overlaps the first partially
+		ContiguousMask(ways-4, 4),            // disjoint high ways
+		ContiguousMask(0, 1),                 // maximal shrink
+		WayMask(0x55555555) & FullMask(ways), // non-contiguous: the general datapath case
 	}
 	for i := 0; i < nOps; i++ {
 		a := pool[rng.next()%uint64(len(pool))]
@@ -262,20 +265,20 @@ func runDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps i
 			write := op%2 == 0
 			gotHit, gotV := l.Access(int(rng.next()%2), a, write, mask)
 			wantHit, wantV := r.Access(a, write, mask)
-			if gotHit != wantHit || gotV != wantV {
+			if gotHit != wantHit || !sameVictim(gotV, wantV) {
 				t.Fatalf("op %d Access(%#x, write=%v, mask=%s): got (%v,%+v) want (%v,%+v)",
 					i, a, write, mask, gotHit, gotV, wantHit, wantV)
 			}
 		case op < 5:
 			gotV := l.FillWriteback(a, mask)
 			wantV := r.FillWriteback(a, mask)
-			if gotV != wantV {
+			if !sameVictim(gotV, wantV) {
 				t.Fatalf("op %d FillWriteback(%#x, mask=%s): got %+v want %+v", i, a, mask, gotV, wantV)
 			}
 		case op < 6:
 			gotHit, gotV := l.IOWrite(a, mask)
 			wantHit, wantV := r.IOWrite(a, mask)
-			if gotHit != wantHit || gotV != wantV {
+			if gotHit != wantHit || !sameVictim(gotV, wantV) {
 				t.Fatalf("op %d IOWrite(%#x, mask=%s): got (%v,%+v) want (%v,%+v)",
 					i, a, mask, gotHit, gotV, wantHit, wantV)
 			}
@@ -284,9 +287,13 @@ func runDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps i
 				t.Fatalf("op %d IORead(%#x): got %v want %v", i, a, got, want)
 			}
 		default:
+			if rng.next()%2 == 0 {
+				ambient = ambient*0x5DEECE66D + 0xB
+				a = uint64(1)<<40 | ambient>>8<<LineShift
+			}
 			gotV := l.AmbientFill(a)
 			wantV := r.AmbientFill(a)
-			if gotV != wantV {
+			if !sameVictim(gotV, wantV) {
 				t.Fatalf("op %d AmbientFill(%#x): got %+v want %+v", i, a, gotV, wantV)
 			}
 		}
@@ -298,20 +305,41 @@ func runDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps i
 	}
 }
 
+// sameVictim compares a production victim with the reference's. A
+// background line filled from past MaxAddr keeps no address in the
+// production LLC (nothing outside the package reads an LLC victim's
+// address), so such a victim is compared on Valid and Dirty only.
+func sameVictim(got, want Victim) bool {
+	if want.Addr > MaxAddr {
+		return got.Valid == want.Valid && got.Dirty == want.Dirty
+	}
+	return got == want
+}
+
+// differentialWays are the LLC shapes the differential tests run: the
+// Xeon's 11 ways (one 64 B record, a partly filled rank word), 16 ways
+// (a 32-word record) and the 32-way maximum (every rank lane in use).
+var differentialWays = []int{11, 16, 32}
+
 // TestLLCDifferentialSRRIP proves the optimised SRRIP datapath (sentinel
-// probes, batched ageing, rotation without modulo) is operation-for-
-// operation identical to the naive pre-optimisation algorithm.
+// probes, batched ageing, bitmask victim selection over packed rank
+// bytes) is operation-for-operation identical to the naive
+// pre-optimisation algorithm.
 func TestLLCDifferentialSRRIP(t *testing.T) {
-	for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
-		runDifferential(t, PolicySRRIP, seed, 60000)
+	for _, ways := range differentialWays {
+		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+			runDifferential(t, PolicySRRIP, ways, seed, 60000)
+		}
 	}
 }
 
 // TestLLCDifferentialLRU proves the LRU path matches the drift-free
 // reference semantics under the same streams, mask shrinks included.
 func TestLLCDifferentialLRU(t *testing.T) {
-	for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
-		runDifferential(t, PolicyLRU, seed, 60000)
+	for _, ways := range differentialWays {
+		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+			runDifferential(t, PolicyLRU, ways, seed, 60000)
+		}
 	}
 }
 
@@ -453,9 +481,9 @@ func runPrivateDifferential(t *testing.T, cfg LevelConfig, seed uint64, nOps int
 	r := newRefPrivate(cfg)
 	rng := diffSplitmix(seed)
 	addrs := uint64(cfg.Sets() * cfg.Ways * 3)
-	// High addresses too: ambient churn uses line addresses far above
-	// 2^32, which a narrowed tag would alias.
-	high := uint64(1) << 61
+	// High addresses too: the lines just below MaxAddr carry tags next
+	// to 2^32, which a tag narrower than 32 bits would alias.
+	high := MaxAddr + 1 - addrs<<LineShift
 	for i := 0; i < nOps; i++ {
 		a := (rng.next() % addrs) << LineShift
 		if rng.next()%4 == 0 {

@@ -222,7 +222,8 @@ func TestPriorityString(t *testing.T) {
 	}
 }
 
-// memWorker hammers memory with LLC misses (random over a huge region).
+// memWorker hammers memory with LLC misses (random lines between 32 and
+// 64 GiB, inside the cache model's address bound).
 type memWorker struct {
 	next uint64
 	ops  uint64
@@ -231,7 +232,7 @@ type memWorker struct {
 func (w *memWorker) Run(ctx *Ctx) {
 	for ctx.Remaining() > 0 {
 		w.next = w.next*6364136223846793005 + 1442695040888963407
-		ctx.Access(1<<35|(w.next>>8<<6), false)
+		ctx.Access(1<<35|(w.next>>34<<6), false)
 		w.ops++
 	}
 }
