@@ -7,7 +7,7 @@ GO      ?= go
 JOBS    ?= 4
 TMP     ?= /tmp/iatsim
 
-.PHONY: all build lint simlint lint-baseline vet fmtcheck test race perfbench-check smoke telemetry-smoke ckpt-smoke bench bench-baseline bench-diff scaling clean
+.PHONY: all build lint simlint lint-baseline vet fmtcheck test race perfbench-check smoke telemetry-smoke ckpt-smoke regen-check bench bench-baseline bench-diff scaling clean
 
 all: build lint test race perfbench-check telemetry-smoke ckpt-smoke
 
@@ -91,6 +91,19 @@ ckpt-smoke: build
 	$(TMP)/ckpt/iatd -tenants $(TMP)/ckpt/tenants.conf $(CKPTFLAGS) -resume $(TMP)/ckpt/ck/iatd.ckpt -json $(TMP)/ckpt > /dev/null
 	grep -q '"resumed_from"' $(TMP)/ckpt/manifest.json
 	@echo "ckpt-smoke OK: iatd crashed with exit 137 and resumed with provenance"
+
+# regen-check: regenerate every -all CSV at the canonical seed and cmp
+# each against the committed results/, naming any file that differs.
+# fig15.csv records host wall-clock and is skipped. Not in `all` or CI
+# yet: it takes ~4 min at JOBS=2 on a 2-vCPU host.
+regen-check: build
+	rm -rf $(TMP)/regen && mkdir -p $(TMP)/regen
+	$(GO) run ./cmd/experiments -all -jobs $(JOBS) -csv $(TMP)/regen > /dev/null
+	@fail=0; n=0; for f in $(TMP)/regen/*.csv; do \
+		b=$$(basename $$f); [ "$$b" = fig15.csv ] && continue; n=$$((n+1)); \
+		cmp -s $$f results/$$b || { echo "regen-check: $$b differs from results/$$b"; fail=1; }; \
+	done; [ $$n -gt 0 ] || { echo "regen-check: no CSV regenerated"; exit 1; }; \
+	[ $$fail -eq 0 ] && echo "regen-check OK: $$n CSVs match results/"
 
 # bench: the micro-benchmark suite (cache access, KV packet generation,
 # NIC poll, daemon tick and iteration, policy decision, platform step,

@@ -5,6 +5,7 @@ import (
 
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
+	"iatsim/internal/policy"
 	"iatsim/internal/sim"
 )
 
@@ -106,7 +107,7 @@ func TestNewIATRegistersController(t *testing.T) {
 	p.Run(5e6)
 	// The daemon must have been ticked by the platform (first iterations
 	// establish baselines; Iterations counts post-baseline passes).
-	if d.State() != core.LowKeep {
+	if d.State() != policy.LowKeep {
 		t.Fatalf("state = %v", d.State())
 	}
 	if total, _ := d.Iterations(); total == 0 {

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"iatsim/internal/jsonbuf"
+	"iatsim/internal/policy"
 	"iatsim/internal/rdt"
 )
 
@@ -41,7 +42,7 @@ type GroupState struct {
 // members that encode in encoding/json's sorted map-key order, so
 // identical daemon state always serialises to identical bytes.
 type DaemonState struct {
-	State    State        `json:"state"`
+	State    policy.State `json:"state"`
 	NeedInfo bool         `json:"need_info"`
 	Groups   []GroupState `json:"groups"`
 	NWays    int          `json:"n_ways"`
@@ -62,13 +63,13 @@ type DaemonState struct {
 	Unstable uint64      `json:"unstable"`
 	Health   HealthStats `json:"health"`
 
-	ConsecBad       int   `json:"consec_bad"`
-	SaneStreak      int   `json:"sane_streak"`
-	Degraded        bool  `json:"degraded"`
-	RearmNeed       int   `json:"rearm_need"`
-	CleanStreak     int   `json:"clean_streak"`
-	WriteFailedIter bool  `json:"write_failed_iter"`
-	TelState        State `json:"tel_state"`
+	ConsecBad       int          `json:"consec_bad"`
+	SaneStreak      int          `json:"sane_streak"`
+	Degraded        bool         `json:"degraded"`
+	RearmNeed       int          `json:"rearm_need"`
+	CleanStreak     int          `json:"clean_streak"`
+	WriteFailedIter bool         `json:"write_failed_iter"`
+	TelState        policy.State `json:"tel_state"`
 }
 
 // SnapshotState captures the daemon's control-plane state between
@@ -226,7 +227,7 @@ func (d *Daemon) RestoreState(st DaemonState) error {
 // decision baselines are dropped); an attached shadow evaluator cold
 // starts too.
 func (d *Daemon) Restart() {
-	d.state = LowKeep
+	d.state = policy.LowKeep
 	d.needInfo = true
 	d.groups = d.groups[:0]
 	d.cores = d.cores[:0]
@@ -251,5 +252,5 @@ func (d *Daemon) Restart() {
 	d.rearmNeed = 0
 	d.cleanStreak = 0
 	d.writeFailedIter = false
-	d.telState = LowKeep
+	d.telState = policy.LowKeep
 }

@@ -233,7 +233,7 @@ func TestDaemonRestartColdStarts(t *testing.T) {
 	if iters, unstable := d.Iterations(); iters != 0 || unstable != 0 {
 		t.Fatalf("restart kept iteration counters: %d/%d", iters, unstable)
 	}
-	if d.State() != LowKeep {
+	if d.State() != policy.LowKeep {
 		t.Fatalf("state after restart = %v, want LowKeep", d.State())
 	}
 	if h := d.Health(); h != (HealthStats{}) {

@@ -34,7 +34,7 @@ type intervalSample struct {
 // series) and the iatd log output.
 type IterationInfo struct {
 	NowNS      float64
-	State      State
+	State      policy.State
 	Stable     bool
 	Action     string
 	DDIOWays   int
@@ -84,7 +84,7 @@ type Daemon struct {
 	P    Params
 	Opts Options
 
-	state    State
+	state    policy.State
 	needInfo bool
 
 	// Per-group state is dense, indexed like groups (registration
@@ -143,8 +143,8 @@ type Daemon struct {
 	// from exactly that stream.
 	Tel telemetry.Sink
 
-	telState State   // last state announced by emit (published when Tel is set)
-	nowNS    float64 // current iteration's sim time, for apply()-time events
+	telState policy.State // last state announced by emit (published when Tel is set)
+	nowNS    float64      // current iteration's sim time, for apply()-time events
 }
 
 // NewDaemon builds a daemon over sys running the default IAT policy. It
@@ -158,7 +158,7 @@ func NewDaemon(sys System, p Params, opts Options) (*Daemon, error) {
 		sys:        sys,
 		P:          p,
 		Opts:       opts,
-		state:      LowKeep,
+		state:      policy.LowKeep,
 		needInfo:   true,
 		nWays:      sys.NumWays(),
 		topCLOS:    -1,
@@ -209,7 +209,7 @@ func (d *Daemon) SetPolicy(p policy.Policy) error {
 	}
 	p.Reset()
 	d.pol = p
-	d.state = LowKeep
+	d.state = policy.LowKeep
 	d.emitHealth(telemetry.SevInfo, "policy_update", p.Name())
 	return nil
 }
@@ -226,7 +226,7 @@ func (d *Daemon) AttachShadows(ev *policy.Evaluator) { d.shadows = ev }
 func (d *Daemon) Shadows() *policy.Evaluator { return d.shadows }
 
 // State returns the FSM state.
-func (d *Daemon) State() State { return d.state }
+func (d *Daemon) State() policy.State { return d.state }
 
 // DDIOWays returns the daemon's view of the DDIO way count.
 func (d *Daemon) DDIOWays() int { return d.ddioWays }
@@ -499,6 +499,20 @@ func (d *Daemon) execute(a policy.Actions) policy.Actions {
 		}
 		if a.Fallback != nil {
 			return d.execute(*a.Fallback)
+		}
+		return a
+	}
+	if a.Masks != nil {
+		// The policy laid out every group itself: program its layout in
+		// ascending CLOS order with apply()'s retry and read-back.
+		if !d.Opts.DisableTenantAdjust && len(a.Masks) == len(d.groups) {
+			for _, i := range d.closOrder {
+				g, m := d.groups[i], a.Masks[i]
+				g.Width = m.Count()
+				if d.sys.CLOSMask(g.CLOS) != m && d.programCLOS(g.CLOS, m) && d.Tel != nil {
+					d.emitMask(fmt.Sprintf("clos%d=%v", g.CLOS, m))
+				}
+			}
 		}
 		return a
 	}

@@ -139,7 +139,7 @@ func TestDaemonIODemandGrowsDDIOToHighKeep(t *testing.T) {
 	if got := m.ddio.Count(); got != d.P.DDIOWaysMax {
 		t.Fatalf("DDIO ways = %d, want max %d", got, d.P.DDIOWaysMax)
 	}
-	if d.State() != HighKeep {
+	if d.State() != policy.HighKeep {
 		t.Fatalf("state = %v, want HighKeep", d.State())
 	}
 	// The mask must stay top-anchored and contiguous.
@@ -174,7 +174,7 @@ func TestDaemonReclaimsToLowKeep(t *testing.T) {
 	if got := m.ddio.Count(); got != d.P.DDIOWaysMin {
 		t.Fatalf("DDIO ways after reclaim = %d, want %d", got, d.P.DDIOWaysMin)
 	}
-	if d.State() != LowKeep {
+	if d.State() != policy.LowKeep {
 		t.Fatalf("state = %v, want LowKeep", d.State())
 	}
 }
@@ -200,7 +200,7 @@ func TestDaemonCoreDemandGrowsStack(t *testing.T) {
 		m.advanceDDIO(hits/10, 400_000)
 		tick()
 	}
-	if d.State() != CoreDemand {
+	if d.State() != policy.CoreDemand {
 		t.Fatalf("state = %v, want CoreDemand", d.State())
 	}
 	if got := m.masks[1].Count(); got <= before {

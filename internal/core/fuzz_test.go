@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"iatsim/internal/cache"
+	"iatsim/internal/policy"
 	"iatsim/internal/rdt"
 )
 
@@ -192,7 +193,7 @@ func TestDaemonInvariantsUnderFaults(t *testing.T) {
 				t.Logf("seed %d iter %d: daemon requested %d invalid masks", seed, iter, fs.badMasks)
 				return false
 			}
-			if s := d.State(); s < LowKeep || s > Reclaim {
+			if s := d.State(); s < policy.LowKeep || s > policy.Reclaim {
 				t.Logf("seed %d iter %d: undefined FSM state %d", seed, iter, int(s))
 				return false
 			}

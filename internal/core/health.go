@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"iatsim/internal/cache"
+	"iatsim/internal/policy"
 	"iatsim/internal/telemetry"
 )
 
@@ -126,7 +127,7 @@ func (d *Daemon) enterDegraded() {
 	if !d.Opts.DisableDDIOAdjust {
 		d.programDDIO(cache.ContiguousMask(d.nWays-d.ddioWays, d.ddioWays))
 	}
-	d.state = LowKeep
+	d.state = policy.LowKeep
 	// Old baselines are untrustworthy; the policy and every shadow
 	// re-baseline after re-arming.
 	d.pol.Reset()
@@ -150,7 +151,7 @@ func (d *Daemon) degradedTick(nowNS float64, cur intervalSample) {
 	d.health.Rearms++
 	d.bumpHealth("rearms")
 	d.emitHealth(telemetry.SevInfo, "rearmed", fmt.Sprintf("after %d sane samples", d.rearmNeed))
-	d.state = LowKeep
+	d.state = policy.LowKeep
 	// Re-adopt the re-arming sample as the comparison baseline: the
 	// policy observes it and its (warmup) decision is discarded, so the
 	// next iteration compares against this sample — exactly the

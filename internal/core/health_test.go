@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iatsim/internal/cache"
+	"iatsim/internal/policy"
 	"iatsim/internal/telemetry"
 )
 
@@ -126,7 +127,7 @@ func TestDaemonDegradesAndRearms(t *testing.T) {
 	if !h.Degraded || h.Degradations != 1 || h.SampleRejects != 3 {
 		t.Fatalf("health after degrade: %+v", h)
 	}
-	if d.State() != LowKeep {
+	if d.State() != policy.LowKeep {
 		t.Fatalf("degraded state = %v, want LowKeep", d.State())
 	}
 	if want := cache.ContiguousMask(11-d.P.SafeDDIOWays, d.P.SafeDDIOWays); m.ddio != want {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"iatsim/internal/cache"
+	"iatsim/internal/policy"
 )
 
 func g(clos, width int, prio Priority, refs float64) *Group {
@@ -183,9 +184,9 @@ func TestTableIIDefaults(t *testing.T) {
 }
 
 func TestStateString(t *testing.T) {
-	names := map[State]string{
-		LowKeep: "LowKeep", IODemand: "IODemand", CoreDemand: "CoreDemand",
-		HighKeep: "HighKeep", Reclaim: "Reclaim",
+	names := map[policy.State]string{
+		policy.LowKeep: "LowKeep", policy.IODemand: "IODemand", policy.CoreDemand: "CoreDemand",
+		policy.HighKeep: "HighKeep", policy.Reclaim: "Reclaim",
 	}
 	for s, want := range names {
 		if s.String() != want {
@@ -195,7 +196,7 @@ func TestStateString(t *testing.T) {
 	// The out-of-range default branch must render the raw value, so a
 	// corrupted state is visible in emitted lines instead of crashing or
 	// masquerading as a real state.
-	if got := State(99).String(); got != "State(99)" {
+	if got := policy.State(99).String(); got != "State(99)" {
 		t.Errorf("State(99).String() = %q, want State(99)", got)
 	}
 }

@@ -13,11 +13,7 @@
 // the same code.
 package core
 
-import (
-	"fmt"
-
-	"iatsim/internal/policy"
-)
+import "fmt"
 
 // Params are the IAT tuning parameters of Table II of the paper, expressed
 // as rates so the polling interval is an independent knob.
@@ -191,18 +187,3 @@ type Options struct {
 	// shuffling this way).
 	DisableTenantAdjust bool
 }
-
-// State is the Mealy FSM state of Fig. 6. The type now lives in
-// internal/policy (the allocation policy owns the control FSM — see the
-// //simlint:enum marker and String() there); the alias and re-declared
-// constants keep core's public API source-compatible.
-type State = policy.State
-
-// FSM states (re-exported from internal/policy).
-const (
-	LowKeep    = policy.LowKeep
-	IODemand   = policy.IODemand
-	CoreDemand = policy.CoreDemand
-	HighKeep   = policy.HighKeep
-	Reclaim    = policy.Reclaim
-)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"iatsim/internal/policy"
 	"iatsim/internal/telemetry"
 )
 
@@ -29,7 +30,7 @@ func TestDaemonEmitsTelemetryEvents(t *testing.T) {
 		m.advanceDDIO(100_000, uint64(1_000_000+i*200_000)/10)
 		tick()
 	}
-	if d.State() != HighKeep {
+	if d.State() != policy.HighKeep {
 		t.Fatalf("state = %v, want HighKeep", d.State())
 	}
 

@@ -3,8 +3,8 @@ package exp
 import (
 	"fmt"
 	"io"
+	"math"
 
-	"iatsim/internal/baseline"
 	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
@@ -53,9 +53,7 @@ func RunAblationMechanisms(w io.Writer, scale float64) []AblationMechRow {
 			Fn: func() (any, error) {
 				s := NewLeakyScenario(LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed})
 				if v.opts != nil {
-					params := core.DefaultParams()
-					params.IntervalNS = 0.2e9
-					params.ThresholdMissLowPerSec /= scale
+					params := iatParams(scale, 0.2e9)
 					if _, err := bridge.NewIAT(s.P, params, *v.opts); err != nil {
 						return nil, err
 					}
@@ -106,9 +104,7 @@ func RunAblationGrowth(w io.Writer, scale float64) []AblationGrowthRow {
 			Name: name, Figure: "abl-growth", Seed: seed,
 			Fn: func() (any, error) {
 				s := NewLeakyScenario(LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed})
-				params := core.DefaultParams()
-				params.IntervalNS = 0.2e9
-				params.ThresholdMissLowPerSec /= scale
+				params := iatParams(scale, 0.2e9)
 				params.Growth = pol
 				if _, err := bridge.NewIAT(s.P, params, core.Options{}); err != nil {
 					return nil, err
@@ -448,9 +444,7 @@ func RunAblationStorage(w io.Writer, scale float64) []AblationStorageRow {
 			Workers: []sim.Worker{srv},
 		})
 		if iat {
-			params := core.DefaultParams()
-			params.IntervalNS = 0.2e9
-			params.ThresholdMissLowPerSec /= scale
+			params := iatParams(scale, 0.2e9)
 			if _, err := bridge.NewIAT(p, params, core.Options{}); err != nil {
 				panic(err)
 			}
@@ -597,9 +591,7 @@ func RunSensitivity(w io.Writer, scale float64) []SensitivityRow {
 	}
 	run := func(param, value string, mod func(*core.Params), seed int64) (SensitivityRow, error) {
 		s := NewLeakyScenario(LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed})
-		params := core.DefaultParams()
-		params.IntervalNS = 0.2e9
-		params.ThresholdMissLowPerSec /= scale
+		params := iatParams(scale, 0.2e9)
 		mod(&params)
 		d, err := bridge.NewIAT(s.P, params, core.Options{})
 		if err != nil {
@@ -663,6 +655,19 @@ type AblationResQRow struct {
 	SmallPktMpps float64
 }
 
+// resqRingEntries is ResQ's provisioning rule (Sec. III-A): size every
+// Rx ring so the sum of all ring buffers fits the default DDIO LLC
+// capacity. ddioBytes is the DDIO partition size, rings the total ring
+// count, bufBytes the per-entry buffer footprint. The result is rounded
+// down to a power of two and floored at 64 entries.
+func resqRingEntries(ddioBytes uint64, rings, bufBytes int) int {
+	if rings <= 0 || bufBytes <= 0 {
+		return 64
+	}
+	per := float64(ddioBytes) / float64(rings) / float64(bufBytes)
+	return max(int(math.Pow(2, math.Floor(math.Log2(per)))), 64)
+}
+
 // RunAblationResQ pits the two remedies for the Leaky DMA problem against
 // each other (Sec. III-A): ResQ sizes the Rx rings so all buffers fit the
 // default two DDIO ways; IAT keeps the deep rings and grows the DDIO ways.
@@ -679,14 +684,12 @@ func RunAblationResQ(w io.Writer, scale float64) []AblationResQRow {
 	// default DDIO capacity -- each gets a shallow ring.
 	llcCfg := sim.XeonGold6140(scale).Hier.LLC
 	ddioBytes := uint64(2 * llcCfg.WayBytes())
-	resqRing := baseline.ResQRingEntries(ddioBytes, 40, nic.BufSize)
+	resqRing := resqRingEntries(ddioBytes, 40, nic.BufSize)
 
 	leak := func(ring int, iat bool, seed int64) (missPS, memGBps float64, err error) {
 		s := NewLeakyScenario(LeakyOpts{Scale: scale, PktSize: 1500, RingSize: ring, Seed: seed})
 		if iat {
-			params := core.DefaultParams()
-			params.IntervalNS = 0.2e9
-			params.ThresholdMissLowPerSec /= scale
+			params := iatParams(scale, 0.2e9)
 			if _, err := bridge.NewIAT(s.P, params, core.Options{}); err != nil {
 				return 0, 0, err
 			}

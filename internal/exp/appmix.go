@@ -183,14 +183,9 @@ func buildAppMix(o AppMixOpts) *appMix {
 	}
 
 	if o.IAT {
-		params := core.DefaultParams()
-		if o.IntervalNS > 0 {
-			params.IntervalNS = o.IntervalNS
-		}
-		params.ThresholdMissLowPerSec /= o.Scale
 		// Sec. VI-C: tenant way adjustment disabled; DDIO sizing and
 		// shuffling active.
-		d, err := bridge.NewIAT(p, params, core.Options{DisableTenantAdjust: true})
+		d, err := bridge.NewIAT(p, iatParams(o.Scale, o.IntervalNS), core.Options{DisableTenantAdjust: true})
 		if err != nil {
 			panic(err)
 		}
@@ -430,22 +425,3 @@ func maxUint64(a, b uint64) uint64 {
 // DebugAppMixTrace, when set, receives every IAT iteration of app-mix runs
 // (diagnostics).
 var DebugAppMixTrace func(core.IterationInfo)
-
-// DebugRedisServiceCycles runs a co-run and returns the Redis servers' mean
-// service cycles per operation (diagnostics).
-func DebugRedisServiceCycles(o AppMixOpts) float64 {
-	m := buildAppMix(o)
-	m.p.Run(1e9)
-	var a []workload.OpStats
-	for _, k := range m.kvs {
-		a = append(a, k.Stats())
-	}
-	m.p.Run(1.5e9)
-	var tot workload.OpStats
-	for i, k := range m.kvs {
-		d := k.Stats().Sub(a[i])
-		tot.Ops += d.Ops
-		tot.LatCycles += d.LatCycles
-	}
-	return tot.AvgLatCycles()
-}

@@ -151,11 +151,7 @@ func runChaosPoint(prof faults.Profile, scale float64, mode string, seed int64, 
 	var daemon *core.Daemon
 	var vsys *validatingSystem
 	if mode == "iat" {
-		params := core.DefaultParams()
-		params.IntervalNS = o.IntervalNS
-		// Thresholds are defined against real time; the platform's Scale
-		// shrinks every event rate by the same factor.
-		params.ThresholdMissLowPerSec /= o.Scale
+		params := iatParams(o.Scale, o.IntervalNS)
 		params.SaneRateMax /= o.Scale
 		vsys = &validatingSystem{System: bridge.NewSystem(s.P), ways: s.P.RDT.NumWays()}
 		var err error

@@ -381,6 +381,22 @@ func TestAblationResQTradeoff(t *testing.T) {
 	}
 }
 
+// TestResQRingEntries pins ResQ's provisioning rule.
+func TestResQRingEntries(t *testing.T) {
+	// 4.5MB DDIO capacity, 2 rings of 2KB buffers: 1152 entries -> 1024.
+	if got := resqRingEntries(4_718_592, 2, 2048); got != 1024 {
+		t.Fatalf("entries = %d", got)
+	}
+	// 20 rings: 115 entries -> floor at 64.
+	if got := resqRingEntries(4_718_592, 20, 2048); got != 64 {
+		t.Fatalf("entries = %d", got)
+	}
+	// Degenerate inputs floor at 64.
+	if got := resqRingEntries(0, 0, 0); got != 64 {
+		t.Fatalf("entries = %d", got)
+	}
+}
+
 func TestWriteRowsCSV(t *testing.T) {
 	rows := []Fig3Row{
 		{PktSize: 64, RingSize: 128, MaxMpps: 2.5, LineRateMpps: 59.52, Trials: 7},

@@ -90,13 +90,8 @@ func runFig8Point(size int, mode string, seed int64, o Fig8Opts, tel *telemetry.
 	}
 	var daemon *core.Daemon
 	if mode == "iat" {
-		params := core.DefaultParams()
-		params.IntervalNS = o.IntervalNS
-		// The miss-rate threshold is defined against real time; the
-		// platform's Scale shrinks all event rates by the same factor.
-		params.ThresholdMissLowPerSec /= o.Scale
 		var err error
-		daemon, err = bridge.NewIAT(s.P, params, core.Options{})
+		daemon, err = bridge.NewIAT(s.P, iatParams(o.Scale, o.IntervalNS), core.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -82,10 +82,7 @@ func runFig9Ramp(mode string, seed int64, o Fig9Opts) []Fig9Row {
 		}
 	}
 	if mode == "iat" {
-		params := core.DefaultParams()
-		params.IntervalNS = o.IntervalNS
-		params.ThresholdMissLowPerSec /= o.Scale
-		if _, err := bridge.NewIAT(s.P, params, core.Options{}); err != nil {
+		if _, err := bridge.NewIAT(s.P, iatParams(o.Scale, o.IntervalNS), core.Options{}); err != nil {
 			panic(err)
 		}
 	}

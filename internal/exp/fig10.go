@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"io"
 
-	"iatsim/internal/baseline"
 	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
 	"iatsim/internal/harness"
 	"iatsim/internal/nic"
 	"iatsim/internal/pkt"
+	"iatsim/internal/policy"
 	"iatsim/internal/sim"
 	"iatsim/internal/telemetry"
 	"iatsim/internal/tgen"
@@ -68,19 +68,6 @@ func newLatentScenario(scale float64, pktSize int, seed int64) *latentScenario {
 		Workers:  []sim.Worker{s.C4},
 	})
 	return s
-}
-
-// xmemWindow measures an X-Mem worker over durNS, returning (Mops/s of core
-// time, mean latency ns).
-func xmemWindow(p *sim.Platform, x *workload.XMem, coreID int, durNS float64) (float64, float64) {
-	a := x.Stats()
-	win := Measure(p, durNS)
-	d := x.Stats().Sub(a)
-	var mops float64
-	if cyc := win.Cycles(coreID); cyc > 0 {
-		mops = float64(d.Ops) * p.Cfg.FreqGHz * 1e9 / float64(cyc) / 1e6
-	}
-	return mops, d.AvgLatCycles() / p.Cfg.FreqGHz
 }
 
 // Fig10Row is one (packet size, mode) cell: container-4 X-Mem performance
@@ -177,22 +164,26 @@ func runFig10Point(size int, mode string, seed int64, o Fig10Opts, series *[]Fig
 	var daemon *core.Daemon
 	switch mode {
 	case "baseline":
-	case "core-only":
-		cfg := baseline.DefaultConfig(baseline.CoreOnly)
-		cfg.IntervalNS = o.IntervalNS
-		p.AddController(baseline.New(bridge.NewSystem(p), cfg))
-	case "io-iso":
-		cfg := baseline.DefaultConfig(baseline.IOIso)
-		cfg.IntervalNS = o.IntervalNS
-		p.AddController(baseline.New(bridge.NewSystem(p), cfg))
+	case "core-only", "io-iso":
+		// The paper's dynamic comparison points run as policies under
+		// the same daemon. Its Tel stays unset: their telemetry holds the
+		// platform's metrics only.
+		spec, err := policy.ParseSpec(mode)
+		if err != nil {
+			panic(err)
+		}
+		d, err := bridge.NewIAT(p, iatParams(o.Scale, o.IntervalNS), core.Options{})
+		if err != nil {
+			panic(err)
+		}
+		if err := d.SetPolicy(spec.New()); err != nil {
+			panic(err)
+		}
 	case "iat":
-		params := core.DefaultParams()
-		params.IntervalNS = o.IntervalNS
-		params.ThresholdMissLowPerSec /= o.Scale
 		var err error
 		// Footnote 3: DDIO way adjustment disabled to isolate the
 		// shuffling mechanism.
-		daemon, err = bridge.NewIAT(p, params, core.Options{DisableDDIOAdjust: true})
+		daemon, err = bridge.NewIAT(p, iatParams(o.Scale, o.IntervalNS), core.Options{DisableDDIOAdjust: true})
 		if err != nil {
 			panic(err)
 		}

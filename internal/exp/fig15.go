@@ -133,10 +133,7 @@ func runFig15Point(tenants, coresPer int, seed int64, o Fig15Opts) Fig15Row {
 		if toggle {
 			p.AddController(tog) // runs before the daemon each epoch
 		}
-		params := core.DefaultParams()
-		params.IntervalNS = o.IntervalNS
-		params.ThresholdMissLowPerSec /= o.Scale
-		d, err := bridge.NewIAT(p, params, core.Options{})
+		d, err := bridge.NewIAT(p, iatParams(o.Scale, o.IntervalNS), core.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -142,9 +142,7 @@ func mixFor(topology string, id int) (string, LeakyOpts, error) {
 // protect the compute tenants but cap delivered I/O throughput).
 // Thresholds defined against real time are divided by the platform Scale.
 func FleetPolicies(scale, intervalNS float64) (oldPol, newPol fleet.Policy) {
-	p := core.DefaultParams()
-	p.IntervalNS = intervalNS
-	p.ThresholdMissLowPerSec /= scale
+	p := iatParams(scale, intervalNS)
 	p.SaneRateMax /= scale
 	oldPol = fleet.Policy{Name: "ddio-max6", Params: p}
 	pn := p
@@ -176,9 +174,7 @@ func BuildFleet(o FleetOpts) ([]*fleet.Host, error) {
 		tel := telemetry.NewRegistry()
 		s.P.AttachTelemetry(tel)
 
-		params := core.DefaultParams()
-		params.IntervalNS = o.IntervalNS
-		params.ThresholdMissLowPerSec /= o.Scale
+		params := iatParams(o.Scale, o.IntervalNS)
 		params.SaneRateMax /= o.Scale
 		daemon, err := core.NewDaemon(bridge.NewSystem(s.P), params, core.Options{})
 		if err != nil {
@@ -214,9 +210,7 @@ func BuildFleet(o FleetOpts) ([]*fleet.Host, error) {
 // set (so the cohort comparison isolates the engine), Old pins the IAT
 // engine and New switches to spec.
 func FleetEnginePolicies(scale, intervalNS float64, spec policy.Spec) (oldPol, newPol fleet.Policy) {
-	p := core.DefaultParams()
-	p.IntervalNS = intervalNS
-	p.ThresholdMissLowPerSec /= scale
+	p := iatParams(scale, intervalNS)
 	p.SaneRateMax /= scale
 	iat := policy.Spec{Kind: policy.KindIAT}
 	oldPol = fleet.Policy{Name: "iat", Params: p, Spec: &iat}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"iatsim/internal/cache"
+	"iatsim/internal/core"
 	"iatsim/internal/nic"
 	"iatsim/internal/pkt"
 	"iatsim/internal/sim"
@@ -22,6 +23,19 @@ func mustMask(p *sim.Platform, clos int, m cache.WayMask) {
 	if err := p.RDT.SetCLOSMask(clos, m); err != nil {
 		panic(err)
 	}
+}
+
+// iatParams is Table II at a control interval of intervalNS (Table II's
+// 1 s when intervalNS is not positive). The miss-rate threshold is
+// defined against real time, and the platform's scale shrinks every
+// event rate by the same factor.
+func iatParams(scale, intervalNS float64) core.Params {
+	p := core.DefaultParams()
+	if intervalNS > 0 {
+		p.IntervalNS = intervalNS
+	}
+	p.ThresholdMissLowPerSec /= scale
+	return p
 }
 
 // LeakyScenario is the aggregation-model setup of the paper's Leaky DMA

@@ -201,9 +201,7 @@ func runTournamentPoint(mix LeakyOpts, prof faults.Profile, spec policy.Spec, se
 		s.P.AttachTelemetry(tel)
 	}
 
-	params := core.DefaultParams()
-	params.IntervalNS = o.IntervalNS
-	params.ThresholdMissLowPerSec /= o.Scale
+	params := iatParams(o.Scale, o.IntervalNS)
 	params.SaneRateMax /= o.Scale
 	daemon, err := core.NewDaemon(bridge.NewSystem(s.P), params, core.Options{})
 	if err != nil {

@@ -17,7 +17,7 @@
 //     id-derived offset — never a constant seed or a package-level shared
 //     stream (the fleet per-host seeding contract).
 //   - statelint: switches over //simlint:enum-marked FSM types (the
-//     daemon's core.State, the fault injector's faults.Kind) must be
+//     control FSM's policy.State, the fault injector's faults.Kind) must be
 //     exhaustive or carry an explicit default.
 //   - telemlint: telemetry handles come from the Registry, never literal
 //     construction, and registry metric names are compile-time constants

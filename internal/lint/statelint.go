@@ -9,7 +9,7 @@ import (
 
 // StateLint enforces switch exhaustiveness over the module's FSM types.
 // A type opts in by carrying a //simlint:enum marker on its declaration
-// (the daemon's core.State, the fault injector's faults.Kind); its
+// (the control FSM's policy.State, the fault injector's faults.Kind); its
 // members are the package-level constants of exactly that type, so an
 // untyped sentinel like NumKinds int is automatically excluded.
 //

@@ -31,6 +31,8 @@ const (
 	descGreedyDDIOFull                   // greedy: ddio saturated
 	descGreedyGrow                       // greedy: +1 way clos %d
 	descGreedyTenantFull                 // greedy: tenants saturated
+	descRepack                           // repacked below ddio
+	descNoIdleWay                        // no idle way
 )
 
 // descText holds the fixed text of each kind: the whole body for kinds
@@ -59,6 +61,8 @@ var descText = [...]string{
 	descGreedyDDIOFull:   "greedy: ddio saturated",
 	descGreedyGrow:       "greedy: +1 way clos ",
 	descGreedyTenantFull: "greedy: tenants saturated",
+	descRepack:           "repacked below ddio",
+	descNoIdleWay:        "no idle way",
 }
 
 // Desc is a decision's human-readable description (the daemon's emitted

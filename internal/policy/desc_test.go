@@ -42,6 +42,8 @@ func TestDescRendersFormattedText(t *testing.T) {
 		{desc(descGreedyDDIOFull, 0), "greedy: ddio saturated"},
 		{desc(descGreedyGrow, 7), fmt.Sprintf("greedy: +1 way clos %d", 7)},
 		{desc(descGreedyTenantFull, 0), "greedy: tenants saturated"},
+		{desc(descRepack, 0), "repacked below ddio"},
+		{desc(descNoIdleWay, 0), "no idle way"},
 		{cont(desc(descDDIO, 2)), "continue: " + fmt.Sprintf("ddio=%d", 2)},
 		{cont(low(desc(descDDIO, 1))), "continue: " + fmt.Sprintf("ddio=%d", 1) + " ->LowKeep"},
 		{fsm(low(desc(descShrinkCLOS, 3)), Reclaim, LowKeep), fmt.Sprintf("%s->%s %s", Reclaim, LowKeep, fmt.Sprintf("-1 way clos %d", 3)+" ->LowKeep")},

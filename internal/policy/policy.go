@@ -3,11 +3,12 @@
 // sanity-screening samples, self-healing, packing and programming masks —
 // and delegates *what to do* to a Policy: each iteration it hands the
 // policy one sanity-screened Sample and executes the Actions the policy
-// returns. The paper's IAT FSM is one Policy (the default); Static,
-// IOCAStyle (after IOCA, arXiv:2007.04552) and Greedy are alternative
-// managers that run on identical deterministic inputs, either as the
-// active policy or as shadows (see Evaluator) computing counterfactual
-// decisions beside the active one.
+// returns. The paper's IAT FSM is one Policy (the default); the paper's
+// Core-only and I/O-iso comparison points (Baseline), Static, IOCAStyle
+// (after IOCA, arXiv:2007.04552) and Greedy are alternative managers that
+// run on identical deterministic inputs, either as the active policy or
+// as shadows (see Evaluator) computing counterfactual decisions beside
+// the active one.
 //
 // Policies are pure, deterministic state machines over the samples they
 // Observe: no wall clock, no global randomness, no goroutines — the same
@@ -39,6 +40,12 @@ const (
 	KindIOCA
 	// KindGreedy always grants one way to the largest demander.
 	KindGreedy
+	// KindCoreOnly is the paper's Core-only comparison point: an
+	// I/O-unaware dynamic tenant allocator (Sec. VI-B, footnote 4).
+	KindCoreOnly
+	// KindIOIso is the paper's I/O-iso comparison point: Core-only with
+	// the DDIO ways excluded from every tenant mask.
+	KindIOIso
 )
 
 // String implements fmt.Stringer.
@@ -52,6 +59,10 @@ func (k Kind) String() string {
 		return "ioca"
 	case KindGreedy:
 		return "greedy"
+	case KindCoreOnly:
+		return "core-only"
+	case KindIOIso:
+		return "io-iso"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -194,6 +205,14 @@ type Actions struct {
 	// Fallback points into the policy and is valid until its next Decide.
 	TryShuffle bool
 	Fallback   *Actions
+
+	// Masks, when set, is the full tenant layout: one mask per sample
+	// group, in the sample's group order. The daemon programs it as is
+	// instead of re-running its own layout pass, and moves no DDIO ways
+	// for such a decision. Grow / Shrink still name the groups it widens
+	// or narrows, for health and shadow accounting. Masks points into the
+	// policy and is valid until its next Decide.
+	Masks []cache.WayMask
 }
 
 // Health counts a policy's decision mix, for summaries and tournaments.
@@ -311,16 +330,22 @@ func (sp Spec) New() Policy {
 		return NewIOCAStyle()
 	case KindGreedy:
 		return NewGreedy()
+	case KindCoreOnly:
+		return NewCoreOnly()
+	case KindIOIso:
+		return NewIOIso()
 	default:
 		return NewIAT()
 	}
 }
 
 // SpecNames lists the valid -policy flag syntaxes.
-func SpecNames() []string { return []string{"iat", "static[:WAYS]", "ioca", "greedy"} }
+func SpecNames() []string {
+	return []string{"iat", "static[:WAYS]", "ioca", "greedy", "core-only", "io-iso"}
+}
 
 // ParseSpec parses a -policy flag value: "iat", "static" (2 ways),
-// "static:N", "ioca", or "greedy".
+// "static:N", "ioca", "greedy", "core-only" or "io-iso".
 func ParseSpec(text string) (Spec, error) {
 	switch {
 	case text == "iat":
@@ -337,6 +362,10 @@ func ParseSpec(text string) (Spec, error) {
 		return Spec{Kind: KindIOCA}, nil
 	case text == "greedy":
 		return Spec{Kind: KindGreedy}, nil
+	case text == "core-only":
+		return Spec{Kind: KindCoreOnly}, nil
+	case text == "io-iso":
+		return Spec{Kind: KindIOIso}, nil
 	}
 	return Spec{}, fmt.Errorf("policy: unknown policy %q (valid: %s)", text, strings.Join(SpecNames(), ", "))
 }

@@ -10,6 +10,7 @@ import (
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{
 		KindIAT: "iat", KindStatic: "static", KindIOCA: "ioca", KindGreedy: "greedy",
+		KindCoreOnly: "core-only", KindIOIso: "io-iso",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -35,6 +36,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		{"static:4", KindStatic, "static:4"},
 		{"ioca", KindIOCA, "ioca"},
 		{"greedy", KindGreedy, "greedy"},
+		{"core-only", KindCoreOnly, "core-only"},
+		{"io-iso", KindIOIso, "io-iso"},
 	}
 	for _, c := range cases {
 		sp, err := ParseSpec(c.text)
@@ -93,6 +96,49 @@ func TestParseShadowSpecs(t *testing.T) {
 	if _, err := ParseShadowSpecs("greedy,bogus"); err == nil {
 		t.Fatal("bad element accepted")
 	}
+}
+
+// FuzzParseSpec: the -policy and -shadow parsers never panic, every
+// accepted spec (or shadow list) round-trips through String, and every
+// rejection is a "policy:" error.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"iat", "static", "static:4", "ioca", "greedy", "core-only", "io-iso",
+		"static:0", "static:33", "static:-1", "static:+3", "", ",,", " , ",
+		"iat,iat", "static,static:2", "core-only,io-iso", "io-iso,core-only,io-iso",
+		"greedy,bogus", "CORE-ONLY",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		if sp, err := ParseSpec(text); err != nil {
+			if !strings.HasPrefix(err.Error(), "policy:") {
+				t.Fatalf("ParseSpec(%q) error %q lacks the policy: prefix", text, err)
+			}
+		} else if again, err := ParseSpec(sp.String()); err != nil || again != sp {
+			t.Fatalf("ParseSpec(%q) = %+v; its String %q parses to %+v, %v", text, sp, sp.String(), again, err)
+		}
+		specs, err := ParseShadowSpecs(text)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "policy:") {
+				t.Fatalf("ParseShadowSpecs(%q) error %q lacks the policy: prefix", text, err)
+			}
+			return
+		}
+		names := make([]string, len(specs))
+		for i, sp := range specs {
+			names[i] = sp.String()
+		}
+		again, err := ParseShadowSpecs(strings.Join(names, ","))
+		if err != nil || len(again) != len(specs) {
+			t.Fatalf("ParseShadowSpecs(%q) = %v; rendered %q parses to %v, %v", text, specs, names, again, err)
+		}
+		for i := range specs {
+			if again[i] != specs[i] {
+				t.Fatalf("ParseShadowSpecs(%q)[%d] = %+v, round trip %+v", text, i, specs[i], again[i])
+			}
+		}
+	})
 }
 
 // TestClassify drives every decision class — Classify is the agreement

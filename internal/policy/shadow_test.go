@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -109,6 +110,47 @@ func TestEvaluatorTenantCommit(t *testing.T) {
 	rows := e.Rows()
 	if rows[1].ShadowDesc.String() != "greedy: +1 way clos 1" {
 		t.Fatalf("row 1 = %+v", rows[1])
+	}
+}
+
+// TestEvaluatorBaselineShadows: the paper's comparison points as
+// shadows. Their grants and steals reach the counterfactual widths
+// through Grow/Shrink: Core-only grants the two idle ways (the DDIO ways
+// it does not know about) and then holds; I/O-iso, with the ways below
+// DDIO already full, takes best-effort ways one at a time until every
+// best-effort group is down to one.
+func TestEvaluatorBaselineShadows(t *testing.T) {
+	e := NewEvaluator(mustSpecs(t, "core-only,io-iso"))
+	s := sample(LowKeep, 2, 0)
+	s.Groups = []GroupView{
+		{CLOS: 1, Width: 3, Mask: cache.ContiguousMask(0, 3), MissRate: 0.5},
+		{CLOS: 2, Width: 3, Mask: cache.ContiguousMask(3, 3), BestEffort: true, MissPS: 1e3, MissRate: 0.01},
+		{CLOS: 3, Width: 3, Mask: cache.ContiguousMask(6, 3), BestEffort: true, MissPS: 1e3, MissRate: 0.01},
+	}
+	for i := 0; i < 6; i++ {
+		s.NowNS = float64(i) * 1e8
+		s.Groups[0].MissPS = 1e6 * math.Pow(1.5, float64(i))
+		tick(e, s)
+	}
+	sums := e.Summaries()
+	if c := sums[0]; c.Name != "core-only" || c.WouldGrowTenant != 2 || c.WouldShrinkTenant != 0 || c.Ticks != 6 {
+		t.Fatalf("core-only summary = %+v", c)
+	}
+	if c := sums[1]; c.Name != "io-iso" || c.WouldGrowTenant != 4 || c.WouldShrinkTenant != 4 {
+		t.Fatalf("io-iso summary = %+v", c)
+	}
+	var classes []string
+	for _, r := range e.Rows() {
+		classes = append(classes, r.Policy+":"+r.ShadowClass)
+	}
+	want := "core-only:warmup io-iso:warmup core-only:grow-tenant io-iso:grow-tenant " +
+		"core-only:grow-tenant io-iso:grow-tenant core-only:hold io-iso:grow-tenant " +
+		"core-only:hold io-iso:grow-tenant core-only:hold io-iso:hold"
+	if got := strings.Join(classes, " "); got != want {
+		t.Fatalf("shadow classes\n got %s\nwant %s", got, want)
+	}
+	if s.Groups[0].Width != 3 {
+		t.Fatal("real sample mutated")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"iatsim/internal/cache"
 	"iatsim/internal/jsonbuf"
 )
 
@@ -112,5 +113,38 @@ func (p *Greedy) Restore(data []byte) error {
 		return fmt.Errorf("policy: restore greedy: %w", err)
 	}
 	p.cur, p.h = st.Cur, st.H
+	return nil
+}
+
+// baselineState is Baseline's serialised form. IOIso is configuration,
+// carried so a Core-only snapshot is not restored into I/O-iso or back.
+type baselineState struct {
+	IOIso bool          `json:"io_iso"`
+	Cur   Sample        `json:"cur"`
+	Prev  Sample        `json:"prev"`
+	Have  bool          `json:"have"`
+	Order []int         `json:"order,omitempty"`
+	DDIO  cache.WayMask `json:"ddio"`
+	H     Health        `json:"health"`
+}
+
+// AppendSnapshot implements Policy.
+func (p *Baseline) AppendSnapshot(dst []byte) ([]byte, error) {
+	p.snap = baselineState{IOIso: p.ioIso, Cur: p.cur, Prev: p.prev, Have: p.have,
+		Order: p.order, DDIO: p.ddio, H: p.h}
+	return jsonbuf.Append(dst, &p.snap)
+}
+
+// Restore implements Policy.
+func (p *Baseline) Restore(data []byte) error {
+	var st baselineState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("policy: restore %s: %w", p.Name(), err)
+	}
+	if st.IOIso != p.ioIso {
+		return fmt.Errorf("policy: restore %s: snapshot is for another baseline", p.Name())
+	}
+	p.cur, p.prev, p.have, p.ddio, p.h = st.Cur, st.Prev, st.Have, st.DDIO, st.H
+	p.order = append(p.order[:0], st.Order...)
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 func allSpecs(t *testing.T) []Spec {
 	t.Helper()
 	var specs []Spec
-	for _, text := range []string{"iat", "static:3", "ioca", "greedy"} {
+	for _, text := range []string{"iat", "static:3", "ioca", "greedy", "core-only", "io-iso"} {
 		sp, err := ParseSpec(text)
 		if err != nil {
 			t.Fatal(err)

@@ -4,11 +4,11 @@ import "fmt"
 
 // State is the Mealy FSM state of the paper's Fig. 6. It lives in the
 // policy package because the allocation policy owns the control FSM; the
-// daemon (internal/core) aliases it as core.State so existing call sites
-// and the trace/CSV shapes are unchanged. Policies other than IAT reuse
-// the same vocabulary where it fits (LowKeep for "holding", IODemand for
-// "granting I/O ways", Reclaim for "taking ways back") so mixed-policy
-// fleets aggregate on one state column.
+// daemon (internal/core) commits and reports it. Policies other than IAT
+// reuse the same vocabulary where it fits (LowKeep for "holding",
+// IODemand for "granting I/O ways", CoreDemand for "granting a tenant
+// way", Reclaim for "taking ways back") so mixed-policy fleets aggregate
+// on one state column.
 //
 //simlint:enum
 type State int

@@ -15,8 +15,8 @@ import (
 )
 
 // Controller is a management-plane agent polled once per epoch (the IAT
-// daemon, or a baseline). It observes and programs the machine exclusively
-// through the MSR/RDT interfaces.
+// daemon, whichever policy it runs). It observes and programs the machine
+// exclusively through the MSR/RDT interfaces.
 type Controller interface {
 	Tick(nowNS float64)
 }
@@ -215,7 +215,7 @@ func (p *Platform) AttachGenerator(g *tgen.Generator, d *nic.Device, vf int) {
 	p.gens = append(p.gens, genBinding{gen: g, dev: d, vf: vf})
 }
 
-// AddController registers a management-plane agent (IAT or a baseline).
+// AddController registers a management-plane agent (e.g. the IAT daemon).
 func (p *Platform) AddController(c Controller) { p.ctrls = append(p.ctrls, c) }
 
 // SetPollFaults attaches (or, with nil, removes) a polling-cadence fault

@@ -7,14 +7,15 @@ import (
 
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
+	"iatsim/internal/policy"
 	"iatsim/internal/telemetry"
 )
 
-func sampleInfo(t float64, state core.State) core.IterationInfo {
+func sampleInfo(t float64, state policy.State) core.IterationInfo {
 	return core.IterationInfo{
 		NowNS:    t,
 		State:    state,
-		Stable:   state == core.LowKeep,
+		Stable:   state == policy.LowKeep,
 		Action:   "test",
 		DDIOWays: 2,
 		DDIOMask: cache.ContiguousMask(9, 2),
@@ -30,10 +31,10 @@ func sampleInfo(t float64, state core.State) core.IterationInfo {
 func TestWriterEmitsHeaderAndRows(t *testing.T) {
 	var sb strings.Builder
 	w := NewWriter(&sb)
-	if err := w.Record(sampleInfo(1e9, core.LowKeep)); err != nil {
+	if err := w.Record(sampleInfo(1e9, policy.LowKeep)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Record(sampleInfo(2e9, core.IODemand)); err != nil {
+	if err := w.Record(sampleInfo(2e9, policy.IODemand)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -67,8 +68,8 @@ func TestWriterEmitsHeaderAndRows(t *testing.T) {
 // directly, and foreign events are transparently skipped.
 func TestRenderEventsMatchesDirectRecord(t *testing.T) {
 	infos := []core.IterationInfo{
-		sampleInfo(1e9, core.LowKeep),
-		sampleInfo(2e9, core.IODemand),
+		sampleInfo(1e9, policy.LowKeep),
+		sampleInfo(2e9, policy.IODemand),
 	}
 
 	var direct strings.Builder
@@ -105,7 +106,7 @@ func TestRenderEventsMatchesDirectRecord(t *testing.T) {
 func TestHookNeverPanics(t *testing.T) {
 	w := NewWriter(failWriter{})
 	hook := w.Hook()
-	hook(sampleInfo(1e9, core.Reclaim)) // must swallow the error
+	hook(sampleInfo(1e9, policy.Reclaim)) // must swallow the error
 }
 
 type failWriter struct{}
