@@ -105,11 +105,12 @@ regen-check: build
 	done; [ $$n -gt 0 ] || { echo "regen-check: no CSV regenerated"; exit 1; }; \
 	[ $$fail -eq 0 ] && echo "regen-check OK: $$n CSVs match results/"
 
-# bench: the micro-benchmark suite (cache access, KV packet generation,
-# NIC poll, daemon tick and iteration, policy decision, platform step,
-# fleet round, host checkpoint) via `go test -bench`, converted to JSON
-# at results/bench.json by cmd/benchjson.
-BENCHES ?= LLCAccess|LLCIOWrite|HierarchyAccess|GeneratorNextKV|NICPollRx|DaemonTick|DaemonIteration|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound|HostCheckpoint
+# bench: the micro-benchmark suite (cache access, ranged copy and DDIO
+# burst, KV packet generation, NIC poll, daemon tick and iteration,
+# policy decision, platform step, fleet round, host checkpoint) via
+# `go test -bench`, converted to JSON at results/bench.json by
+# cmd/benchjson.
+BENCHES ?= LLCAccess|LLCIOWrite|HierarchyAccess|HierarchyAccessRange|DDIOWriteBurst|GeneratorNextKV|NICPollRx|DaemonTick|DaemonIteration|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound|HostCheckpoint
 bench: build
 	mkdir -p $(TMP) results
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem . > $(TMP)/bench.txt

@@ -296,6 +296,55 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchyAccessRange measures one OVS 1500 B copy through the
+// hierarchy's streaming path: a 24-line read of a buffer the NIC has just
+// DMA-written into the DDIO ways, then a 24-line write of a guest buffer,
+// on the Table I machine. The 256 Rx buffers are re-written by DMA,
+// outside the timer, before each pass over them.
+func BenchmarkHierarchyAccessRange(b *testing.B) {
+	const (
+		bufs    = 256
+		bufSize = 2048
+		copyLen = 1500
+		rxBase  = uint64(1) << 30
+		vmBase  = rxBase + bufs*bufSize
+	)
+	p := sim.NewPlatform(sim.XeonGold6140(1))
+	mask := cache.ContiguousMask(0, 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := uint64(i % bufs)
+		if k == 0 {
+			b.StopTimer()
+			for j := uint64(0); j < bufs; j++ {
+				p.DDIO.DeviceWrite(rxBase+j*bufSize, copyLen, 0)
+			}
+			b.StartTimer()
+		}
+		src, dst := rxBase+k*bufSize, vmBase+k*bufSize
+		p.Hier.AccessRange(0, src, src+copyLen-1, false, mask)
+		p.Hier.AccessRange(0, dst, dst+copyLen-1, true, mask)
+	}
+}
+
+// BenchmarkDDIOWriteBurst measures one MTU inbound DMA burst (24 lines)
+// through the DDIO engine into the 2 default DDIO ways of the Table I
+// machine, invalidating the consuming core's private copies, over a ring
+// of Rx buffers large enough to keep write-allocating.
+func BenchmarkDDIOWriteBurst(b *testing.B) {
+	const (
+		bufs    = 4096
+		bufSize = 2048
+		rxBase  = uint64(1) << 30
+	)
+	p := sim.NewPlatform(sim.XeonGold6140(1))
+	p.Hier.Access(0, rxBase, false, cache.FullMask(p.Cfg.Hier.LLC.Ways)) // build the consumer's caches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.DDIO.DeviceWrite(rxBase+uint64(i%bufs)*bufSize, 1500, 0)
+	}
+}
+
 // BenchmarkGeneratorNextKV measures one Redis client packet of the Figs.
 // 12-14 co-run: a flow pick, a YCSB-A request over 1M records, and the
 // request's wire size (writes carry their 1KB value).

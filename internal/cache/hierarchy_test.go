@@ -202,12 +202,16 @@ func TestUntouchedCoreIsEmpty(t *testing.T) {
 		t.Fatal("untouched core contains a line")
 	}
 	h.InvalidatePrivate(1, a)
-	if h.l1[1] != nil || h.l2[1] != nil {
+	h.InvalidatePrivateRange(1, a, a+4*LineSize)
+	h.IOWriteRange(1, a, a+4*LineSize, FullMask(8))
+	if h.priv[1] != nil {
 		t.Fatal("queries on an untouched core built its caches")
 	}
 
-	// Core 1 of h and core 0 of a fresh hierarchy see the same stream.
+	// Core 1 of h and core 0 of a fresh hierarchy see the same stream
+	// (after the same DMA burst, with no consumer core).
 	fresh := testHierarchy()
+	fresh.IOWriteRange(-1, a, a+4*LineSize, FullMask(8))
 	mask := FullMask(8)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {

@@ -123,6 +123,9 @@ type LLC struct {
 	// miss" events IAT polls (LONGEST_LAT_CACHE.{REFERENCE,MISS}).
 	coreRefs   []uint64
 	coreMisses []uint64
+
+	ahead   [rangeChunk]llcSet // locateAhead's result
+	touched uint32             // sink of locateAhead's loads
 }
 
 // Victim describes a line displaced by an allocation. If Dirty, the caller
@@ -168,11 +171,48 @@ func hashLine(line uint64) uint64 {
 	return x
 }
 
-// locate maps an address to its slice and the base word of its set record.
-func (l *LLC) locate(a uint64) (sl *llcSlice, base int) {
-	h := hashLine(a >> LineShift)
+// locate maps a line address (an address >> LineShift) to its slice and
+// the base word of its set record.
+func (l *LLC) locate(line uint64) (sl *llcSlice, base int) {
+	h := hashLine(line)
 	sl = &l.slices[h%uint64(l.cfg.Slices)]
 	return sl, int((h>>24)&l.setMask) << l.strideShift
+}
+
+// llcSet names one set record: its slice and the record's base word.
+type llcSet struct {
+	sl   *llcSlice
+	base int
+}
+
+// set locates the set of a stored tag (lineTag's line address is tag-1).
+func (l *LLC) set(tag uint32) llcSet {
+	sl, base := l.locate(uint64(tag - 1))
+	return llcSet{sl, base}
+}
+
+// rangeChunk is how many lines of a range locateAhead locates at once:
+// more than an MTU packet's 24.
+const rangeChunk = 32
+
+// chunk returns how many of the lines tag..end the next chunk holds.
+func chunk(tag, end uint32) int { return int(min(end-tag, rangeChunk-1)) + 1 }
+
+// locateAhead locates the sets of the n <= rangeChunk lines tagged tag,
+// tag+1, ... and loads one word of each record. The loads do not depend
+// on one another, so their host cache misses overlap instead of being
+// paid one after another as each line's probe reaches its set; the words
+// are folded into l.touched only so that the loads are not dropped. The
+// returned slice is valid until the next call.
+func (l *LLC) locateAhead(tag uint32, n int) []llcSet {
+	at := l.ahead[:n]
+	x := l.touched
+	for i := range at {
+		at[i] = l.set(tag + uint32(i))
+		x ^= at[i].sl.sets[at[i].base]
+	}
+	l.touched = x
+	return at
 }
 
 // probe searches the set for the tag; returns the way offset or -1. The
@@ -363,7 +403,13 @@ func (l *LLC) markDirty(sl *llcSlice, base, w int) {
 // caller if dirty.
 func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v Victim) {
 	tag := lineTag(a)
-	sl, base := l.locate(a)
+	return l.access(l.set(tag), core, tag, write, mask)
+}
+
+// access is Access for a line already tagged and located: the hierarchy
+// tags a line once and hands the tag down from the private levels.
+func (l *LLC) access(at llcSet, core int, tag uint32, write bool, mask WayMask) (hit bool, v Victim) {
+	sl, base := at.sl, at.base
 	sl.stats.Lookups++
 	l.coreRefs[core]++
 	if w := l.probe(sl, base, tag); w >= 0 {
@@ -399,8 +445,12 @@ func (l *LLC) Access(core int, a uint64, write bool, mask WayMask) (hit bool, v 
 // It does not count as a demand reference. The returned victim must be
 // written back by the caller if dirty.
 func (l *LLC) FillWriteback(a uint64, mask WayMask) Victim {
-	tag := lineTag(a)
-	sl, base := l.locate(a)
+	return l.fillWriteback(lineTag(a), mask)
+}
+
+// fillWriteback is FillWriteback for an L2 victim's tag.
+func (l *LLC) fillWriteback(tag uint32, mask WayMask) Victim {
+	sl, base := l.locate(uint64(tag - 1))
 	if w := l.probe(sl, base, tag); w >= 0 {
 		l.markDirty(sl, base, w)
 		if l.cfg.Policy == PolicyLRU {
@@ -422,10 +472,16 @@ func (l *LLC) FillWriteback(a uint64, mask WayMask) Victim {
 // IOWrite models a DDIO inbound write of one line. If the line is resident
 // in any way it is updated in place (write update — a DDIO hit); otherwise
 // it is allocated into the DDIO mask (write allocate — a DDIO miss) and the
-// displaced victim is returned for writeback.
+// displaced victim is returned for writeback. Hierarchy.IOWriteRange is
+// the burst form the DDIO engine uses.
 func (l *LLC) IOWrite(a uint64, ddioMask WayMask) (hit bool, v Victim) {
 	tag := lineTag(a)
-	sl, base := l.locate(a)
+	return l.ioWrite(l.set(tag), tag, ddioMask)
+}
+
+// ioWrite is IOWrite for a line already tagged and located.
+func (l *LLC) ioWrite(at llcSet, tag uint32, ddioMask WayMask) (hit bool, v Victim) {
+	sl, base := at.sl, at.base
 	if w := l.probe(sl, base, tag); w >= 0 {
 		sl.stats.DDIOHits++
 		l.markDirty(sl, base, w)
@@ -449,7 +505,27 @@ func (l *LLC) IOWrite(a uint64, ddioMask WayMask) (hit bool, v Victim) {
 // last use before its slot recycles.
 func (l *LLC) IORead(a uint64) (hit bool) {
 	tag := lineTag(a)
-	sl, base := l.locate(a)
+	return l.ioRead(l.set(tag), tag)
+}
+
+// IOReadRange is IORead of every line from the one holding first to the
+// one holding last, checking the address bound once. It returns how many
+// lines the LLC served; the caller reads the rest from memory.
+func (l *LLC) IOReadRange(first, last uint64) (hits int) {
+	end := lineTag(last)
+	for tag := lineTag(first); tag <= end; {
+		for _, at := range l.locateAhead(tag, chunk(tag, end)) {
+			if l.ioRead(at, tag) {
+				hits++
+			}
+			tag++
+		}
+	}
+	return hits
+}
+
+func (l *LLC) ioRead(at llcSet, tag uint32) bool {
+	sl, base := at.sl, at.base
 	sl.stats.IOReads++
 	if l.probe(sl, base, tag) >= 0 {
 		return true
@@ -470,7 +546,7 @@ func (l *LLC) IORead(a uint64) (hit bool) {
 // line is taken never to be drawn again while still resident, and no
 // demand or I/O probe can match it.
 func (l *LLC) AmbientFill(a uint64) Victim {
-	sl, base := l.locate(a)
+	sl, base := l.locate(a >> LineShift)
 	tag := ambientTag
 	if a <= MaxAddr {
 		if tag = lineTag(a); l.probe(sl, base, tag) >= 0 {
@@ -491,7 +567,7 @@ func (l *LLC) Contains(a uint64) bool { return l.WayOf(a) >= 0 }
 // for tests.
 func (l *LLC) WayOf(a uint64) int {
 	tag := lineTag(a)
-	sl, base := l.locate(a)
+	sl, base := l.locate(uint64(tag - 1))
 	return l.probe(sl, base, tag)
 }
 

@@ -259,8 +259,8 @@ func TestLLCInvariantsProperty(t *testing.T) {
 func TestLocateDeterministicProperty(t *testing.T) {
 	l := testLLC(1)
 	f := func(a uint64) bool {
-		s1, b1 := l.locate(a)
-		s2, b2 := l.locate(a)
+		s1, b1 := l.locate(a >> LineShift)
+		s2, b2 := l.locate(a >> LineShift)
 		return s1 == s2 && b1 == b2
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -378,6 +378,20 @@ func TestTagBoundFailsLoudly(t *testing.T) {
 		mustPanic("FillWriteback", "cache:", func() { l.FillWriteback(a, full) })
 		mustPanic("IORead", "cache:", func() { l.IORead(a) })
 		mustPanic("Hierarchy.Access", "cache:", func() { h.Access(0, a, true, full) })
+		// A range or burst that ends past the bound panics before it
+		// touches any line, from a built core or an unbuilt one.
+		before := h.LLC().TotalStats()
+		for core := 0; core < 2; core++ {
+			mustPanic("AccessRange", "cache:", func() { h.AccessRange(core, MaxAddr-LineSize, a, false, full) })
+			mustPanic("IOWriteRange", "cache:", func() { h.IOWriteRange(core, MaxAddr-LineSize, a, full) })
+			mustPanic("InvalidatePrivateRange", "cache:", func() { h.InvalidatePrivateRange(core, MaxAddr-LineSize, a) })
+			mustPanic("InvalidatePrivate", "cache:", func() { h.InvalidatePrivate(core, a) })
+		}
+		mustPanic("IOWriteRange", "cache:", func() { h.IOWriteRange(-1, MaxAddr-LineSize, a, full) })
+		mustPanic("IOReadRange", "cache:", func() { h.LLC().IOReadRange(MaxAddr-LineSize, a) })
+		if h.LLC().TotalStats() != before {
+			t.Fatalf("a range past MaxAddr changed the LLC: %+v, was %+v", h.LLC().TotalStats(), before)
+		}
 	}
 	// The last in-range line still works at every entry point, and a
 	// background fill from past the bound is accepted.
@@ -388,6 +402,16 @@ func TestTagBoundFailsLoudly(t *testing.T) {
 	h.Access(0, MaxAddr, true, full)
 	if !h.PrivateContains(0, MaxAddr) {
 		t.Fatal("the line at MaxAddr was not cached privately")
+	}
+	h.AccessRange(0, MaxAddr-4*LineSize, MaxAddr, false, full)
+	if u, a, _ := h.IOWriteRange(0, MaxAddr-4*LineSize, MaxAddr, full); u+a != 5 {
+		t.Fatalf("a burst ending at MaxAddr wrote %d lines, want 5", u+a)
+	}
+	if h.PrivateContains(0, MaxAddr) {
+		t.Fatal("a burst ending at MaxAddr left the consumer's copy")
+	}
+	if hits := h.LLC().IOReadRange(MaxAddr-4*LineSize, MaxAddr); hits != 5 {
+		t.Fatalf("a read ending at MaxAddr hit %d lines, want 5", hits)
 	}
 	if v := l.AmbientFill(1 << 40); v.Valid {
 		t.Fatalf("background fill into a non-full set displaced %+v", v)

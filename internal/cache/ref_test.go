@@ -2,6 +2,8 @@ package cache
 
 import (
 	"testing"
+
+	"iatsim/internal/mem"
 )
 
 // refLLC is an executable specification of the LLC's replacement
@@ -22,6 +24,11 @@ type refLLC struct {
 	rrpv    [][]uint8
 	setMask uint64
 	vicRR   uint32
+
+	// Counters, summed over slices, and per-core demand counters for
+	// up to four cores.
+	stats              SliceStats
+	coreRefs, coreMiss [4]uint64
 }
 
 func newRefLLC(cfg LLCConfig) *refLLC {
@@ -109,6 +116,9 @@ func (r *refLLC) install(s, base, w int, tag uint64, dirty bool) Victim {
 	if r.valid[s][idx] {
 		v = Victim{Addr: r.tags[s][idx] << LineShift, Valid: true, Dirty: r.dirty[s][idx]}
 		victimRank = r.rrpv[s][idx]
+		if v.Dirty {
+			r.stats.Writebacks++
+		}
 	}
 	r.tags[s][idx] = tag
 	r.valid[s][idx] = true
@@ -129,10 +139,13 @@ func (r *refLLC) install(s, base, w int, tag uint64, dirty bool) Victim {
 	return v
 }
 
-func (r *refLLC) Access(a uint64, write bool, mask WayMask) (bool, Victim) {
+func (r *refLLC) Access(core int, a uint64, write bool, mask WayMask) (bool, Victim) {
 	s, base := r.locate(a)
 	tag := a >> LineShift
+	r.stats.Lookups++
+	r.coreRefs[core]++
 	if w := r.probe(s, base, tag); w >= 0 {
+		r.stats.Hits++
 		if write {
 			r.dirty[s][base+w] = true
 		}
@@ -141,6 +154,8 @@ func (r *refLLC) Access(a uint64, write bool, mask WayMask) (bool, Victim) {
 		}
 		return true, Victim{}
 	}
+	r.stats.Misses++
+	r.coreMiss[core]++
 	if mask == 0 {
 		mask = FullMask(r.cfg.Ways)
 	}
@@ -170,6 +185,7 @@ func (r *refLLC) IOWrite(a uint64, ddioMask WayMask) (bool, Victim) {
 	s, base := r.locate(a)
 	tag := a >> LineShift
 	if w := r.probe(s, base, tag); w >= 0 {
+		r.stats.DDIOHits++
 		r.dirty[s][base+w] = true
 		if r.cfg.Policy == PolicyLRU {
 			r.lruPromote(s, base, w)
@@ -178,6 +194,7 @@ func (r *refLLC) IOWrite(a uint64, ddioMask WayMask) (bool, Victim) {
 		}
 		return true, Victim{}
 	}
+	r.stats.DDIOMisses++
 	if ddioMask == 0 {
 		ddioMask = FullMask(r.cfg.Ways)
 	}
@@ -186,7 +203,12 @@ func (r *refLLC) IOWrite(a uint64, ddioMask WayMask) (bool, Victim) {
 
 func (r *refLLC) IORead(a uint64) bool {
 	s, base := r.locate(a)
-	return r.probe(s, base, a>>LineShift) >= 0
+	r.stats.IOReads++
+	if r.probe(s, base, a>>LineShift) >= 0 {
+		return true
+	}
+	r.stats.IOReadMiss++
+	return false
 }
 
 // AmbientFill never hits for an address past MaxAddr: background lines
@@ -263,8 +285,9 @@ func runDifferential(t *testing.T, policy ReplacementPolicy, ways int, seed uint
 		switch {
 		case op < 4: // demand access, read or write
 			write := op%2 == 0
-			gotHit, gotV := l.Access(int(rng.next()%2), a, write, mask)
-			wantHit, wantV := r.Access(a, write, mask)
+			core := int(rng.next() % 2)
+			gotHit, gotV := l.Access(core, a, write, mask)
+			wantHit, wantV := r.Access(core, a, write, mask)
 			if gotHit != wantHit || !sameVictim(gotV, wantV) {
 				t.Fatalf("op %d Access(%#x, write=%v, mask=%s): got (%v,%+v) want (%v,%+v)",
 					i, a, write, mask, gotHit, gotV, wantHit, wantV)
@@ -301,6 +324,21 @@ func runDifferential(t *testing.T, policy ReplacementPolicy, ways int, seed uint
 	for _, addr := range pool {
 		if got, want := l.WayOf(addr), r.WayOf(addr); got != want {
 			t.Fatalf("final state: WayOf(%#x) = %d, ref %d", addr, got, want)
+		}
+	}
+	checkLLCCounters(t, l, r, 2)
+}
+
+// checkLLCCounters compares the LLC's counters, summed over slices, and
+// the first cores' demand counters with the reference's.
+func checkLLCCounters(t *testing.T, l *LLC, r *refLLC, cores int) {
+	t.Helper()
+	if got := l.TotalStats(); got != r.stats {
+		t.Fatalf("counters: got %+v, want %+v", got, r.stats)
+	}
+	for c := 0; c < cores; c++ {
+		if l.CoreRefs(c) != r.coreRefs[c] || l.CoreMisses(c) != r.coreMiss[c] {
+			t.Fatalf("core %d: refs/misses %d/%d, want %d/%d", c, l.CoreRefs(c), l.CoreMisses(c), r.coreRefs[c], r.coreMiss[c])
 		}
 	}
 }
@@ -471,13 +509,14 @@ func (r *refPrivate) invalidate(a uint64) (present, dirty bool) {
 
 // runPrivateDifferential drives the production private cache and
 // refPrivate through nOps random operations over a small address pool,
-// in the hierarchy's calling pattern: a lookup, then a fill only after
-// a miss, with invalidations mixed in. It fails on the first divergence
-// in hits, victims (address and dirtiness) or counters, then
+// in the hierarchy's calling pattern: a lookup, then a fill of the set it
+// located only after a miss, with invalidations mixed in. It fails on the
+// first divergence in hits, victims (tag and dirtiness) or counters, then
 // cross-checks residency over the pool.
 func runPrivateDifferential(t *testing.T, cfg LevelConfig, seed uint64, nOps int) {
 	t.Helper()
-	p := newPrivate(cfg)
+	var p private
+	p.init(cfg)
 	r := newRefPrivate(cfg)
 	rng := diffSplitmix(seed)
 	addrs := uint64(cfg.Sets() * cfg.Ways * 3)
@@ -490,26 +529,32 @@ func runPrivateDifferential(t *testing.T, cfg LevelConfig, seed uint64, nOps int
 			a += high
 		}
 		a += rng.next() % LineSize // any byte of the line
+		tag := lineTag(a)
 		op := rng.next() % 8
 		if op == 0 {
-			gp, gd := p.invalidate(a)
-			wp, wd := r.invalidate(a)
-			if gp != wp || gd != wd {
-				t.Fatalf("op %d invalidate(%#x): got (%v,%v) want (%v,%v)", i, a, gp, gd, wp, wd)
+			set, w := p.find(tag)
+			if want, _ := r.invalidate(a); (w >= 0) != want {
+				t.Fatalf("op %d invalidate(%#x): present %v, ref %v", i, a, w >= 0, want)
+			}
+			if w >= 0 {
+				p.drop(set, w)
 			}
 			continue
 		}
 		write := op%2 == 0
-		got, want := p.lookup(a, write), r.lookup(a, write)
-		if got != want {
+		set, w := p.find(tag)
+		p.count(set, w, write)
+		if got, want := w >= 0, r.lookup(a, write); got != want {
 			t.Fatalf("op %d lookup(%#x, write=%v): got %v want %v", i, a, write, got, want)
 		}
-		if got {
+		if w >= 0 {
 			continue
 		}
 		dirty := rng.next()%2 == 0
-		if gv, wv := p.fill(a, dirty), r.fill(a, dirty); gv != wv {
-			t.Fatalf("op %d fill(%#x, dirty=%v): got %+v want %+v", i, a, dirty, gv, wv)
+		gv, gd := p.fillAt(set, tag, dirty)
+		wv := r.fill(a, dirty)
+		if (gv != 0) != wv.Valid || gv != 0 && (tagAddr(gv) != wv.Addr || gd != wv.Dirty) {
+			t.Fatalf("op %d fillAt(%#x, dirty=%v): victim tag %#x dirty %v, want %+v", i, a, dirty, gv, gd, wv)
 		}
 	}
 	if p.hits != r.hits || p.misses != r.misses {
@@ -518,7 +563,7 @@ func runPrivateDifferential(t *testing.T, cfg LevelConfig, seed uint64, nOps int
 	for a := uint64(0); a < addrs; a++ {
 		for _, addr := range []uint64{a << LineShift, a<<LineShift + high} {
 			base, tag := r.locate(addr)
-			if got, want := p.contains(addr), r.probe(base, tag) >= 0; got != want {
+			if got, want := p.contains(lineTag(addr)), r.probe(base, tag) >= 0; got != want {
 				t.Fatalf("final state: contains(%#x) = %v, ref %v", addr, got, want)
 			}
 		}
@@ -537,6 +582,277 @@ func TestPrivateDifferential(t *testing.T) {
 	for _, cfg := range shapes {
 		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
 			runPrivateDifferential(t, cfg, seed, 60000)
+		}
+	}
+}
+
+// refHierarchy is the hierarchy as it was before one tag was carried
+// through the levels: address-based, every level tags and locates each
+// line on its own, each private fill re-locates the set its lookup found,
+// victims go back to addresses, and a range or a DMA burst is a loop of
+// single-line calls (Access, InvalidatePrivate, IOWrite, IORead). It is
+// built from refPrivate and refLLC and keeps its own memory controller,
+// which sees every read and write in the order the old code issued them.
+type refHierarchy struct {
+	cfg         HierarchyConfig
+	l1, l2      []*refPrivate // nil until the core's first Access
+	llc         *refLLC
+	mem         *mem.Controller
+	cyclesPerNS float64
+	remote      []bool
+	upiCycles   int64
+}
+
+func newRefHierarchy(cfg HierarchyConfig, freqGHz float64) *refHierarchy {
+	return &refHierarchy{
+		cfg:         cfg,
+		l1:          make([]*refPrivate, cfg.Cores),
+		l2:          make([]*refPrivate, cfg.Cores),
+		llc:         newRefLLC(cfg.LLC),
+		mem:         mem.NewController(mem.Config{}),
+		cyclesPerNS: freqGHz,
+		remote:      make([]bool, cfg.Cores),
+	}
+}
+
+func (r *refHierarchy) llcEvict(v Victim) {
+	if v.Valid && v.Dirty {
+		r.mem.Write(LineSize)
+	}
+}
+
+func (r *refHierarchy) l2Insert(core int, a uint64, dirty bool, mask WayMask) {
+	if v := r.l2[core].fill(a, dirty); v.Valid && v.Dirty {
+		r.llcEvict(r.llc.FillWriteback(v.Addr, mask))
+	}
+}
+
+func (r *refHierarchy) l1Insert(core int, a uint64, dirty bool, mask WayMask) {
+	if v := r.l1[core].fill(a, dirty); v.Valid && v.Dirty {
+		if !r.l2[core].lookup(v.Addr, true) {
+			r.l2Insert(core, v.Addr, true, mask)
+		}
+	}
+}
+
+func (r *refHierarchy) Access(core int, a uint64, write bool, mask WayMask) int64 {
+	a &^= LineSize - 1
+	if r.l1[core] == nil {
+		r.l1[core], r.l2[core] = newRefPrivate(r.cfg.L1), newRefPrivate(r.cfg.L2)
+	}
+	if r.l1[core].lookup(a, write) {
+		return r.cfg.L1.HitCycles
+	}
+	if r.l2[core].lookup(a, write) {
+		r.l1Insert(core, a, write, mask)
+		return r.cfg.L2.HitCycles
+	}
+	var upi int64
+	if r.remote[core] {
+		upi = r.upiCycles
+	}
+	hit, v := r.llc.Access(core, a, write, mask)
+	r.llcEvict(v)
+	lat := r.cfg.LLC.HitCycles + upi
+	if !hit {
+		c := int64(r.mem.Read(LineSize) * r.cyclesPerNS)
+		lat += max(c, 1)
+	}
+	r.l2Insert(core, a, false, mask)
+	r.l1Insert(core, a, write, mask)
+	return lat
+}
+
+func (r *refHierarchy) InvalidatePrivate(core int, a uint64) {
+	if r.l1[core] == nil {
+		return
+	}
+	r.l1[core].invalidate(a)
+	r.l2[core].invalidate(a)
+}
+
+func (r *refHierarchy) contains(core int, a uint64) bool {
+	if r.l1[core] == nil {
+		return false
+	}
+	for _, p := range []*refPrivate{r.l1[core], r.l2[core]} {
+		if base, tag := p.locate(a); p.probe(base, tag) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// lines calls f with every line address from the one holding first to
+// the one holding last.
+func lines(first, last uint64, f func(line uint64)) {
+	for line := first &^ (LineSize - 1); line <= last&^(LineSize-1); line += LineSize {
+		f(line)
+	}
+}
+
+// runRangeDifferential drives a production Hierarchy and refHierarchy
+// through nOps random operations on three cores and compares every
+// result: the ranged entry points (AccessRange, IOWriteRange,
+// InvalidatePrivateRange, LLC.IOReadRange) against per-line loops of the
+// reference's single-line calls, and the single-line ones against each
+// other. Ranges straddle set boundaries, some end at MaxAddr's line, and
+// bursts name no consumer (-1), a built core or core 2, whose caches are
+// not built until its first access in the second half of the stream. A
+// burst's dirty victims are written back after it, as the DDIO engine
+// does. Latencies, burst counts, memory traffic, every counter and the
+// final residency of every line must agree.
+func runRangeDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps int) {
+	t.Helper()
+	cfg := HierarchyConfig{
+		Cores: 3,
+		L1:    LevelConfig{SizeBytes: 1 << 10, Ways: 4, HitCycles: 4},  // 4 sets
+		L2:    LevelConfig{SizeBytes: 4 << 10, Ways: 8, HitCycles: 14}, // 8 sets
+		LLC:   LLCConfig{Slices: 2, Ways: 8, SetsPerSlice: 8, HitCycles: 44, Policy: policy},
+	}
+	h := NewHierarchy(cfg, 2.3, mem.NewController(mem.Config{}))
+	r := newRefHierarchy(cfg, 2.3)
+	h.SetRemote(1, true, 60)
+	r.remote[1], r.upiCycles = true, int64(60*2.3)
+	rng := diffSplitmix(seed)
+
+	// Twice the LLC's lines at the bottom of memory and as many ending
+	// at MaxAddr, so sets fill, evict and carry tags next to 2^32.
+	const poolLines = 2 * 2 * 8 * 8
+	high := MaxAddr + 1 - poolLines*LineSize
+	addrOf := func(i uint64) uint64 {
+		if i < poolLines {
+			return i * LineSize
+		}
+		return high + (i-poolLines)*LineSize
+	}
+	masks := []WayMask{0, FullMask(8), ContiguousMask(0, 4), ContiguousMask(6, 2), ContiguousMask(2, 3)}
+	span := func() (first, last uint64) {
+		n := 1 + rng.next()%40
+		start := rng.next() % (2*poolLines - n + 1)
+		if rng.next()%6 == 0 {
+			start = 2*poolLines - n // ends on MaxAddr's line
+		}
+		first = addrOf(start) + rng.next()%LineSize
+		last = addrOf(start+n-1) + rng.next()%LineSize
+		if start < poolLines && start+n > poolLines {
+			last = addrOf(poolLines-1) + rng.next()%LineSize // the pools are not contiguous
+		}
+		return first, last
+	}
+	for i := 0; i < nOps; i++ {
+		if i%500 == 0 {
+			h.Mem().BeginEpoch(2e4)
+			r.mem.BeginEpoch(2e4)
+		}
+		core := int(rng.next() % 2)
+		if i >= nOps/2 {
+			core = int(rng.next() % 3)
+		}
+		consumer := int(rng.next()%4) - 1
+		mask := masks[rng.next()%uint64(len(masks))]
+		write := rng.next()%2 == 0
+		switch op := rng.next() % 16; {
+		case op < 5:
+			a := addrOf(rng.next()%(2*poolLines)) + rng.next()%LineSize
+			if got, want := h.Access(core, a, write, mask), r.Access(core, a, write, mask); got != want {
+				t.Fatalf("op %d Access(%d, %#x, %v, %s) = %d, ref %d", i, core, a, write, mask, got, want)
+			}
+		case op < 9:
+			first, last := span()
+			var want int64
+			lines(first, last, func(line uint64) { want += r.Access(core, line, write, mask) })
+			if got := h.AccessRange(core, first, last, write, mask); got != want {
+				t.Fatalf("op %d AccessRange(%d, %#x, %#x, %v, %s) = %d, ref %d", i, core, first, last, write, mask, got, want)
+			}
+		case op < 12:
+			first, last := span()
+			var updates, allocs, writebacks int
+			lines(first, last, func(line uint64) {
+				if consumer >= 0 {
+					r.InvalidatePrivate(consumer, line)
+				}
+				switch hit, v := r.llc.IOWrite(line, mask); {
+				case hit:
+					updates++
+				case v.Valid && v.Dirty:
+					allocs++
+					writebacks++
+					r.mem.Write(LineSize)
+				default:
+					allocs++
+				}
+			})
+			u, a, wb := h.IOWriteRange(consumer, first, last, mask)
+			if u != updates || a != allocs || wb != writebacks {
+				t.Fatalf("op %d IOWriteRange(%d, %#x, %#x, %s) = %d/%d/%d updates/allocs/writebacks, ref %d/%d/%d",
+					i, consumer, first, last, mask, u, a, wb, updates, allocs, writebacks)
+			}
+			for ; wb > 0; wb-- {
+				h.Mem().Write(LineSize)
+			}
+		case op < 14:
+			first, last := span()
+			hits := 0
+			lines(first, last, func(line uint64) {
+				if r.llc.IORead(line) {
+					hits++
+				}
+			})
+			if got := h.LLC().IOReadRange(first, last); got != hits {
+				t.Fatalf("op %d IOReadRange(%#x, %#x) = %d, ref %d", i, first, last, got, hits)
+			}
+		case op < 15:
+			first, last := span()
+			if consumer >= 0 {
+				lines(first, last, func(line uint64) { r.InvalidatePrivate(consumer, line) })
+			}
+			h.InvalidatePrivateRange(consumer, first, last)
+		default:
+			a := addrOf(rng.next() % (2 * poolLines))
+			if got, want := h.LLC().FillWriteback(a, mask), r.llc.FillWriteback(a, mask); got != want {
+				t.Fatalf("op %d FillWriteback(%#x, %s) = %+v, ref %+v", i, a, mask, got, want)
+			}
+		}
+		if got, want := h.Mem().Stats(), r.mem.Stats(); got != want {
+			t.Fatalf("op %d: memory traffic %v, ref %v", i, got, want)
+		}
+		if i == nOps/2-1 && h.priv[2] != nil {
+			t.Fatal("bursts and invalidations naming core 2 built its caches")
+		}
+	}
+	for c := 0; c < cfg.Cores; c++ {
+		gh1, gm1 := h.L1Stats(c)
+		gh2, gm2 := h.L2Stats(c)
+		var wh1, wm1, wh2, wm2 uint64
+		if r.l1[c] != nil {
+			wh1, wm1, wh2, wm2 = r.l1[c].hits, r.l1[c].misses, r.l2[c].hits, r.l2[c].misses
+		}
+		if gh1 != wh1 || gm1 != wm1 || gh2 != wh2 || gm2 != wm2 {
+			t.Fatalf("core %d: L1 %d/%d L2 %d/%d hits/misses, ref L1 %d/%d L2 %d/%d", c, gh1, gm1, gh2, gm2, wh1, wm1, wh2, wm2)
+		}
+		for i := uint64(0); i < 2*poolLines; i++ {
+			if got, want := h.PrivateContains(c, addrOf(i)), r.contains(c, addrOf(i)); got != want {
+				t.Fatalf("final state: core %d PrivateContains(%#x) = %v, ref %v", c, addrOf(i), got, want)
+			}
+		}
+	}
+	for i := uint64(0); i < 2*poolLines; i++ {
+		if got, want := h.LLC().WayOf(addrOf(i)), r.llc.WayOf(addrOf(i)); got != want {
+			t.Fatalf("final state: WayOf(%#x) = %d, ref %d", addrOf(i), got, want)
+		}
+	}
+	checkLLCCounters(t, h.LLC(), r.llc, cfg.Cores)
+}
+
+// TestHierarchyRangeDifferential proves that carrying one tag through
+// the levels and the ranged entry points changed no simulated bit: op
+// for op, they match per-line runs of the pre-change hierarchy under
+// both replacement policies.
+func TestHierarchyRangeDifferential(t *testing.T) {
+	for _, policy := range []ReplacementPolicy{PolicySRRIP, PolicyLRU} {
+		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+			runRangeDifferential(t, policy, seed, 20000)
 		}
 	}
 }

@@ -55,6 +55,26 @@ func TestHierarchyAccessAllocatesNothing(t *testing.T) {
 	}
 }
 
+// The ranged paths allocate nothing either: a streaming copy through a
+// built core's caches, a DMA burst invalidating its copies, and a device
+// read burst.
+func TestRangedPathsAllocateNothing(t *testing.T) {
+	h := testHierarchy()
+	h.Mem().BeginEpoch(1e12)
+	mask := FullMask(8)
+	h.Access(0, 0, false, mask)
+	var a uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		h.AccessRange(0, a, a+1499, a&LineSize == 0, mask)
+		h.IOWriteRange(0, a+1<<20, a+1<<20+1499, ContiguousMask(6, 2))
+		h.LLC().IOReadRange(a+1<<20, a+1<<20+1499)
+		a += 2048
+	})
+	if allocs != 0 {
+		t.Fatalf("ranged paths allocate %v per run, want 0", allocs)
+	}
+}
+
 func TestAttachTelemetryCounts(t *testing.T) {
 	l := testLLC(1)
 	reg := telemetry.NewRegistry()

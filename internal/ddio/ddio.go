@@ -89,72 +89,49 @@ func (e *Engine) DeviceWrite(a uint64, n int, consumerCore int) (allocs int) {
 
 // deviceWriteMasked is the inbound datapath with an explicit mask and stats
 // sink (the global counters for DeviceWrite, per-port counters for Ports).
-// Per-port writes also accumulate into the engine's global stats.
+// Per-port writes also accumulate into the engine's global stats. The
+// burst is one cache call; its dirty victims are written back to memory
+// after it, which keeps the memory controller's order, since no other
+// memory traffic falls inside a burst.
 func (e *Engine) deviceWriteMasked(a uint64, n, consumerCore int, mask cache.WayMask, st *Stats) {
 	if n <= 0 {
 		return
 	}
-	llc := e.hier.LLC()
-	first := a &^ (cache.LineSize - 1)
-	last := (a + uint64(n) - 1) &^ (cache.LineSize - 1)
-	// Telemetry is accumulated locally and flushed once per burst: the
-	// counter handles stay out of the per-line loop and the nil-receiver
-	// fast path costs one branch per burst instead of one per line.
-	var drops, updates, allocs uint64
-	for line := first; line <= last; line += cache.LineSize {
-		st.LinesWritten++
-		if st != &e.stats {
-			e.stats.LinesWritten++
-		}
-		if consumerCore >= 0 {
-			e.hier.InvalidatePrivate(consumerCore, line)
-		}
-		if !e.Enabled {
-			// DDIO off: data lands in the coherence domain and is
-			// immediately written out to memory.
-			drops++
-			e.mc.Write(cache.LineSize)
-			continue
-		}
-		hit, v := llc.IOWrite(line, mask)
-		if hit {
-			st.WriteUpdates++
-			if st != &e.stats {
-				e.stats.WriteUpdates++
-			}
-			updates++
-			continue
-		}
-		st.WriteAllocs++
-		if st != &e.stats {
-			e.stats.WriteAllocs++
-		}
-		allocs++
-		if v.Valid && v.Dirty {
-			e.mc.Write(cache.LineSize)
-		}
+	first, last, lines := lineSpan(a, n)
+	d := Stats{LinesWritten: lines}
+	writes := lines
+	if e.Enabled {
+		updates, allocs, writebacks := e.hier.IOWriteRange(consumerCore, first, last, mask)
+		d.WriteUpdates, d.WriteAllocs = uint64(updates), uint64(allocs)
+		writes = uint64(writebacks)
+		e.tel.writeUpdates.Add(d.WriteUpdates)
+		e.tel.writeAllocs.Add(d.WriteAllocs)
+	} else {
+		// DDIO off: data lands in the coherence domain and is
+		// immediately written out to memory.
+		e.hier.InvalidatePrivateRange(consumerCore, first, last)
+		e.tel.drops.Add(lines)
 	}
-	e.tel.drops.Add(drops)
-	e.tel.writeUpdates.Add(updates)
-	e.tel.writeAllocs.Add(allocs)
+	e.account(st, d)
+	for ; writes > 0; writes-- {
+		e.mc.Write(cache.LineSize)
+	}
 }
 
 // deviceWriteBypass writes inbound data straight to memory (the
-// application-aware payload path), invalidating stale private and LLC
-// copies so later core reads fetch the fresh data from DRAM.
+// application-aware payload path) and invalidates the consumer's private
+// copies only. An LLC copy of a payload line is left in place, stale: the
+// consumer's next read of that line hits it instead of fetching the fresh
+// data from DRAM (ROADMAP.md lists the defect).
 func (e *Engine) deviceWriteBypass(a uint64, n, consumerCore int, st *Stats) {
 	if n <= 0 {
 		return
 	}
-	first := a &^ (cache.LineSize - 1)
-	last := (a + uint64(n) - 1) &^ (cache.LineSize - 1)
-	for line := first; line <= last; line += cache.LineSize {
-		st.LinesBypassed++
-		e.stats.LinesBypassed++
-		e.tel.drops.Inc()
-		if consumerCore >= 0 {
-			e.hier.InvalidatePrivate(consumerCore, line)
-		}
+	first, last, lines := lineSpan(a, n)
+	e.hier.InvalidatePrivateRange(consumerCore, first, last)
+	e.tel.drops.Add(lines)
+	e.account(st, Stats{LinesBypassed: lines})
+	for i := uint64(0); i < lines; i++ {
 		e.mc.Write(cache.LineSize)
 	}
 }
@@ -170,32 +147,46 @@ func (e *Engine) deviceReadInto(a uint64, n int, st *Stats) {
 	if n <= 0 {
 		return
 	}
-	llc := e.hier.LLC()
-	first := a &^ (cache.LineSize - 1)
-	last := (a + uint64(n) - 1) &^ (cache.LineSize - 1)
-	var fromLLC, fromMem uint64
-	for line := first; line <= last; line += cache.LineSize {
-		st.LinesRead++
-		if st != &e.stats {
-			e.stats.LinesRead++
-		}
-		if e.Enabled && llc.IORead(line) {
-			st.ReadsFromLLC++
-			if st != &e.stats {
-				e.stats.ReadsFromLLC++
-			}
-			fromLLC++
-			continue
-		}
-		st.ReadsFromMem++
-		if st != &e.stats {
-			e.stats.ReadsFromMem++
-		}
-		fromMem++
-		e.mc.Read(cache.LineSize)
+	first, last, lines := lineSpan(a, n)
+	var fromLLC uint64
+	if e.Enabled {
+		fromLLC = uint64(e.hier.LLC().IOReadRange(first, last))
 	}
+	fromMem := lines - fromLLC
+	e.account(st, Stats{LinesRead: lines, ReadsFromLLC: fromLLC, ReadsFromMem: fromMem})
 	e.tel.readsLLC.Add(fromLLC)
 	e.tel.readsMem.Add(fromMem)
+	for i := uint64(0); i < fromMem; i++ {
+		e.mc.Read(cache.LineSize)
+	}
+}
+
+// lineSpan returns the first and last line addresses of the n > 0 bytes
+// at a, and how many lines they span.
+func lineSpan(a uint64, n int) (first, last, lines uint64) {
+	first = a &^ (cache.LineSize - 1)
+	last = (a + uint64(n) - 1) &^ (cache.LineSize - 1)
+	return first, last, (last-first)/cache.LineSize + 1
+}
+
+// account adds a burst's counters to st and, when st is a port's, to the
+// engine's global counters too.
+func (e *Engine) account(st *Stats, d Stats) {
+	st.add(d)
+	if st != &e.stats {
+		e.stats.add(d)
+	}
+}
+
+// add accumulates o into s.
+func (s *Stats) add(o Stats) {
+	s.LinesWritten += o.LinesWritten
+	s.WriteUpdates += o.WriteUpdates
+	s.WriteAllocs += o.WriteAllocs
+	s.LinesRead += o.LinesRead
+	s.ReadsFromLLC += o.ReadsFromLLC
+	s.ReadsFromMem += o.ReadsFromMem
+	s.LinesBypassed += o.LinesBypassed
 }
 
 // Stats returns cumulative engine counters.

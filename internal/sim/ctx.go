@@ -52,14 +52,10 @@ func (c *Ctx) AccessRange(a uint64, n int, write bool) int64 {
 	if n <= 0 {
 		return 0
 	}
-	var tot int64
 	first := a &^ (cache.LineSize - 1)
 	last := (a + uint64(n) - 1) &^ (cache.LineSize - 1)
-	for line := first; line <= last; line += cache.LineSize {
-		lat := c.p.Hier.Access(c.core, line, write, c.mask)
-		c.p.instr[c.core]++
-		tot += lat
-	}
+	tot := c.p.Hier.AccessRange(c.core, first, last, write, c.mask)
+	c.p.instr[c.core] += (last-first)/cache.LineSize + 1
 	charged := tot / StreamMLP
 	if charged < 1 {
 		charged = 1

@@ -72,28 +72,38 @@ type Event struct {
 }
 
 // ring is a bounded overwrite-oldest event buffer. cap <= 0 means
-// capture is disabled (every push just counts a drop).
+// capture is disabled (every push just counts a drop). The buffer starts
+// small and doubles as events arrive, up to capacity, so a registry that
+// records a few dozen events does not hold a full-capacity buffer.
 type ring struct {
-	buf     []Event
-	start   int // index of oldest event
-	n       int // live events in buf
-	seq     uint64
-	dropped uint64
+	buf      []Event
+	capacity int
+	start    int // index of oldest event
+	n        int // live events in buf
+	seq      uint64
+	dropped  uint64
 }
 
+// ringStart is the length of a ring's first buffer.
+const ringStart = 32
+
 func newRing(capacity int) ring {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return ring{buf: make([]Event, capacity)}
+	return ring{capacity: max(capacity, 0)}
 }
 
 func (r *ring) push(ev Event) {
 	r.seq++
 	ev.Seq = r.seq
-	if len(r.buf) == 0 {
+	if r.capacity == 0 {
 		r.dropped++
 		return
+	}
+	if r.n == len(r.buf) && r.n < r.capacity {
+		// Nothing has been overwritten yet, so the live events are
+		// buf[:n] in order and the grown buffer keeps start at 0.
+		grown := make([]Event, min(max(2*r.n, ringStart), r.capacity))
+		copy(grown, r.buf)
+		r.buf = grown
 	}
 	if r.n == len(r.buf) {
 		r.buf[r.start] = ev

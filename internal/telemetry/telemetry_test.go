@@ -156,6 +156,46 @@ func TestZeroCapacityRingDisablesCapture(t *testing.T) {
 	}
 }
 
+// TestRingGrowsOnDemand: the event ring starts small and doubles up to
+// its capacity, and at every step keeps exactly the events, sequence
+// numbers and drop count of a ring allocated at full capacity: the last
+// min(pushed, capacity) events, oldest first.
+func TestRingGrowsOnDemand(t *testing.T) {
+	for _, capacity := range []int{-1, 0, 1, 5, ringStart, ringStart + 1, 100, 300} {
+		r := NewRegistrySized(capacity)
+		want := max(capacity, 0)
+		for pushed := 1; pushed <= 3*want+2*ringStart; pushed++ {
+			r.Emit(Event{TimeNS: float64(pushed), Subsystem: "x", Name: "ev"})
+			kept := min(pushed, want)
+			evs := r.Events(SevDebug, "")
+			if len(evs) != kept || r.Dropped() != uint64(pushed-kept) {
+				t.Fatalf("capacity %d after %d events: %d kept, %d dropped; want %d, %d",
+					capacity, pushed, len(evs), r.Dropped(), kept, pushed-kept)
+			}
+			for i, ev := range evs {
+				if seq := uint64(pushed - kept + i + 1); ev.Seq != seq || ev.TimeNS != float64(seq) {
+					t.Fatalf("capacity %d after %d events: event %d has seq %d time %v, want %d",
+						capacity, pushed, i, ev.Seq, ev.TimeNS, seq)
+				}
+			}
+			// The buffer holds at most twice the live events (or the
+			// first buffer), never more than the capacity.
+			if n := len(r.ring.buf); n > want || n > max(2*kept, ringStart) {
+				t.Fatalf("capacity %d after %d events: buffer of %d", capacity, pushed, n)
+			}
+		}
+	}
+	// A default registry that records a fleet host's ~100 events holds
+	// 128 of them, not DefaultEventCapacity.
+	r := NewRegistry()
+	for i := 0; i < 99; i++ {
+		r.Emit(Event{Name: "ev"})
+	}
+	if n := len(r.ring.buf); n != 128 {
+		t.Fatalf("99 events in a default registry use a buffer of %d, want 128", n)
+	}
+}
+
 func TestSnapshotSortedAndValid(t *testing.T) {
 	r := NewRegistry()
 	// Register deliberately out of key order.
