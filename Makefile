@@ -92,13 +92,13 @@ ckpt-smoke: build
 	grep -q '"resumed_from"' $(TMP)/ckpt/manifest.json
 	@echo "ckpt-smoke OK: iatd crashed with exit 137 and resumed with provenance"
 
-# regen-check: regenerate every -all CSV at the canonical seed and cmp
-# each against the committed results/, naming any file that differs.
-# fig15.csv records host wall-clock and is skipped. Not in `all` or CI
-# yet: it takes ~4 min at JOBS=2 on a 2-vCPU host.
+# regen-check: regenerate every -all and -ablations CSV at the canonical
+# seed and cmp each against the committed results/, naming any file that
+# differs. fig15.csv records host wall-clock and is skipped. Not in `all`
+# or CI yet: it takes ~4 min at JOBS=2 on a 2-vCPU host.
 regen-check: build
 	rm -rf $(TMP)/regen && mkdir -p $(TMP)/regen
-	$(GO) run ./cmd/experiments -all -jobs $(JOBS) -csv $(TMP)/regen > /dev/null
+	$(GO) run ./cmd/experiments -all -ablations -jobs $(JOBS) -csv $(TMP)/regen > /dev/null
 	@fail=0; n=0; for f in $(TMP)/regen/*.csv; do \
 		b=$$(basename $$f); [ "$$b" = fig15.csv ] && continue; n=$$((n+1)); \
 		cmp -s $$f results/$$b || { echo "regen-check: $$b differs from results/$$b"; fail=1; }; \

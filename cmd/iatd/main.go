@@ -258,10 +258,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	params := core.DefaultParams()
-	params.IntervalNS = *interval * 1e9
-	params.ThresholdMissLowPerSec /= *scale
-	daemon, err := bridge.NewIAT(p, params, core.Options{})
+	daemon, err := bridge.NewIAT(p, bridge.ScaledParams(*scale, *interval*1e9), core.Options{})
 	if err != nil {
 		return err
 	}
@@ -305,11 +302,7 @@ func run(args []string, stdout io.Writer) error {
 		if tel != nil {
 			inj.AttachTelemetry(tel, p.NowNS)
 		}
-		p.MSR.SetFaultHook(inj)
-		for _, dev := range p.Devices() {
-			dev.SetFaults(inj)
-		}
-		p.SetPollFaults(inj)
+		p.SetFaults(inj)
 		fmt.Fprintf(out, "iatd: chaos profile %q armed (seed %d)\n", *chaos, *chaosSeed)
 	}
 

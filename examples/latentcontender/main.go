@@ -57,10 +57,7 @@ func build(victimMask cache.WayMask, iat bool) (*sim.Platform, *workload.XMem) {
 	p.AttachGenerator(g, dev, 0)
 
 	if iat {
-		params := core.DefaultParams()
-		params.IntervalNS = 0.5e9
-		params.ThresholdMissLowPerSec /= 100
-		_, err := bridge.NewIAT(p, params, core.Options{DisableDDIOAdjust: true})
+		_, err := bridge.NewIAT(p, bridge.ScaledParams(100, 0.5e9), core.Options{DisableDDIOAdjust: true})
 		must(err)
 	}
 	return p, victim

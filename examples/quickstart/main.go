@@ -59,10 +59,7 @@ func main() {
 
 	// The IAT daemon, observing and programming the machine through the
 	// same pqos/MSR-shaped interface the paper's artifact uses.
-	params := core.DefaultParams()
-	params.IntervalNS = 0.5e9
-	params.ThresholdMissLowPerSec /= p.Cfg.Scale
-	daemon, err := bridge.NewIAT(p, params, core.Options{})
+	daemon, err := bridge.NewIAT(p, bridge.ScaledParams(p.Cfg.Scale, 0.5e9), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

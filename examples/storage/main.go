@@ -40,10 +40,7 @@ func run(iat bool) {
 		log.Fatal(err)
 	}
 	if iat {
-		params := core.DefaultParams()
-		params.IntervalNS = 0.2e9
-		params.ThresholdMissLowPerSec /= p.Cfg.Scale
-		if _, err := bridge.NewIAT(p, params, core.Options{}); err != nil {
+		if _, err := bridge.NewIAT(p, bridge.ScaledParams(p.Cfg.Scale, 0.2e9), core.Options{}); err != nil {
 			log.Fatal(err)
 		}
 	}

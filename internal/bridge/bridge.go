@@ -69,6 +69,21 @@ func (s *System) DDIOMask() cache.WayMask { return s.p.RDT.DDIOMask() }
 // SetDDIOMask implements core.System.
 func (s *System) SetDDIOMask(m cache.WayMask) error { return s.p.RDT.SetDDIOMask(m) }
 
+// ScaledParams is Table II at a control interval of intervalNS (Table
+// II's 1 s when intervalNS is not positive) on a platform compressed by
+// scale. The miss-rate threshold and the sanity screen's rate ceiling
+// are defined against real time, and the platform's scale shrinks every
+// event rate by the same factor, so both are divided by it.
+func ScaledParams(scale, intervalNS float64) core.Params {
+	p := core.DefaultParams()
+	if intervalNS > 0 {
+		p.IntervalNS = intervalNS
+	}
+	p.ThresholdMissLowPerSec /= scale
+	p.SaneRateMax /= scale
+	return p
+}
+
 // NewIAT builds an IAT daemon bound to the platform and registers it as a
 // platform controller. It returns the daemon for tracing and inspection.
 func NewIAT(p *sim.Platform, params core.Params, opts core.Options) (*core.Daemon, error) {

@@ -114,3 +114,19 @@ func TestNewIATRegistersController(t *testing.T) {
 		t.Fatal("daemon never iterated")
 	}
 }
+
+// TestScaledParams: both real-time rates shrink by the platform scale,
+// the interval is applied only when positive, and nothing else moves.
+func TestScaledParams(t *testing.T) {
+	def := core.DefaultParams()
+	want := def
+	want.IntervalNS = 0.2e9
+	want.ThresholdMissLowPerSec = def.ThresholdMissLowPerSec / 100
+	want.SaneRateMax = def.SaneRateMax / 100
+	if got := ScaledParams(100, 0.2e9); got != want {
+		t.Fatalf("ScaledParams(100, 0.2e9) = %+v, want %+v", got, want)
+	}
+	if got := ScaledParams(1, 0); got != def {
+		t.Fatalf("ScaledParams(1, 0) = %+v, want Table II %+v", got, def)
+	}
+}

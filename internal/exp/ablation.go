@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
 	"iatsim/internal/harness"
@@ -51,15 +50,12 @@ func RunAblationMechanisms(w io.Writer, scale float64) []AblationMechRow {
 		jobs = append(jobs, harness.Job{
 			Name: name, Figure: "abl-mech", Seed: seed,
 			Fn: func() (any, error) {
-				s := NewLeakyScenario(LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed})
+				rs := rigSpec{leaky: LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed}}
 				if v.opts != nil {
-					params := iatParams(scale, 0.2e9)
-					if _, err := bridge.NewIAT(s.P, params, *v.opts); err != nil {
-						return nil, err
-					}
+					rs.daemon = iatDaemon(scale, 0.2e9)
+					rs.daemon.opts = *v.opts
 				}
-				s.P.Run(2.4e9)
-				win := Measure(s.P, 0.8e9)
+				win, _ := newLeakyRig(rs, nil).measure(2.4e9, 0.8e9)
 				return AblationMechRow{
 					Variant:    v.name,
 					DDIOMissPS: win.DDIOMissPS() * scale,
@@ -103,22 +99,19 @@ func RunAblationGrowth(w io.Writer, scale float64) []AblationGrowthRow {
 		jobs = append(jobs, harness.Job{
 			Name: name, Figure: "abl-growth", Seed: seed,
 			Fn: func() (any, error) {
-				s := NewLeakyScenario(LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed})
-				params := iatParams(scale, 0.2e9)
-				params.Growth = pol
-				if _, err := bridge.NewIAT(s.P, params, core.Options{}); err != nil {
-					return nil, err
-				}
+				daemon := iatDaemon(scale, 0.2e9)
+				daemon.params.Growth = pol
+				r := newLeakyRig(rigSpec{leaky: LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed}, daemon: daemon}, nil)
 				row := AblationGrowthRow{Policy: pol}
 				thresh := 1e6 / scale
 				for t := 0.0; t < 4e9; t += 0.2e9 {
-					win := Measure(s.P, 0.2e9)
+					win := Measure(r.P, 0.2e9)
 					if t > 0.6e9 && win.DDIOMissPS() < thresh && row.ConvergeNS == 0 {
-						row.ConvergeNS = s.P.NowNS()
+						row.ConvergeNS = r.P.NowNS()
 						break
 					}
 				}
-				row.FinalWays = s.P.RDT.DDIOMask().Count()
+				row.FinalWays = r.P.RDT.DDIOMask().Count()
 				return row, nil
 			},
 		})
@@ -444,10 +437,7 @@ func RunAblationStorage(w io.Writer, scale float64) []AblationStorageRow {
 			Workers: []sim.Worker{srv},
 		})
 		if iat {
-			params := iatParams(scale, 0.2e9)
-			if _, err := bridge.NewIAT(p, params, core.Options{}); err != nil {
-				panic(err)
-			}
+			attachDaemon(p, iatDaemon(scale, 0.2e9), nil)
 		}
 		p.Run(2.5e9)
 		srv.Hist().Reset()
@@ -589,25 +579,20 @@ func RunSensitivity(w io.Writer, scale float64) []SensitivityRow {
 	if scale == 0 {
 		scale = 100
 	}
-	run := func(param, value string, mod func(*core.Params), seed int64) (SensitivityRow, error) {
-		s := NewLeakyScenario(LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed})
-		params := iatParams(scale, 0.2e9)
-		mod(&params)
-		d, err := bridge.NewIAT(s.P, params, core.Options{})
-		if err != nil {
-			return SensitivityRow{}, err
-		}
-		s.P.Run(2.4e9)
-		win := Measure(s.P, 0.8e9)
-		_, unstable := d.Iterations()
+	run := func(param, value string, mod func(*core.Params), seed int64) SensitivityRow {
+		daemon := iatDaemon(scale, 0.2e9)
+		mod(&daemon.params)
+		r := newLeakyRig(rigSpec{leaky: LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed}, daemon: daemon}, nil)
+		win, _ := r.measure(2.4e9, 0.8e9)
+		_, unstable := r.daemon.Iterations()
 		return SensitivityRow{
 			Param:      param,
 			Value:      value,
 			DDIOMissPS: win.DDIOMissPS() * scale,
 			MemGBps:    win.MemGBps() * scale,
 			Unstable:   unstable,
-			FinalWays:  s.P.RDT.DDIOMask().Count(),
-		}, nil
+			FinalWays:  r.P.RDT.DDIOMask().Count(),
+		}
 	}
 	variants := []struct {
 		param, value string
@@ -630,7 +615,7 @@ func RunSensitivity(w io.Writer, scale float64) []SensitivityRow {
 		seed := jobSeed(name)
 		jobs = append(jobs, harness.Job{
 			Name: name, Figure: "abl-sens", Seed: seed,
-			Fn: func() (any, error) { return run(v.param, v.value, v.mod, seed) },
+			Fn: func() (any, error) { return run(v.param, v.value, v.mod, seed), nil },
 		})
 	}
 	rows := runJobs[SensitivityRow](jobs)
@@ -686,17 +671,13 @@ func RunAblationResQ(w io.Writer, scale float64) []AblationResQRow {
 	ddioBytes := uint64(2 * llcCfg.WayBytes())
 	resqRing := resqRingEntries(ddioBytes, 40, nic.BufSize)
 
-	leak := func(ring int, iat bool, seed int64) (missPS, memGBps float64, err error) {
-		s := NewLeakyScenario(LeakyOpts{Scale: scale, PktSize: 1500, RingSize: ring, Seed: seed})
+	leak := func(ring int, iat bool, seed int64) (missPS, memGBps float64) {
+		rs := rigSpec{leaky: LeakyOpts{Scale: scale, PktSize: 1500, RingSize: ring, Seed: seed}}
 		if iat {
-			params := iatParams(scale, 0.2e9)
-			if _, err := bridge.NewIAT(s.P, params, core.Options{}); err != nil {
-				return 0, 0, err
-			}
+			rs.daemon = iatDaemon(scale, 0.2e9)
 		}
-		s.P.Run(2.4e9)
-		win := Measure(s.P, 0.8e9)
-		return win.DDIOMissPS() * scale, win.MemGBps() * scale, nil
+		win, _ := newLeakyRig(rs, nil).measure(2.4e9, 0.8e9)
+		return win.DDIOMissPS() * scale, win.MemGBps() * scale
 	}
 	// The RFC2544 probe calls runFig3Point directly (not RunFig3) so the
 	// nested sweep does not spawn a second harness run inside this job.
@@ -722,10 +703,7 @@ func RunAblationResQ(w io.Writer, scale float64) []AblationResQRow {
 				case "iat":
 					iat = true
 				}
-				var err error
-				if r.DDIOMissPS, r.MemGBps, err = leak(ring, iat, seed); err != nil {
-					return nil, err
-				}
+				r.DDIOMissPS, r.MemGBps = leak(ring, iat, seed)
 				r.SmallPktMpps = small(ring, seed)
 				return r, nil
 			},

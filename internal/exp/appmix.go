@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
 	"iatsim/internal/nic"
@@ -185,10 +184,9 @@ func buildAppMix(o AppMixOpts) *appMix {
 	if o.IAT {
 		// Sec. VI-C: tenant way adjustment disabled; DDIO sizing and
 		// shuffling active.
-		d, err := bridge.NewIAT(p, iatParams(o.Scale, o.IntervalNS), core.Options{DisableTenantAdjust: true})
-		if err != nil {
-			panic(err)
-		}
+		daemon := iatDaemon(o.Scale, o.IntervalNS)
+		daemon.opts.DisableTenantAdjust = true
+		d := attachDaemon(p, daemon, nil)
 		if DebugAppMixTrace != nil {
 			d.OnIteration = DebugAppMixTrace
 		}

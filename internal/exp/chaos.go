@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"iatsim/internal/bridge"
-	"iatsim/internal/cache"
-	"iatsim/internal/core"
 	"iatsim/internal/faults"
 	"iatsim/internal/harness"
 	"iatsim/internal/telemetry"
@@ -31,9 +28,10 @@ type ChaosRow struct {
 	Degradations  uint64
 	Rearms        uint64
 
-	// InvalidMaskWrites counts mask writes the daemon requested that were
-	// not contiguous/non-empty/in-range. The acceptance criterion for the
-	// hardened daemon is zero at every fault rate.
+	// InvalidMaskWrites counts mask writes the daemon requested that no
+	// real CAT/DDIO register accepts (rdt rejects them for their shape:
+	// empty, not contiguous, or past the last way). The acceptance
+	// criterion for the hardened daemon is zero at every fault rate.
 	InvalidMaskWrites uint64
 
 	Degraded   bool   // holding the safe static fallback at measure end
@@ -70,30 +68,6 @@ func DefaultChaosOpts() ChaosOpts {
 		MeasureNS:  0.8e9,
 		IntervalNS: 0.2e9,
 	}
-}
-
-// validatingSystem wraps the bridge's core.System and counts mask-write
-// requests that no real CAT/DDIO register would accept. The chaos harness
-// asserts this stays zero: whatever the injected faults do to the daemon's
-// counter view, it must never ask the hardware for an invalid allocation.
-type validatingSystem struct {
-	core.System
-	ways    int
-	invalid uint64
-}
-
-func (v *validatingSystem) SetCLOSMask(clos int, m cache.WayMask) error {
-	if m == 0 || !m.Contiguous() || m.Highest() >= v.ways {
-		v.invalid++
-	}
-	return v.System.SetCLOSMask(clos, m)
-}
-
-func (v *validatingSystem) SetDDIOMask(m cache.WayMask) error {
-	if m.Count() < 1 || !m.Contiguous() || m.Highest() >= v.ways {
-		v.invalid++
-	}
-	return v.System.SetDDIOMask(m)
 }
 
 // RunChaos runs the stability-under-faults experiment: the Fig. 8 Leaky
@@ -139,47 +113,17 @@ func RunChaos(w io.Writer, o ChaosOpts) []ChaosRow {
 	return rows
 }
 
-// runChaosPoint runs one cell. The injector is armed only after the
-// scenario is fully assembled: construction-time mask programming is not
-// part of the fault surface, matching a daemon that starts on a healthy
-// machine which later begins to glitch.
+// runChaosPoint runs one cell: the rig arms the injector after the
+// scenario is assembled.
 func runChaosPoint(prof faults.Profile, scale float64, mode string, seed int64, o ChaosOpts, tel *telemetry.Registry) (ChaosRow, *telemetry.Snapshot) {
-	s := NewLeakyScenario(LeakyOpts{Scale: o.Scale, PktSize: o.PktSize, Seed: seed})
-	if tel != nil {
-		s.P.AttachTelemetry(tel)
-	}
-	var daemon *core.Daemon
-	var vsys *validatingSystem
+	rs := rigSpec{leaky: LeakyOpts{Scale: o.Scale, PktSize: o.PktSize, Seed: seed}, faults: &prof}
 	if mode == "iat" {
-		params := iatParams(o.Scale, o.IntervalNS)
-		params.SaneRateMax /= o.Scale
-		vsys = &validatingSystem{System: bridge.NewSystem(s.P), ways: s.P.RDT.NumWays()}
-		var err error
-		daemon, err = core.NewDaemon(vsys, params, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		if tel != nil {
-			daemon.Tel = tel
-		}
-		s.P.AddController(daemon)
+		rs.daemon = iatDaemon(o.Scale, o.IntervalNS)
 	}
+	r := newLeakyRig(rs, tel)
+	win, _ := r.measure(o.WarmNS, o.MeasureNS)
 
-	inj := faults.NewInjector(prof, seed+1)
-	if prof.Active() {
-		if tel != nil {
-			inj.AttachTelemetry(tel, s.P.NowNS)
-		}
-		s.P.MSR.SetFaultHook(inj)
-		for _, dev := range s.Devs {
-			dev.SetFaults(inj)
-		}
-		s.P.SetPollFaults(inj)
-	}
-
-	s.P.Run(o.WarmNS)
-	win := Measure(s.P, o.MeasureNS)
-
+	inj := r.inj
 	row := ChaosRow{
 		FaultScale:  scale,
 		Mode:        mode,
@@ -188,22 +132,22 @@ func runChaosPoint(prof faults.Profile, scale float64, mode string, seed int64, 
 		NICFaults:   inj.Count(faults.NICDrop) + inj.Count(faults.NICStall),
 		PollSkips:   inj.Count(faults.PollSkip),
 		FinalState:  "static",
-		DDIOWays:    s.P.RDT.DDIOMask().Count(),
+		DDIOWays:    r.P.RDT.DDIOMask().Count(),
 		DDIOHitPS:   win.DDIOHitPS() * o.Scale,
 		DDIOMissPS:  win.DDIOMissPS() * o.Scale,
 		MemGBps:     win.MemGBps() * o.Scale,
-		OVSIPC:      win.IPC(s.OVSCores...),
+		OVSIPC:      win.IPC(r.OVSCores...),
 	}
-	if daemon != nil {
-		h := daemon.Health()
+	if d := r.daemon; d != nil {
+		h := d.Health()
 		row.SampleRejects = h.SampleRejects
 		row.WriteRetries = h.WriteRetries
 		row.WriteFailures = h.WriteFailures
 		row.Degradations = h.Degradations
 		row.Rearms = h.Rearms
 		row.Degraded = h.Degraded
-		row.InvalidMaskWrites = vsys.invalid
-		row.FinalState = daemon.State().String()
+		row.InvalidMaskWrites = r.P.RDT.BadMaskWrites()
+		row.FinalState = d.State().String()
 	}
-	return row, tel.Snapshot(s.P.NowNS())
+	return row, tel.Snapshot(r.P.NowNS())
 }

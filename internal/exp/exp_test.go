@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -23,6 +26,27 @@ func skipHeavy(t *testing.T) {
 	}
 	if raceEnabled {
 		t.Skip("full-physics integration test: too slow under -race")
+	}
+}
+
+// pinCommittedCSV checks that rows, run at the committed configuration
+// (scale 100, base seed 0), serialise to exactly results/<name>.csv: the
+// shape tests below then also tie the committed ablation outputs to the
+// code. A deliberate change regenerates them with
+// `experiments -ablations -csv results`.
+func pinCommittedCSV(t *testing.T, name string, rows any) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := WriteRowsCSV(&got, rows); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("..", "..", "results", name+".csv")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("rows differ from the committed %s:\n got:\n%s\nwant:\n%s", path, got.Bytes(), want)
 	}
 }
 
@@ -218,6 +242,7 @@ func TestTablesPrint(t *testing.T) {
 func TestAblationMechanisms(t *testing.T) {
 	skipHeavy(t)
 	rows := RunAblationMechanisms(io.Discard, 100)
+	pinCommittedCSV(t, "abl-mech", rows)
 	byName := map[string]AblationMechRow{}
 	for _, r := range rows {
 		byName[r.Variant] = r
@@ -234,6 +259,7 @@ func TestAblationMechanisms(t *testing.T) {
 func TestAblationDDIOExtHeaderOnlyTradeoff(t *testing.T) {
 	skipHeavy(t)
 	rows := RunAblationDDIOExt(io.Discard, 100)
+	pinCommittedCSV(t, "abl-ddioext", rows)
 	byName := map[string]AblationDDIOExtRow{}
 	for _, r := range rows {
 		byName[r.Variant] = r
@@ -256,6 +282,7 @@ func TestAblationDDIOExtHeaderOnlyTradeoff(t *testing.T) {
 func TestAblationMBAOrdersLatency(t *testing.T) {
 	skipHeavy(t)
 	rows := RunAblationMBA(io.Discard, 100)
+	pinCommittedCSV(t, "abl-mba", rows)
 	if !(rows[0].PCLatNS > rows[1].PCLatNS && rows[1].PCLatNS > rows[2].PCLatNS) {
 		t.Fatalf("PC latency not monotone in BE throttle: %+v", rows)
 	}
@@ -267,6 +294,7 @@ func TestAblationMBAOrdersLatency(t *testing.T) {
 func TestAblationGrowthBothConverge(t *testing.T) {
 	skipHeavy(t)
 	rows := RunAblationGrowth(io.Discard, 100)
+	pinCommittedCSV(t, "abl-growth", rows)
 	for _, r := range rows {
 		if r.ConvergeNS == 0 {
 			t.Fatalf("policy %v never converged", r.Policy)
@@ -280,6 +308,7 @@ func TestAblationGrowthBothConverge(t *testing.T) {
 func TestAblationReplacementSquatting(t *testing.T) {
 	skipHeavy(t)
 	rows := RunAblationReplacement(io.Discard, 100)
+	pinCommittedCSV(t, "abl-policy", rows)
 	var srrip, lru AblationPolicyRow
 	for _, r := range rows {
 		if r.Policy.String() == "srrip" {
@@ -303,6 +332,7 @@ func TestAblationReplacementSquatting(t *testing.T) {
 func TestAblationStorageLeak(t *testing.T) {
 	skipHeavy(t)
 	rows := RunAblationStorage(io.Discard, 100)
+	pinCommittedCSV(t, "abl-storage", rows)
 	base, iat := rows[0], rows[1]
 	if base.DDIOMissPS == 0 {
 		t.Fatal("storage workload shows no Leaky DMA")
@@ -321,6 +351,7 @@ func TestAblationStorageLeak(t *testing.T) {
 func TestAblationRemoteSocketPenalty(t *testing.T) {
 	skipHeavy(t)
 	rows := RunAblationRemoteSocket(io.Discard, 100)
+	pinCommittedCSV(t, "abl-remote", rows)
 	var local, remote, direct AblationRemoteRow
 	for _, r := range rows {
 		switch r.Consumer {
@@ -346,6 +377,7 @@ func TestAblationRemoteSocketPenalty(t *testing.T) {
 func TestSensitivityOutcomeRobust(t *testing.T) {
 	skipHeavy(t)
 	rows := RunSensitivity(io.Discard, 100)
+	pinCommittedCSV(t, "abl-sens", rows)
 	baseMem := rows[0].MemGBps
 	baselineScenario := 2.2 // no-controller memory bandwidth on this scenario
 	for _, r := range rows {
@@ -364,6 +396,7 @@ func TestSensitivityOutcomeRobust(t *testing.T) {
 func TestAblationResQTradeoff(t *testing.T) {
 	skipHeavy(t)
 	rows := RunAblationResQ(io.Discard, 100)
+	pinCommittedCSV(t, "abl-resq", rows)
 	byMode := map[string]AblationResQRow{}
 	for _, r := range rows {
 		byMode[r.Mode] = r

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"iatsim/internal/bridge"
-	"iatsim/internal/core"
 	"iatsim/internal/harness"
 	"iatsim/internal/telemetry"
 )
@@ -84,25 +82,12 @@ func RunFig8(w io.Writer, o Fig8Opts) []Fig8Row {
 // runFig8Point runs one cell. tel may be nil (telemetry off): the
 // instrumentation degrades to nil handles and no snapshot is returned.
 func runFig8Point(size int, mode string, seed int64, o Fig8Opts, tel *telemetry.Registry) (Fig8Row, *telemetry.Snapshot) {
-	s := NewLeakyScenario(LeakyOpts{Scale: o.Scale, PktSize: size, Seed: seed})
-	if tel != nil {
-		s.P.AttachTelemetry(tel)
-	}
-	var daemon *core.Daemon
+	rs := rigSpec{leaky: LeakyOpts{Scale: o.Scale, PktSize: size, Seed: seed}}
 	if mode == "iat" {
-		var err error
-		daemon, err = bridge.NewIAT(s.P, iatParams(o.Scale, o.IntervalNS), core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		if tel != nil {
-			daemon.Tel = tel
-		}
+		rs.daemon = iatDaemon(o.Scale, o.IntervalNS)
 	}
-	s.P.Run(o.WarmNS)
-	pktsA := s.OVSPackets()
-	win := Measure(s.P, o.MeasureNS)
-	pktsB := s.OVSPackets()
+	r := newLeakyRig(rs, tel)
+	win, pkts := r.measure(o.WarmNS, o.MeasureNS)
 
 	row := Fig8Row{
 		PktSize:    size,
@@ -110,15 +95,15 @@ func runFig8Point(size int, mode string, seed int64, o Fig8Opts, tel *telemetry.
 		DDIOHitPS:  win.DDIOHitPS() * o.Scale,
 		DDIOMissPS: win.DDIOMissPS() * o.Scale,
 		MemGBps:    win.MemGBps() * o.Scale,
-		OVSIPC:     win.IPC(s.OVSCores...),
-		DDIOWays:   s.P.RDT.DDIOMask().Count(),
+		OVSIPC:     win.IPC(r.OVSCores...),
+		DDIOWays:   r.P.RDT.DDIOMask().Count(),
 		FinalState: "static",
 	}
-	if d := pktsB - pktsA; d > 0 {
-		row.OVSCPP = float64(win.Cycles(s.OVSCores...)) / float64(d)
+	if pkts > 0 {
+		row.OVSCPP = float64(win.Cycles(r.OVSCores...)) / float64(pkts)
 	}
-	if daemon != nil {
-		row.FinalState = daemon.State().String()
+	if r.daemon != nil {
+		row.FinalState = r.daemon.State().String()
 	}
-	return row, tel.Snapshot(s.P.NowNS())
+	return row, tel.Snapshot(r.P.NowNS())
 }

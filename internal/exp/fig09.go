@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"iatsim/internal/bridge"
-	"iatsim/internal/core"
 	"iatsim/internal/harness"
 	"iatsim/internal/pkt"
 )
@@ -73,35 +71,27 @@ func RunFig9(w io.Writer, o Fig9Opts) []Fig9Row {
 
 func runFig9Ramp(mode string, seed int64, o Fig9Opts) []Fig9Row {
 	maxFlows := o.FlowSteps[len(o.FlowSteps)-1]
-	s := NewLeakyScenario(LeakyOpts{Scale: o.Scale, PktSize: 64, Flows: maxFlows, Seed: seed})
-	// Start the ramp from the first step.
-	setFlows := func(n int) {
-		s.OVS.SetFlows(2 * n) // two NICs' flows land in one classifier
-		for i, g := range s.Gens {
-			g.Flows = pkt.NewFlowSet(n, uint16(i), uint64(100+i)+uint64(seed))
-		}
-	}
+	rs := rigSpec{leaky: LeakyOpts{Scale: o.Scale, PktSize: 64, Flows: maxFlows, Seed: seed}}
 	if mode == "iat" {
-		if _, err := bridge.NewIAT(s.P, iatParams(o.Scale, o.IntervalNS), core.Options{}); err != nil {
-			panic(err)
-		}
+		rs.daemon = iatDaemon(o.Scale, o.IntervalNS)
 	}
+	r := newLeakyRig(rs, nil)
 	var rows []Fig9Row
 	for _, flows := range o.FlowSteps {
-		setFlows(flows)
-		s.P.Run(o.PlateauNS)
-		pktsA := s.OVSPackets()
-		win := Measure(s.P, o.MeasureNS)
-		pktsB := s.OVSPackets()
+		r.OVS.SetFlows(2 * flows) // two NICs' flows land in one classifier
+		for i, g := range r.Gens {
+			g.Flows = pkt.NewFlowSet(flows, uint16(i), uint64(100+i)+uint64(seed))
+		}
+		win, pkts := r.measure(o.PlateauNS, o.MeasureNS)
 		row := Fig9Row{
 			Flows:     flows,
 			Mode:      mode,
-			OVSMissPS: win.LLCMissPS(s.OVSCores...) * o.Scale,
-			OVSIPC:    win.IPC(s.OVSCores...),
-			OVSWays:   s.P.RDT.CLOSMask(1).Count(),
+			OVSMissPS: win.LLCMissPS(r.OVSCores...) * o.Scale,
+			OVSIPC:    win.IPC(r.OVSCores...),
+			OVSWays:   r.P.RDT.CLOSMask(1).Count(),
 		}
-		if d := pktsB - pktsA; d > 0 {
-			row.OVSCPP = float64(win.Cycles(s.OVSCores...)) / float64(d)
+		if pkts > 0 {
+			row.OVSCPP = float64(win.Cycles(r.OVSCores...)) / float64(pkts)
 		}
 		rows = append(rows, row)
 	}

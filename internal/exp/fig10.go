@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
 	"iatsim/internal/harness"
@@ -168,28 +167,18 @@ func runFig10Point(size int, mode string, seed int64, o Fig10Opts, series *[]Fig
 		// The paper's dynamic comparison points run as policies under
 		// the same daemon. Its Tel stays unset: their telemetry holds the
 		// platform's metrics only.
-		spec, err := policy.ParseSpec(mode)
-		if err != nil {
-			panic(err)
-		}
-		d, err := bridge.NewIAT(p, iatParams(o.Scale, o.IntervalNS), core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		if err := d.SetPolicy(spec.New()); err != nil {
-			panic(err)
-		}
-	case "iat":
+		d := iatDaemon(o.Scale, o.IntervalNS)
 		var err error
+		if d.engine, err = policy.ParseSpec(mode); err != nil {
+			panic(err)
+		}
+		attachDaemon(p, d, nil)
+	case "iat":
 		// Footnote 3: DDIO way adjustment disabled to isolate the
 		// shuffling mechanism.
-		daemon, err = bridge.NewIAT(p, iatParams(o.Scale, o.IntervalNS), core.Options{DisableDDIOAdjust: true})
-		if err != nil {
-			panic(err)
-		}
-		if tel != nil {
-			daemon.Tel = tel
-		}
+		d := iatDaemon(o.Scale, o.IntervalNS)
+		d.opts.DisableDDIOAdjust = true
+		daemon = attachDaemon(p, d, tel)
 	default:
 		panic("unknown mode " + mode)
 	}

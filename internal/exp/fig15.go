@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
 	"iatsim/internal/harness"
@@ -133,11 +132,7 @@ func runFig15Point(tenants, coresPer int, seed int64, o Fig15Opts) Fig15Row {
 		if toggle {
 			p.AddController(tog) // runs before the daemon each epoch
 		}
-		d, err := bridge.NewIAT(p, iatParams(o.Scale, o.IntervalNS), core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		return p, d
+		return p, attachDaemon(p, iatDaemon(o.Scale, o.IntervalNS), nil)
 	}
 
 	measure := func(toggle, wantStable bool) (float64, int) {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"iatsim/internal/bridge"
-	"iatsim/internal/core"
 	"iatsim/internal/faults"
 	"iatsim/internal/fleet"
 	"iatsim/internal/policy"
@@ -142,8 +141,7 @@ func mixFor(topology string, id int) (string, LeakyOpts, error) {
 // protect the compute tenants but cap delivered I/O throughput).
 // Thresholds defined against real time are divided by the platform Scale.
 func FleetPolicies(scale, intervalNS float64) (oldPol, newPol fleet.Policy) {
-	p := iatParams(scale, intervalNS)
-	p.SaneRateMax /= scale
+	p := bridge.ScaledParams(scale, intervalNS)
 	oldPol = fleet.Policy{Name: "ddio-max6", Params: p}
 	pn := p
 	pn.DDIOWaysMax = 4
@@ -170,17 +168,8 @@ func BuildFleet(o FleetOpts) ([]*fleet.Host, error) {
 		seed := o.Seed + int64(id+1)*1009
 		lo.Scale = o.Scale
 		lo.Seed = seed
-		s := NewLeakyScenario(lo)
 		tel := telemetry.NewRegistry()
-		s.P.AttachTelemetry(tel)
-
-		params := iatParams(o.Scale, o.IntervalNS)
-		params.SaneRateMax /= o.Scale
-		daemon, err := core.NewDaemon(bridge.NewSystem(s.P), params, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		daemon.Tel = tel
+		r := newLeakyRig(rigSpec{leaky: lo, daemon: iatDaemon(o.Scale, o.IntervalNS)}, tel)
 		if o.Shadow != "" {
 			specs, err := policy.ParseShadowSpecs(o.Shadow)
 			if err != nil {
@@ -188,9 +177,8 @@ func BuildFleet(o FleetOpts) ([]*fleet.Host, error) {
 			}
 			ev := policy.NewEvaluator(specs)
 			ev.Tel = tel
-			daemon.AttachShadows(ev)
+			r.daemon.AttachShadows(ev)
 		}
-		s.P.AddController(daemon)
 
 		var prof faults.Profile
 		if id%4 == 1 {
@@ -198,8 +186,8 @@ func BuildFleet(o FleetOpts) ([]*fleet.Host, error) {
 		}
 		hosts = append(hosts, fleet.NewHost(fleet.HostSpec{
 			ID: id, Mix: mixName, Seed: seed,
-			Platform: s.P, Daemon: daemon, Tel: tel,
-			IOCores: s.OVSCores, Faults: prof,
+			Platform: r.P, Daemon: r.daemon, Tel: tel,
+			IOCores: r.OVSCores, Faults: prof,
 		}))
 	}
 	return hosts, nil
@@ -210,8 +198,7 @@ func BuildFleet(o FleetOpts) ([]*fleet.Host, error) {
 // set (so the cohort comparison isolates the engine), Old pins the IAT
 // engine and New switches to spec.
 func FleetEnginePolicies(scale, intervalNS float64, spec policy.Spec) (oldPol, newPol fleet.Policy) {
-	p := iatParams(scale, intervalNS)
-	p.SaneRateMax /= scale
+	p := bridge.ScaledParams(scale, intervalNS)
 	iat := policy.Spec{Kind: policy.KindIAT}
 	oldPol = fleet.Policy{Name: "iat", Params: p, Spec: &iat}
 	newPol = fleet.Policy{Name: spec.String(), Params: p, Spec: &spec}

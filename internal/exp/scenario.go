@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
+	"iatsim/internal/faults"
 	"iatsim/internal/nic"
 	"iatsim/internal/pkt"
+	"iatsim/internal/policy"
 	"iatsim/internal/sim"
+	"iatsim/internal/telemetry"
 	"iatsim/internal/tgen"
 	"iatsim/internal/workload"
 )
@@ -23,19 +27,6 @@ func mustMask(p *sim.Platform, clos int, m cache.WayMask) {
 	if err := p.RDT.SetCLOSMask(clos, m); err != nil {
 		panic(err)
 	}
-}
-
-// iatParams is Table II at a control interval of intervalNS (Table II's
-// 1 s when intervalNS is not positive). The miss-rate threshold is
-// defined against real time, and the platform's scale shrinks every
-// event rate by the same factor.
-func iatParams(scale, intervalNS float64) core.Params {
-	p := core.DefaultParams()
-	if intervalNS > 0 {
-		p.IntervalNS = intervalNS
-	}
-	p.ThresholdMissLowPerSec /= scale
-	return p
 }
 
 // LeakyScenario is the aggregation-model setup of the paper's Leaky DMA
@@ -132,3 +123,86 @@ func containerName(i int) string { return [2]string{"container0", "container1"}[
 
 // OVSPackets returns the switch's cumulative forwarded packet count.
 func (s *LeakyScenario) OVSPackets() uint64 { return s.OVS.Stats().Packets }
+
+// daemonSpec is the control daemon a scenario runs under.
+type daemonSpec struct {
+	params core.Params
+	opts   core.Options
+	engine policy.Spec // the zero Spec is the IAT engine
+}
+
+// iatDaemon is the IAT daemon on Table II at intervalNS, scaled.
+func iatDaemon(scale, intervalNS float64) *daemonSpec {
+	return &daemonSpec{params: bridge.ScaledParams(scale, intervalNS)}
+}
+
+// attachDaemon registers a daemon for d on p. tel, when non-nil, becomes
+// the daemon's registry before a non-IAT engine is swapped in, so the
+// swap's policy_update event lands in it; an IAT daemon keeps the engine
+// NewDaemon installed. Construction failures are programmer errors.
+func attachDaemon(p *sim.Platform, d *daemonSpec, tel *telemetry.Registry) *core.Daemon {
+	daemon, err := bridge.NewIAT(p, d.params, d.opts)
+	if err != nil {
+		panic(err)
+	}
+	if tel != nil {
+		daemon.Tel = tel
+	}
+	if d.engine.Kind != policy.KindIAT {
+		if err := daemon.SetPolicy(d.engine.New()); err != nil {
+			panic(err)
+		}
+	}
+	return daemon
+}
+
+// rigSpec is the scenario and control plane a leakyRig assembles. With
+// no daemon and no faults it is the static baseline.
+type rigSpec struct {
+	leaky  LeakyOpts
+	daemon *daemonSpec     // nil = no controller
+	faults *faults.Profile // nil = no injector
+}
+
+// leakyRig is the Leaky DMA scenario under its control plane, the one
+// place that scenario gets its daemon and fault injector.
+type leakyRig struct {
+	*LeakyScenario
+	daemon *core.Daemon     // nil without a controller
+	inj    *faults.Injector // nil without a fault profile
+}
+
+// newLeakyRig assembles the scenario, then attaches tel (nil = telemetry
+// off), then the daemon, then the injector. The injector (seeded seed+1) is armed only
+// after assembly and only when its profile is active: construction-time
+// mask programming is not part of the fault surface, matching a daemon
+// that starts on a healthy machine which later begins to glitch.
+func newLeakyRig(r rigSpec, tel *telemetry.Registry) leakyRig {
+	s := NewLeakyScenario(r.leaky)
+	if tel != nil {
+		s.P.AttachTelemetry(tel)
+	}
+	rig := leakyRig{LeakyScenario: s}
+	if r.daemon != nil {
+		rig.daemon = attachDaemon(s.P, r.daemon, tel)
+	}
+	if r.faults != nil {
+		rig.inj = faults.NewInjector(*r.faults, r.leaky.Seed+1)
+		if r.faults.Active() {
+			if tel != nil {
+				rig.inj.AttachTelemetry(tel, s.P.NowNS)
+			}
+			s.P.SetFaults(rig.inj)
+		}
+	}
+	return rig
+}
+
+// measure runs warmNS, then measures a measureNS window; it returns the
+// window and the packets the switch forwarded within it.
+func (r leakyRig) measure(warmNS, measureNS float64) (Window, uint64) {
+	r.P.Run(warmNS)
+	pkts := r.OVSPackets()
+	win := Measure(r.P, measureNS)
+	return win, r.OVSPackets() - pkts
+}

@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"iatsim/internal/bridge"
-	"iatsim/internal/core"
 	"iatsim/internal/faults"
 	"iatsim/internal/harness"
 	"iatsim/internal/policy"
@@ -189,61 +187,29 @@ func RunPolicyTournament(w io.Writer, o TournamentOpts) []TournamentRow {
 }
 
 // runTournamentPoint runs one cell: the Leaky DMA scenario with a daemon
-// on the chosen policy engine, the ambient fault profile armed after
-// assembly (construction-time mask programming is not part of the fault
-// surface), then warm + measure.
+// on the chosen policy engine and the ambient fault profile armed after
+// assembly, then warm + measure.
 func runTournamentPoint(mix LeakyOpts, prof faults.Profile, spec policy.Spec, seed int64, o TournamentOpts, tel *telemetry.Registry) (TournamentRow, *telemetry.Snapshot) {
 	lo := mix
 	lo.Scale = o.Scale
 	lo.Seed = seed
-	s := NewLeakyScenario(lo)
-	if tel != nil {
-		s.P.AttachTelemetry(tel)
-	}
+	daemon := iatDaemon(o.Scale, o.IntervalNS)
+	daemon.engine = spec
+	r := newLeakyRig(rigSpec{leaky: lo, daemon: daemon, faults: &prof}, tel)
+	win, _ := r.measure(o.WarmNS, o.MeasureNS)
 
-	params := iatParams(o.Scale, o.IntervalNS)
-	params.SaneRateMax /= o.Scale
-	daemon, err := core.NewDaemon(bridge.NewSystem(s.P), params, core.Options{})
-	if err != nil {
-		panic(err)
-	}
-	if tel != nil {
-		daemon.Tel = tel
-	}
-	if spec.Kind != policy.KindIAT {
-		if err := daemon.SetPolicy(spec.New()); err != nil {
-			panic(err)
-		}
-	}
-	s.P.AddController(daemon)
-
-	inj := faults.NewInjector(prof, seed+1)
-	if prof.Active() {
-		if tel != nil {
-			inj.AttachTelemetry(tel, s.P.NowNS)
-		}
-		s.P.MSR.SetFaultHook(inj)
-		for _, dev := range s.Devs {
-			dev.SetFaults(inj)
-		}
-		s.P.SetPollFaults(inj)
-	}
-
-	s.P.Run(o.WarmNS)
-	win := Measure(s.P, o.MeasureNS)
-
-	h := daemon.Health()
-	_, unstable := daemon.Iterations()
+	h := r.daemon.Health()
+	_, unstable := r.daemon.Iterations()
 	row := TournamentRow{
-		OVSIPC:     win.IPC(s.OVSCores...),
+		OVSIPC:     win.IPC(r.OVSCores...),
 		DDIOHitPS:  win.DDIOHitPS() * o.Scale,
 		DDIOMissPS: win.DDIOMissPS() * o.Scale,
 		MemGBps:    win.MemGBps() * o.Scale,
-		DDIOWays:   s.P.RDT.DDIOMask().Count(),
-		FinalState: daemon.State().String(),
+		DDIOWays:   r.P.RDT.DDIOMask().Count(),
+		FinalState: r.daemon.State().String(),
 		Unstable:   unstable,
 		Degraded:   h.Degraded,
 		Rejects:    h.SampleRejects,
 	}
-	return row, tel.Snapshot(s.P.NowNS())
+	return row, tel.Snapshot(r.P.NowNS())
 }

@@ -6,7 +6,6 @@ import (
 	"iatsim/internal/ckpt"
 	"iatsim/internal/core"
 	"iatsim/internal/faults"
-	"iatsim/internal/nic"
 	"iatsim/internal/sim"
 	"iatsim/internal/telemetry"
 )
@@ -56,7 +55,6 @@ type Host struct {
 	Tel     *telemetry.Registry
 	IOCores []int
 
-	devs    []*nic.Device
 	baseInj *faults.Injector // ambient profile injector (nil when inactive)
 	storm   *faults.Injector // non-nil while a storm is armed on this host
 	retired uint64           // faults injected by storms since disarmed
@@ -94,7 +92,6 @@ func NewHost(s HostSpec) *Host {
 		Daemon:  s.Daemon,
 		Tel:     s.Tel,
 		IOCores: append([]int(nil), s.IOCores...),
-		devs:    s.Platform.Devices(),
 	}
 	if s.Faults.Active() {
 		h.baseInj = faults.NewInjector(s.Faults, s.Seed+1)
@@ -105,22 +102,14 @@ func NewHost(s HostSpec) *Host {
 }
 
 // arm points every fault surface of the platform at inj; nil disarms
-// them all (passed as untyped nils so no layer ends up calling into a
+// them all (passed as an untyped nil so no layer ends up calling into a
 // typed-nil interface).
 func (h *Host) arm(inj *faults.Injector) {
 	if inj == nil {
-		h.P.MSR.SetFaultHook(nil)
-		for _, d := range h.devs {
-			d.SetFaults(nil)
-		}
-		h.P.SetPollFaults(nil)
+		h.P.SetFaults(nil)
 		return
 	}
-	h.P.MSR.SetFaultHook(inj)
-	for _, d := range h.devs {
-		d.SetFaults(inj)
-	}
-	h.P.SetPollFaults(inj)
+	h.P.SetFaults(inj)
 }
 
 // injTotal is Injector.Total for a possibly-absent injector.

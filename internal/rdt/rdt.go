@@ -121,6 +121,9 @@ type Controller struct {
 	maskMemo []cache.WayMask
 	mbaOK    []bool
 	mbaMemo  []int
+
+	// badMasks counts mask writes rejected for the mask's shape.
+	badMasks uint64
 }
 
 // New builds a controller over the register file. It programs every CLOS to
@@ -171,12 +174,15 @@ func (c *Controller) SetCLOSMask(clos int, m cache.WayMask) error {
 		return fmt.Errorf("rdt: clos %d out of range [0,%d)", clos, c.cfg.NumCLOS)
 	}
 	if m.Count() < c.cfg.MinWays {
+		c.badMasks++
 		return fmt.Errorf("rdt: mask %v populates fewer than %d ways", m, c.cfg.MinWays)
 	}
 	if !m.Contiguous() {
+		c.badMasks++
 		return fmt.Errorf("rdt: mask %v is not contiguous", m)
 	}
 	if m.Highest() >= c.cfg.Ways {
+		c.badMasks++
 		return fmt.Errorf("rdt: mask %v exceeds %d ways", m, c.cfg.Ways)
 	}
 	return c.f.Write(msr.L3MaskAddr(clos), uint64(m))
@@ -237,16 +243,25 @@ func (c *Controller) MaskForCore(core int) cache.WayMask {
 // applies (the register is a way bitmap like a CBM).
 func (c *Controller) SetDDIOMask(m cache.WayMask) error {
 	if m.Count() < 1 {
+		c.badMasks++
 		return fmt.Errorf("rdt: DDIO mask must populate at least one way")
 	}
 	if !m.Contiguous() {
+		c.badMasks++
 		return fmt.Errorf("rdt: DDIO mask %v is not contiguous", m)
 	}
 	if m.Highest() >= c.cfg.Ways {
+		c.badMasks++
 		return fmt.Errorf("rdt: DDIO mask %v exceeds %d ways", m, c.cfg.Ways)
 	}
 	return c.f.Write(msr.IIOLLCWays, uint64(m))
 }
+
+// BadMaskWrites returns how many SetCLOSMask and SetDDIOMask requests
+// were rejected for the mask's shape: empty, not contiguous, or past the
+// last way. No real CAT or DDIO register accepts such a mask. A request
+// rejected for an out-of-range CLOS is not counted.
+func (c *Controller) BadMaskWrites() uint64 { return c.badMasks }
 
 // DDIOMask reads back the current DDIO way mask.
 func (c *Controller) DDIOMask() cache.WayMask {

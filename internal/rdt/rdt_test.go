@@ -36,19 +36,30 @@ func TestSetCLOSMaskValidation(t *testing.T) {
 	if err := c.SetCLOSMask(1, cache.ContiguousMask(2, 3)); err != nil {
 		t.Fatal(err)
 	}
+	// A rejection for the mask's shape is counted; the valid write above
+	// and an out-of-range CLOS are not.
 	cases := []struct {
 		clos int
 		m    cache.WayMask
+		bad  bool
 	}{
-		{1, 0},                          // empty
-		{1, cache.WayMask(0b101)},       // non-contiguous
-		{1, cache.ContiguousMask(9, 3)}, // exceeds 11 ways
-		{-1, cache.FullMask(2)},         // clos out of range
-		{8, cache.FullMask(2)},          // clos out of range
+		{1, 0, true},                          // empty
+		{1, cache.WayMask(0b101), true},       // non-contiguous
+		{1, cache.ContiguousMask(9, 3), true}, // exceeds 11 ways
+		{-1, cache.FullMask(2), false},        // clos out of range
+		{8, cache.FullMask(2), false},         // clos out of range
+		{8, 0, false},                         // clos out of range, empty mask
 	}
+	var want uint64
 	for i, tc := range cases {
 		if err := c.SetCLOSMask(tc.clos, tc.m); err == nil {
 			t.Errorf("case %d: invalid mask accepted", i)
+		}
+		if tc.bad {
+			want++
+		}
+		if got := c.BadMaskWrites(); got != want {
+			t.Errorf("case %d: %d bad mask writes counted, want %d", i, got, want)
 		}
 	}
 }
@@ -80,11 +91,15 @@ func TestDDIOMaskValidation(t *testing.T) {
 	if got := c.DDIOMask(); got != cache.ContiguousMask(8, 3) {
 		t.Fatalf("ddio mask = %v", got)
 	}
-	if err := c.SetDDIOMask(0); err == nil {
-		t.Error("empty DDIO mask accepted")
-	}
-	if err := c.SetDDIOMask(cache.WayMask(0b1001)); err == nil {
-		t.Error("non-contiguous DDIO mask accepted")
+	// Empty, non-contiguous and past the last way: each is rejected and
+	// counted (the valid write above is not).
+	for i, m := range []cache.WayMask{0, cache.WayMask(0b1001), cache.ContiguousMask(9, 3)} {
+		if err := c.SetDDIOMask(m); err == nil {
+			t.Errorf("invalid DDIO mask %v accepted", m)
+		}
+		if got := c.BadMaskWrites(); got != uint64(i+1) {
+			t.Errorf("after DDIO mask %v: %d bad mask writes counted, want %d", m, got, i+1)
+		}
 	}
 }
 

@@ -36,6 +36,15 @@ type PollFaults interface {
 	SkipPoll(nowNS float64) bool
 }
 
+// Faults is a fault source for every surface the platform can arm: MSR
+// accesses, each NIC's datapath and the polling cadence
+// (faults.Injector implements it).
+type Faults interface {
+	msr.FaultHook
+	nic.FaultInjector
+	PollFaults
+}
+
 // genBinding attaches a traffic generator to a device VF.
 type genBinding struct {
 	gen *tgen.Generator
@@ -221,6 +230,25 @@ func (p *Platform) AddController(c Controller) { p.ctrls = append(p.ctrls, c) }
 // SetPollFaults attaches (or, with nil, removes) a polling-cadence fault
 // source consulted once per epoch before the controllers run.
 func (p *Platform) SetPollFaults(pf PollFaults) { p.pollFaults = pf }
+
+// SetFaults arms f on the MSR file, on every NIC attached so far and on
+// the polling cadence; nil disarms all three. Pass an untyped nil to
+// disarm: a nil pointer inside f would be armed as a live hook.
+func (p *Platform) SetFaults(f Faults) {
+	if f == nil {
+		p.MSR.SetFaultHook(nil)
+		for _, d := range p.devices {
+			d.SetFaults(nil)
+		}
+		p.pollFaults = nil
+		return
+	}
+	p.MSR.SetFaultHook(f)
+	for _, d := range p.devices {
+		d.SetFaults(f)
+	}
+	p.pollFaults = f
+}
 
 // SkippedPolls returns how many controller polling epochs were suppressed
 // by the attached PollFaults source.
