@@ -19,8 +19,9 @@ const MaxAddr = uint64(ambientTag-1)<<LineShift - 1
 // lineTag is the stored tag of the line holding address a: its line
 // address plus one, so a zeroed tag array is an empty cache (no fill
 // loop at set-up, no page touched before its first fill) and probe
-// scans tags alone, without consulting the valid bits — the hottest
-// loop in the whole simulator.
+// compares tags alone, without consulting the valid bits — the hottest
+// lookup in the whole simulator, and the reason a probed tag never
+// matches an empty way (see tagmatch.go).
 func lineTag(a uint64) uint32 {
 	if a > MaxAddr {
 		tagOutOfRange(a)
@@ -118,6 +119,7 @@ type LLC struct {
 	// dirty words sit at validOff and validOff+1.
 	strideShift uint
 	validOff    int
+	lanes       int // the kernel width that serves a record, or 0 (rowLanes)
 
 	// Per-core demand counters, the source for the "LLC reference and
 	// miss" events IAT polls (LONGEST_LAT_CACHE.{REFERENCE,MISS}).
@@ -151,6 +153,7 @@ func NewLLC(cfg LLCConfig, cores int) *LLC {
 	}
 	l.validOff = cfg.Ways + (cfg.Ways+3)/4
 	l.strideShift = uint(bits.Len(uint(l.validOff + 1))) // next power of two ≥ validOff+2 words
+	l.lanes = rowLanes(cfg.Ways, 1<<l.strideShift)
 	for i := range l.slices {
 		l.slices[i].sets = make([]uint32, cfg.SetsPerSlice<<l.strideShift)
 	}
@@ -216,9 +219,18 @@ func (l *LLC) locateAhead(tag uint32, n int) []llcSet {
 }
 
 // probe searches the set for the tag; returns the way offset or -1. The
-// lineTag encoding makes this a pure tag scan: no valid-bit loads, no
-// branches besides the compare.
+// lineTag encoding makes this a pure tag match, with no valid-bit loads.
+// When the host has the tag-match kernel (see tagmatch.go), a set of 2
+// to 16 ways is one kernel call over the record's first 8 or 16 words,
+// and fullMask drops the lanes past the tags (rank, valid and dirty
+// words). Other sets are scanned way by way.
 func (l *LLC) probe(sl *llcSlice, base int, tag uint32) int {
+	switch l.lanes {
+	case 8:
+		return firstWay(match8((*[8]uint32)(sl.sets[base:base+8]), tag) & l.fullMask)
+	case 16:
+		return firstWay(match16((*[16]uint32)(sl.sets[base:base+16]), tag) & l.fullMask)
+	}
 	tags := sl.sets[base : base+l.cfg.Ways]
 	for w := range tags {
 		if tags[w] == tag {

@@ -5,10 +5,11 @@ import "math/bits"
 // private is one private cache level (L1D or L2) of a single core: a plain
 // set-associative cache, address-bit indexed, write-back and
 // write-allocate. Like the LLC it stores the 32-bit lineTag in occupied
-// ways and 0 in empty ones (so the probe loop reads only the tag array, a
-// fresh cache needs no fill loop, and an L2 set's 16 tags are one 64 B
-// host line) and keeps per-set valid and dirty bitmasks (so the fill path
-// finds a free way with one AND-NOT).
+// ways and 0 in empty ones (so a probe reads only the tag row, an 8- or
+// 16-way row is one call of the tag-match kernel, a fresh cache needs no
+// fill loop, and an L2 set's 16 tags are one 64 B host line) and keeps
+// per-set valid and dirty bitmasks (so the fill path finds a free way
+// with one AND-NOT).
 //
 // Every operation takes the tag, not the address: the hierarchy tags a
 // line once and carries that tag through L1, L2 and the LLC. The set
@@ -18,7 +19,7 @@ import "math/bits"
 // down. find, count, fillAt and drop are small enough for the compiler
 // to inline into the hierarchy's paths, which run once per simulated
 // line; measured on leaky-dma, the calls they replace cost several
-// percent of the run.
+// percent of the run. probe, which calls the kernel, is not inlined.
 //
 // Replacement keeps no state: a miss fills the lowest-indexed empty way,
 // and a full set always evicts way 0 (fillAt's victim choice). That is
@@ -30,6 +31,7 @@ import "math/bits"
 // valid and dirty words, not in the tag rows.
 type private struct {
 	ways     int
+	lanes    int // the kernel width that serves a row, or 0 (rowLanes)
 	setMask  uint32
 	fullMask uint32
 	tags     []uint32
@@ -44,6 +46,7 @@ func (p *private) init(cfg LevelConfig) {
 	sets := cfg.Sets()
 	*p = private{
 		ways:     cfg.Ways,
+		lanes:    rowLanes(cfg.Ways, cfg.Ways),
 		setMask:  uint32(sets - 1),
 		fullMask: uint32(FullMask(cfg.Ways)),
 		tags:     make([]uint32, sets*cfg.Ways),
@@ -55,9 +58,18 @@ func (p *private) init(cfg LevelConfig) {
 // set returns the index of the set that holds tag.
 func (p *private) set(tag uint32) int { return int((tag - 1) & p.setMask) }
 
-// probe searches set for tag; returns the way or -1.
+// probe searches set for tag; returns the way or -1. An 8- or 16-way
+// row is one call of the tag-match kernel when the host has it (see
+// tagmatch.go); any other row, or any row on another host, is scanned
+// way by way.
 func (p *private) probe(set int, tag uint32) int {
 	base := set * p.ways
+	switch p.lanes {
+	case 8:
+		return firstWay(match8((*[8]uint32)(p.tags[base:base+8]), tag))
+	case 16:
+		return firstWay(match16((*[16]uint32)(p.tags[base:base+16]), tag))
+	}
 	tags := p.tags[base : base+p.ways]
 	for w := range tags {
 		if tags[w] == tag {

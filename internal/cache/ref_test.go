@@ -362,23 +362,28 @@ var differentialWays = []int{11, 16, 32}
 // TestLLCDifferentialSRRIP proves the optimised SRRIP datapath (sentinel
 // probes, batched ageing, bitmask victim selection over packed rank
 // bytes) is operation-for-operation identical to the naive
-// pre-optimisation algorithm.
+// pre-optimisation algorithm, on both probe paths.
 func TestLLCDifferentialSRRIP(t *testing.T) {
-	for _, ways := range differentialWays {
-		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
-			runDifferential(t, PolicySRRIP, ways, seed, 60000)
+	forEachProbePath(t, func(t *testing.T) {
+		for _, ways := range differentialWays {
+			for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+				runDifferential(t, PolicySRRIP, ways, seed, 60000)
+			}
 		}
-	}
+	})
 }
 
 // TestLLCDifferentialLRU proves the LRU path matches the drift-free
-// reference semantics under the same streams, mask shrinks included.
+// reference semantics under the same streams, mask shrinks included, on
+// both probe paths.
 func TestLLCDifferentialLRU(t *testing.T) {
-	for _, ways := range differentialWays {
-		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
-			runDifferential(t, PolicyLRU, ways, seed, 60000)
+	forEachProbePath(t, func(t *testing.T) {
+		for _, ways := range differentialWays {
+			for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+				runDifferential(t, PolicyLRU, ways, seed, 60000)
+			}
 		}
-	}
+	})
 }
 
 // refPrivate is the private cache level as it was laid out before the
@@ -573,17 +578,20 @@ func runPrivateDifferential(t *testing.T, cfg LevelConfig, seed uint64, nOps int
 // TestPrivateDifferential proves the compact private-cache layout (tags
 // offset by one, per-set dirty bits, no re-probe in fill, no rank array)
 // is operation-for-operation identical to the original layout, at the
-// L1D and L2 shapes of the simulated Xeon (8-way and 16-way).
+// L1D and L2 shapes of the simulated Xeon (8-way and 16-way), on both
+// probe paths.
 func TestPrivateDifferential(t *testing.T) {
 	shapes := []LevelConfig{
 		{SizeBytes: 4 << 10, Ways: 8, HitCycles: 4},    // L1-shaped, 8 sets
 		{SizeBytes: 16 << 10, Ways: 16, HitCycles: 14}, // L2-shaped, 16 sets
 	}
-	for _, cfg := range shapes {
-		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
-			runPrivateDifferential(t, cfg, seed, 60000)
+	forEachProbePath(t, func(t *testing.T) {
+		for _, cfg := range shapes {
+			for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+				runPrivateDifferential(t, cfg, seed, 60000)
+			}
 		}
-	}
+	})
 }
 
 // refHierarchy is the hierarchy as it was before one tag was carried
@@ -848,11 +856,13 @@ func runRangeDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, n
 // TestHierarchyRangeDifferential proves that carrying one tag through
 // the levels and the ranged entry points changed no simulated bit: op
 // for op, they match per-line runs of the pre-change hierarchy under
-// both replacement policies.
+// both replacement policies and on both probe paths.
 func TestHierarchyRangeDifferential(t *testing.T) {
-	for _, policy := range []ReplacementPolicy{PolicySRRIP, PolicyLRU} {
-		for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
-			runRangeDifferential(t, policy, seed, 20000)
+	forEachProbePath(t, func(t *testing.T) {
+		for _, policy := range []ReplacementPolicy{PolicySRRIP, PolicyLRU} {
+			for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+				runRangeDifferential(t, policy, seed, 20000)
+			}
 		}
-	}
+	})
 }

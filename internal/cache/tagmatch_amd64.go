@@ -1,0 +1,37 @@
+package cache
+
+// haveAVX2 reports whether the CPU and the OS support AVX2: CPUID leaf 1
+// must report AVX and OSXSAVE, XCR0 must enable the XMM and YMM state,
+// and CPUID leaf 7 must report AVX2.
+var haveAVX2 = detectAVX2()
+
+func detectAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xgetbv0()&6 != 6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+// cpuid returns EAX, EBX, ECX and EDX of CPUID leaf, subleaf sub.
+func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+
+// xgetbv0 returns the low half of XCR0.
+func xgetbv0() uint32
+
+// match8 returns the bitmask of the words of row equal to tag.
+//
+//go:noescape
+func match8(row *[8]uint32, tag uint32) uint32
+
+// match16 returns the bitmask of the words of row equal to tag.
+//
+//go:noescape
+func match16(row *[16]uint32, tag uint32) uint32

@@ -2,6 +2,7 @@ package ddio
 
 import (
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"iatsim/internal/cache"
 	"iatsim/internal/mem"
@@ -101,7 +102,28 @@ func (e *refEngine) portWrite(a uint64, n, consumer int, mask cache.WayMask, hea
 // consumers -1, a built core and a core whose caches are built only in
 // the second half. Engine and port counters, telemetry, memory traffic,
 // LLC counters and the residency of every line must agree throughout.
+// It runs once per probe path, so hosts with and without AVX2 cover the
+// same ground.
 func TestEngineBurstDifferential(t *testing.T) {
+	for _, path := range []struct {
+		name   string
+		scalar bool
+	}{{"kernel", false}, {"scalar", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			defer forceScalarProbes(forceScalarProbes(path.scalar))
+			runEngineBurstDifferential(t)
+		})
+	}
+}
+
+// forceScalarProbes is internal/cache's test hook: caches built while it
+// is on probe their tag rows with the scalar loop, not the tag-match
+// kernel. It returns the previous setting.
+//
+//go:linkname forceScalarProbes iatsim/internal/cache.forceScalarProbes
+func forceScalarProbes(on bool) (was bool)
+
+func runEngineBurstDifferential(t *testing.T) {
 	cfg := cache.HierarchyConfig{
 		Cores: 3,
 		L1:    cache.LevelConfig{SizeBytes: 2 << 10, Ways: 4, HitCycles: 4},
