@@ -7,7 +7,7 @@ GO      ?= go
 JOBS    ?= 4
 TMP     ?= /tmp/iatsim
 
-.PHONY: all build lint simlint lint-baseline vet fmtcheck test race perfbench-check smoke telemetry-smoke ckpt-smoke regen-check bench bench-baseline bench-diff scaling clean
+.PHONY: all build lint simlint lint-baseline vet fmtcheck test race perfbench-check smoke telemetry-smoke ckpt-smoke regen-check bench bench-baseline bench-diff bench-ab scaling clean
 
 all: build lint test race perfbench-check telemetry-smoke ckpt-smoke
 
@@ -110,14 +110,14 @@ regen-check: build
 	[ $$fail -eq 0 ] && echo "regen-check OK: $$n CSVs match results/"
 
 # bench: the micro-benchmark suite (cache tag match, cache access,
-# ranged copy and DDIO burst, KV packet generation, NIC poll, daemon tick
+# ranged copy, ranged read of an L2-resident value and DDIO burst, KV packet generation, NIC poll, daemon tick
 # and iteration, policy decision, platform step, fleet round, host
 # checkpoint) via `go test -bench`, converted to JSON at
 # results/bench.json by cmd/benchjson. The suite spans two packages:
 # TagMatch times the unexported probe in internal/cache, the rest run in
 # the root package. BENCHES is anchored on the full function name so
 # that it does not also pick internal/cache's BenchmarkLLCAccess*.
-BENCHES ?= ^Benchmark(TagMatch|LLCAccess|LLCIOWrite|HierarchyAccess|HierarchyAccessRange|DDIOWriteBurst|GeneratorNextKV|NICPollRx|DaemonTick|DaemonIteration|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound|HostCheckpoint)$$
+BENCHES ?= ^Benchmark(TagMatch|LLCAccess|LLCIOWrite|HierarchyAccess|HierarchyAccessRange|HierarchyAccessRangeHot|DDIOWriteBurst|GeneratorNextKV|NICPollRx|DaemonTick|DaemonIteration|PolicyDecide|Table2DaemonIteration|Table1PlatformStep|FleetRound|HostCheckpoint)$$
 BENCHPKGS = ./internal/cache .
 bench: build
 	mkdir -p $(TMP) results
@@ -151,6 +151,34 @@ bench-diff: build
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -count $(BENCH_COUNT) $(BENCHPKGS) > $(TMP)/bench-head.txt
 	$(GO) run ./cmd/benchjson -best -in $(TMP)/bench-head.txt -out $(TMP)/bench-head.json
 	$(GO) run ./cmd/benchjson -diff -tolerance $(BENCH_TOLERANCE) results/bench-baseline.json $(TMP)/bench-head.json
+
+# bench-ab is a report-only A/B of the suite between BASE (a git
+# revision) and the working tree, for changes smaller than the host's
+# noise between recordings. The base tree is exported with git archive
+# under $(TMP)/ab (no worktree is registered in .git), each side's test
+# binaries are built once, and BENCHES runs in $(AB_PAIRS) alternating
+# pairs, base first, one -count=1 suite per side per pair, each binary in
+# its package's directory. benchjson -ab then prints every benchmark's
+# ns/op median and quartiles on both sides and how many pairs the
+# working tree won. It gates nothing; bench-diff stays the gate.
+AB_PAIRS ?= 10
+bench-ab: build
+	@[ -n "$(BASE)" ] || { echo "bench-ab: name the base revision, e.g. make bench-ab BASE=HEAD~1"; exit 2; }
+	rm -rf $(TMP)/ab && mkdir -p $(TMP)/ab/base
+	git archive $(BASE) | tar -x -C $(TMP)/ab/base
+	for pkg in $(BENCHPKGS); do \
+		bin=$$(echo $$pkg | tr -c 'a-z\n' _); \
+		$(GO) -C $(TMP)/ab/base test -c -o $(TMP)/ab/base$$bin.test $$pkg || exit 1; \
+		$(GO) test -c -o $(TMP)/ab/head$$bin.test $$pkg || exit 1; \
+	done
+	for i in $$(seq $(AB_PAIRS)); do for side in base head; do \
+		root=$(CURDIR); [ $$side = base ] && root=$(TMP)/ab/base; \
+		for pkg in $(BENCHPKGS); do \
+			bin=$(TMP)/ab/$$side$$(echo $$pkg | tr -c 'a-z\n' _).test; \
+			(cd $$root/$$pkg && $$bin -test.run '^$$' -test.bench '$(BENCHES)' -test.benchmem) >> $(TMP)/ab/$$side.txt || exit 1; \
+		done; \
+	done; done
+	$(GO) run ./cmd/benchjson -ab $(TMP)/ab/base.txt $(TMP)/ab/head.txt
 
 # scaling: record -all wall-clock at jobs=1 vs jobs=$(JOBS) into
 # results/harness-scaling.csv.

@@ -8,6 +8,7 @@
 //	go test -run '^$' -bench . -benchmem . | benchjson > results/bench.json
 //	benchjson -in bench.txt -out results/bench.json
 //	benchjson -diff -tolerance 15 results/bench-baseline.json new.json
+//	benchjson -ab base.txt head.txt
 //
 // The output is deterministic for a given input: benchmarks appear in
 // input order and metric keys are sorted by encoding/json.
@@ -21,6 +22,12 @@
 // Benchmarks only present in the new report are listed but never gated. Both sides are collapsed best-of-N first, so
 // feeding it `-count=N` suites damps scheduler noise; -best applies the
 // same collapse when converting (used for the committed baseline).
+//
+// -ab reads two bench text files that hold the runs of a base and a head
+// build, alternated in pairs (`make bench-ab` writes them), and prints
+// each benchmark's ns/op median and quartiles on both sides and in how
+// many pairs the head was faster. It only reports: it exits 0 whatever
+// the numbers say.
 package main
 
 import (
@@ -67,8 +74,20 @@ func main() {
 	outPath := flag.String("out", "", "write JSON to this file instead of stdout")
 	diff := flag.Bool("diff", false, "compare two JSON reports: benchjson -diff [-tolerance pct] old.json new.json")
 	tolerance := flag.Float64("tolerance", 15, "allowed ns/op growth in percent for -diff, applied at baselines >= 1µs/op (allocs/op and B/op gate exactly at a zero baseline, 1% otherwise)")
+	ab := flag.Bool("ab", false, "pair the runs of two bench text files: benchjson -ab base.txt head.txt")
 	best := flag.Bool("best", false, "collapse repeated runs (-count=N bench output) into one entry per benchmark, keeping each metric's minimum")
 	flag.Parse()
+
+	if *ab {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "benchjson: -ab needs exactly two bench text paths (base.txt head.txt)")
+			os.Exit(2)
+		}
+		if err := runAB(flag.Arg(0), flag.Arg(1), os.Stdout); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 
 	if *diff {
 		if flag.NArg() != 2 {

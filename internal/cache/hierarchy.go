@@ -24,20 +24,15 @@ type Hierarchy struct {
 	// latency to reach it).
 	remote    []bool
 	upiCycles int64
+
+	// run is the most lines of a range chunk: rangeChunk, clamped so
+	// that every line of a chunk has its own L1 set and its own L2 set
+	// (see private).
+	run int
 }
 
 // corePrivate is one core's private levels.
 type corePrivate struct{ l1, l2 private }
-
-// invalidate drops tag's line from both levels.
-func (c *corePrivate) invalidate(tag uint32) {
-	if s, w := c.l1.find(tag); w >= 0 {
-		c.l1.drop(s, w)
-	}
-	if s, w := c.l2.find(tag); w >= 0 {
-		c.l2.drop(s, w)
-	}
-}
 
 // NewHierarchy builds the full hierarchy for cfg.Cores cores running at
 // freqGHz, with memory behind mc.
@@ -51,6 +46,7 @@ func NewHierarchy(cfg HierarchyConfig, freqGHz float64, mc *mem.Controller) *Hie
 		llc:         NewLLC(cfg.LLC, cfg.Cores),
 		mem:         mc,
 		cyclesPerNS: freqGHz,
+		run:         min(rangeChunk, cfg.L1.Sets(), cfg.L2.Sets()),
 	}
 	h.remote = make([]bool, cfg.Cores)
 	return h
@@ -131,51 +127,67 @@ func (h *Hierarchy) upi(core int) int64 {
 // to mask (the core's CAT mask). It returns the access latency in core
 // cycles.
 func (h *Hierarchy) Access(core int, a uint64, write bool, mask WayMask) int64 {
-	return h.access(lineTag(a), llcSet{}, h.caches(core), core, write, mask, h.upi(core))
+	tag, c := lineTag(a), h.caches(core)
+	w1, w2 := c.l1.probe(c.l1.set(tag), tag), -1
+	if w1 < 0 {
+		w2 = c.l2.probe(c.l2.set(tag), tag)
+	}
+	return h.demand(tag, w1, w2, nil, c, core, write, mask)
 }
 
 // AccessRange performs Access on every line from the one holding first to
 // the one holding last, in order, and returns the summed latency. It is
 // the streaming form (packet copies, value reads and writes): the core's
-// caches, its remote flag and the address bound are resolved once per
-// range instead of once per line, and the lines' LLC sets are located
-// and loaded ahead in chunks so that their host cache misses overlap (see
+// caches and the address bound are resolved once per range, and the
+// lines are served a chunk at a time (see private). Each chunk probes the
+// L1 with one probeRun, the L2 with one more only if some line missed the
+// L1, and locates and loads ahead the LLC sets of only the lines that
+// missed both, so that their host cache misses overlap (see
 // LLC.locateAhead).
 func (h *Hierarchy) AccessRange(core int, first, last uint64, write bool, mask WayMask) int64 {
 	end := lineTag(last)
-	c, upi := h.caches(core), h.upi(core)
+	c := h.caches(core)
+	var w1, w2 [rangeChunk]int8
 	var tot int64
 	for tag := lineTag(first); tag <= end; {
-		n := chunk(tag, end)
-		for _, at := range h.llc.locateAhead(tag, n) {
-			tot += h.access(tag, at, c, core, write, mask, upi)
+		n := chunk(tag, end, h.run)
+		miss := c.l1.probeRun(tag, n, &w1)
+		if miss != 0 {
+			miss &= c.l2.probeRun(tag, n, &w2)
+		}
+		at := h.llc.locateAhead(tag, miss)
+		for i := range n {
+			tot += h.demand(tag, int(w1[i]), int(w2[i]), &at[i], c, core, write, mask)
 			tag++
 		}
 	}
 	return tot
 }
 
-// access is one demand access of the line tagged tag by core, whose
-// private caches are c; upi is what the core pays below its private
-// caches to cross the socket interconnect, and at is the line's LLC set
-// if already located (else the zero llcSet). The tag is carried
-// unchanged through L1, L2 and the LLC, and each private set is located
-// once: by its find, whose set the fill reuses.
-func (h *Hierarchy) access(tag uint32, at llcSet, c *corePrivate, core int, write bool, mask WayMask, upi int64) int64 {
-	s1, w := c.l1.find(tag)
-	c.l1.count(s1, w, write)
-	if w >= 0 {
+// demand is one demand access of the line tagged tag by core, whose
+// private caches are c, given the line's probes: w1 and w2 are the ways
+// of its L1 and L2 sets that hold it, or -1 (w2 is read only when w1 is
+// -1). at is the line's LLC set if already located, else nil; it is read
+// only when both levels miss. The tag is carried unchanged through L1,
+// L2 and the LLC.
+func (h *Hierarchy) demand(tag uint32, w1, w2 int, at *llcSet, c *corePrivate, core int, write bool, mask WayMask) int64 {
+	s1 := c.l1.set(tag)
+	c.l1.count(s1, w1, write)
+	if w1 >= 0 {
 		return h.cfg.L1.HitCycles
 	}
-	s2, w := c.l2.find(tag)
-	c.l2.count(s2, w, write)
+	s2 := c.l2.set(tag)
+	c.l2.count(s2, w2, write)
 	lat := h.cfg.L2.HitCycles
-	if w < 0 {
-		if at.sl == nil {
-			at = h.llc.set(tag)
+	if w2 < 0 {
+		var set llcSet
+		if at != nil {
+			set = *at
+		} else {
+			set = h.llc.set(tag)
 		}
-		lat = h.cfg.LLC.HitCycles + upi
-		hit, v := h.llc.access(at, core, tag, write, mask)
+		lat = h.cfg.LLC.HitCycles + h.upi(core)
+		hit, v := h.llc.access(set, core, tag, write, mask)
 		h.llcEvict(v)
 		if !hit {
 			lat += h.memCycles(h.mem.Read(LineSize))
@@ -214,11 +226,14 @@ func (h *Hierarchy) IOWriteRange(consumer int, first, last uint64, mask WayMask)
 	end := lineTag(last)
 	c := h.built(consumer)
 	for tag := lineTag(first); tag <= end; {
-		n := chunk(tag, end)
-		for _, at := range h.llc.locateAhead(tag, n) {
-			if c != nil {
-				c.invalidate(tag)
-			}
+		// The drops touch only the private levels and the writes only the
+		// LLC, so dropping the chunk's lines first changes nothing.
+		n := chunk(tag, end, h.run)
+		if c != nil {
+			c.l1.dropRun(tag, n)
+			c.l2.dropRun(tag, n)
+		}
+		for _, at := range h.llc.locateAhead(tag, runMask(n))[:n] {
 			hit, v := h.llc.ioWrite(at, tag, mask)
 			switch {
 			case hit:
@@ -246,8 +261,11 @@ func (h *Hierarchy) InvalidatePrivate(core int, a uint64) { h.InvalidatePrivateR
 func (h *Hierarchy) InvalidatePrivateRange(core int, first, last uint64) {
 	end, tag := lineTag(last), lineTag(first)
 	if c := h.built(core); c != nil {
-		for ; tag <= end; tag++ {
-			c.invalidate(tag)
+		for tag <= end {
+			n := chunk(tag, end, h.run)
+			c.l1.dropRun(tag, n)
+			c.l2.dropRun(tag, n)
+			tag += uint32(n)
 		}
 	}
 }

@@ -194,28 +194,34 @@ func (l *LLC) set(tag uint32) llcSet {
 	return llcSet{sl, base}
 }
 
-// rangeChunk is how many lines of a range locateAhead locates at once:
-// more than an MTU packet's 24.
+// rangeChunk is the most lines of a range that are probed or located at
+// once: more than an MTU packet's 24, and one bit each in a uint32 mask.
 const rangeChunk = 32
 
-// chunk returns how many of the lines tag..end the next chunk holds.
-func chunk(tag, end uint32) int { return int(min(end-tag, rangeChunk-1)) + 1 }
+// chunk returns how many of the lines tag..end the next chunk holds, at
+// most limit (<= rangeChunk).
+func chunk(tag, end uint32, limit int) int { return int(min(end-tag, uint32(limit-1))) + 1 }
 
-// locateAhead locates the sets of the n <= rangeChunk lines tagged tag,
-// tag+1, ... and loads one word of each record. The loads do not depend
-// on one another, so their host cache misses overlap instead of being
-// paid one after another as each line's probe reaches its set; the words
-// are folded into l.touched only so that the loads are not dropped. The
-// returned slice is valid until the next call.
-func (l *LLC) locateAhead(tag uint32, n int) []llcSet {
-	at := l.ahead[:n]
+// runMask returns the mask of a chunk's n lines, bits 0 to n-1.
+func runMask(n int) uint32 { return uint32(1)<<n - 1 }
+
+// locateAhead locates the set of line tag+i for every bit i of lines,
+// and loads one word of each record. The loads do not depend on one
+// another, so their host cache misses overlap instead of being paid one
+// after another as each line's probe reaches its set; the words are
+// folded into l.touched only so that the loads are not dropped. Entry i
+// of the returned array is line tag+i's set when bit i of lines is set
+// (other entries are stale), until the next call.
+func (l *LLC) locateAhead(tag, lines uint32) *[rangeChunk]llcSet {
 	x := l.touched
-	for i := range at {
-		at[i] = l.set(tag + uint32(i))
-		x ^= at[i].sl.sets[at[i].base]
+	for ; lines != 0; lines &= lines - 1 {
+		i := bits.TrailingZeros32(lines)
+		at := l.set(tag + uint32(i))
+		l.ahead[i] = at
+		x ^= at.sl.sets[at.base]
 	}
 	l.touched = x
-	return at
+	return &l.ahead
 }
 
 // probe searches the set for the tag; returns the way offset or -1. The
@@ -526,7 +532,8 @@ func (l *LLC) IORead(a uint64) (hit bool) {
 func (l *LLC) IOReadRange(first, last uint64) (hits int) {
 	end := lineTag(last)
 	for tag := lineTag(first); tag <= end; {
-		for _, at := range l.locateAhead(tag, chunk(tag, end)) {
+		n := chunk(tag, end, rangeChunk)
+		for _, at := range l.locateAhead(tag, runMask(n))[:n] {
 			if l.ioRead(at, tag) {
 				hits++
 			}

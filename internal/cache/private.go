@@ -21,6 +21,16 @@ import "math/bits"
 // line; measured on leaky-dma, the calls they replace cost several
 // percent of the run. probe, which calls the kernel, is not inlined.
 //
+// A range is probed a chunk at a time: probeRun answers the probes of n
+// consecutive tags in one call (one call of a run kernel on an AVX2 host).
+// The hierarchy clamps a chunk to min(rangeChunk, L1 sets, L2 sets), so
+// every line of a chunk has its own L1 set and its own L2 set, and the
+// answers stay exact while the chunk's lines are served in order. A
+// line's fills touch only its own sets. The writeback of its dirty L1
+// victim lands in an L2 set congruent to the line's own modulo the
+// smaller set count, so in no other line's set. LLC traffic touches no
+// private level.
+//
 // Replacement keeps no state: a miss fills the lowest-indexed empty way,
 // and a full set always evicts way 0 (fillAt's victim choice). That is
 // not LRU, but every recorded digest and golden hash depends on it.
@@ -77,6 +87,39 @@ func (p *private) probe(set int, tag uint32) int {
 		}
 	}
 	return -1
+}
+
+// probeRun probes the n <= rangeChunk lines tagged tag0, tag0+1, ... (a
+// run may wrap past the last set): out[i] is the way holding line i's tag
+// or -1, as probe returns it, and bit i of miss is set when it is -1. An
+// 8- or 16-way level answers the whole run with one call of a run kernel
+// when the host has it; otherwise each line is probed in turn.
+func (p *private) probeRun(tag0 uint32, n int, out *[rangeChunk]int8) (miss uint32) {
+	switch p.lanes {
+	case 8:
+		return matchRun8(&p.tags[0], p.setMask, tag0, n, out)
+	case 16:
+		return matchRun16(&p.tags[0], p.setMask, tag0, n, out)
+	}
+	for i := range n {
+		tag := tag0 + uint32(i)
+		w := p.probe(p.set(tag), tag)
+		out[i] = int8(w)
+		if w < 0 {
+			miss |= 1 << i
+		}
+	}
+	return miss
+}
+
+// dropRun drops every line of the n <= rangeChunk lines tagged tag0,
+// tag0+1, ... that the level holds.
+func (p *private) dropRun(tag0 uint32, n int) {
+	var w [rangeChunk]int8
+	for hit := runMask(n) &^ p.probeRun(tag0, n, &w); hit != 0; hit &= hit - 1 {
+		i := bits.TrailingZeros32(hit)
+		p.drop(p.set(tag0+uint32(i)), int(w[i]))
+	}
 }
 
 // find locates tag's set and probes it: it returns the set, for a

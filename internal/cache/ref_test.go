@@ -699,8 +699,9 @@ func lines(first, last uint64, f func(line uint64)) {
 	}
 }
 
-// runRangeDifferential drives a production Hierarchy and refHierarchy
-// through nOps random operations on three cores and compares every
+// runRangeDifferential drives a production Hierarchy of shape cfg (with
+// an 8-way LLC) and refHierarchy through nOps random operations on three
+// cores and compares every
 // result: the ranged entry points (AccessRange, IOWriteRange,
 // InvalidatePrivateRange, LLC.IOReadRange) against per-line loops of the
 // reference's single-line calls, and the single-line ones against each
@@ -710,14 +711,9 @@ func lines(first, last uint64, f func(line uint64)) {
 // burst's dirty victims are written back after it, as the DDIO engine
 // does. Latencies, burst counts, memory traffic, every counter and the
 // final residency of every line must agree.
-func runRangeDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, nOps int) {
+func runRangeDifferential(t *testing.T, cfg HierarchyConfig, policy ReplacementPolicy, seed uint64, nOps int) {
 	t.Helper()
-	cfg := HierarchyConfig{
-		Cores: 3,
-		L1:    LevelConfig{SizeBytes: 1 << 10, Ways: 4, HitCycles: 4},  // 4 sets
-		L2:    LevelConfig{SizeBytes: 4 << 10, Ways: 8, HitCycles: 14}, // 8 sets
-		LLC:   LLCConfig{Slices: 2, Ways: 8, SetsPerSlice: 8, HitCycles: 44, Policy: policy},
-	}
+	cfg.LLC.Policy = policy
 	h := NewHierarchy(cfg, 2.3, mem.NewController(mem.Config{}))
 	r := newRefHierarchy(cfg, 2.3)
 	h.SetRemote(1, true, 60)
@@ -726,7 +722,7 @@ func runRangeDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, n
 
 	// Twice the LLC's lines at the bottom of memory and as many ending
 	// at MaxAddr, so sets fill, evict and carry tags next to 2^32.
-	const poolLines = 2 * 2 * 8 * 8
+	poolLines := uint64(2 * cfg.LLC.Slices * cfg.LLC.SetsPerSlice * cfg.LLC.Ways)
 	high := MaxAddr + 1 - poolLines*LineSize
 	addrOf := func(i uint64) uint64 {
 		if i < poolLines {
@@ -856,12 +852,36 @@ func runRangeDifferential(t *testing.T, policy ReplacementPolicy, seed uint64, n
 // TestHierarchyRangeDifferential proves that carrying one tag through
 // the levels and the ranged entry points changed no simulated bit: op
 // for op, they match per-line runs of the pre-change hierarchy under
-// both replacement policies and on both probe paths.
+// both replacement policies and on both probe paths. The shapes clamp
+// AccessRange's chunk to the L1's sets and to the L2's, or leave it the
+// full rangeChunk, and three of them give the private levels the kernel
+// widths (an 8-way L1 and a 16-way L2), so that on an AVX2 host both run
+// kernels serve the chunks.
 func TestHierarchyRangeDifferential(t *testing.T) {
+	shapes := []struct {
+		name   string
+		l1, l2 LevelConfig
+		sets   int // LLC sets per slice
+		chunk  int // AccessRange's lines per chunk
+	}{
+		{"4way-l1", LevelConfig{SizeBytes: 1 << 10, Ways: 4, HitCycles: 4}, LevelConfig{SizeBytes: 4 << 10, Ways: 8, HitCycles: 14}, 8, 4},
+		{"kernel-widths-clamped", LevelConfig{SizeBytes: 2 << 10, Ways: 8, HitCycles: 4}, LevelConfig{SizeBytes: 8 << 10, Ways: 16, HitCycles: 14}, 8, 4},
+		{"kernel-widths-l2-clamped", LevelConfig{SizeBytes: 8 << 10, Ways: 8, HitCycles: 4}, LevelConfig{SizeBytes: 8 << 10, Ways: 16, HitCycles: 14}, 8, 8},
+		{"kernel-widths-full", LevelConfig{SizeBytes: 16 << 10, Ways: 8, HitCycles: 4}, LevelConfig{SizeBytes: 64 << 10, Ways: 16, HitCycles: 14}, 32, rangeChunk},
+	}
 	forEachProbePath(t, func(t *testing.T) {
-		for _, policy := range []ReplacementPolicy{PolicySRRIP, PolicyLRU} {
-			for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
-				runRangeDifferential(t, policy, seed, 20000)
+		for _, sh := range shapes {
+			cfg := HierarchyConfig{
+				Cores: 3, L1: sh.l1, L2: sh.l2,
+				LLC: LLCConfig{Slices: 2, Ways: 8, SetsPerSlice: sh.sets, HitCycles: 44},
+			}
+			if got := NewHierarchy(cfg, 2.3, mem.NewController(mem.Config{})).run; got != sh.chunk {
+				t.Fatalf("%s: %d lines per chunk, want %d", sh.name, got, sh.chunk)
+			}
+			for _, policy := range []ReplacementPolicy{PolicySRRIP, PolicyLRU} {
+				for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+					runRangeDifferential(t, cfg, policy, seed, 20000)
+				}
 			}
 		}
 	})

@@ -6,8 +6,11 @@ import "math/bits"
 // set record) asks one question: which ways hold this tag? On amd64 hosts
 // with AVX2, match8 and match16 answer it for 8 or 16 consecutive words
 // with one broadcast, one or two VPCMPEQD and a VMOVMSKPS each: bit w of
-// the result is set when row[w] == tag. Elsewhere no cache selects them
-// (see rowLanes), and every probe runs the scalar loop.
+// the result is set when row[w] == tag. matchRun8 and matchRun16 loop the
+// same compare over the rows of a private level's consecutive tags
+// (private.probeRun) and return the lowest ways, -1 for a miss. Elsewhere
+// no cache selects them (see rowLanes), and every probe runs the scalar
+// loop.
 //
 // The caller slices exactly the words the kernel reads, so the kernel
 // never reads past a slice, and masks the result to the ways the row

@@ -35,3 +35,16 @@ func match8(row *[8]uint32, tag uint32) uint32
 //
 //go:noescape
 func match16(row *[16]uint32, tag uint32) uint32
+
+// matchRun8 probes the rows of the n <= rangeChunk lines tagged tag0,
+// tag0+1, ... in an 8-way private level's tags, whose sets are indexed
+// by setMask: out[i] is the lowest way holding line i's tag or -1, and
+// bit i of miss is set when it is -1.
+//
+//go:noescape
+func matchRun8(tags *uint32, setMask, tag0 uint32, n int, out *[rangeChunk]int8) (miss uint32)
+
+// matchRun16 is matchRun8 for a 16-way private level.
+//
+//go:noescape
+func matchRun16(tags *uint32, setMask, tag0 uint32, n int, out *[rangeChunk]int8) (miss uint32)

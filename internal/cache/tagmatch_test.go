@@ -150,6 +150,97 @@ func TestProbeMatchesScalar(t *testing.T) {
 	})
 }
 
+// TestProbeRunMatchesProbe proves that probeRun answers a run of n =
+// 1..rangeChunk consecutive tags as n probe calls do: the same way for
+// every line, a miss bit exactly where probe returns -1, and no entry
+// written past the run. Levels have the kernel widths (8 and 16 ways)
+// and others, and 1 to 64 sets, so runs wrap past the last set and fold
+// several lines onto one set. Each line of a run is held at a random
+// way or not at all, beside empty ways, ambientTags and other lineTags;
+// runs start at the lowest lineTags, at random ones and end at
+// lineTag(MaxAddr). Every way of every level must be seen to hit.
+func TestProbeRunMatchesProbe(t *testing.T) {
+	forEachProbePath(t, func(t *testing.T) {
+		rng := diffSplitmix(5)
+		top := lineTag(MaxAddr)
+		for _, ways := range []int{1, 4, 8, 11, 16, 32} {
+			for _, sets := range []int{1, 2, 4, 64} {
+				var p private
+				p.init(LevelConfig{SizeBytes: sets * ways * LineSize, Ways: ways})
+				hitAt := make([]bool, ways)
+				for i := 0; i < 400; i++ {
+					n := 1 + i%rangeChunk
+					var tag0 uint32
+					switch i % 3 {
+					case 0:
+						tag0 = 1 + uint32(rng.next()%4)
+					case 1:
+						tag0 = 1 + uint32(rng.next()%uint64(top-rangeChunk))
+					default:
+						tag0 = top - uint32(n) + 1
+					}
+					// Fill every row from the pool, then place the run's
+					// lines: each at a free random way of its set, or
+					// nowhere.
+					pool := probeWords(&rng)
+					for s := 0; s < sets; s++ {
+						row := p.tags[s*ways : (s+1)*ways]
+						fillRow(&rng, row, pool)
+						for w, tag := range row {
+							if tag != ambientTag && tag-tag0 < rangeChunk { // a run line out of place
+								row[w] = 0
+							}
+						}
+					}
+					for j := 0; j < n; j++ {
+						if rng.next()%4 == 0 {
+							continue
+						}
+						tag := tag0 + uint32(j)
+						w := int(rng.next() % uint64(ways))
+						if row := p.tags[p.set(tag)*ways:]; row[w]-tag0 >= uint32(n) {
+							row[w] = tag
+						}
+					}
+					// Entries past the run must keep the sentinel, and a stale
+					// -1 there must not set a miss bit.
+					sentinel := [2]int8{-1, 99}[i/rangeChunk%2]
+					var out [rangeChunk]int8
+					for j := range out {
+						out[j] = sentinel
+					}
+					miss := p.probeRun(tag0, n, &out)
+					for j := 0; j < rangeChunk; j++ {
+						tag := tag0 + uint32(j)
+						if j >= n {
+							if out[j] != sentinel {
+								t.Fatalf("%d-way, %d sets: probeRun(%#x, %d) wrote out[%d]", ways, sets, tag0, n, j)
+							}
+							if miss&(1<<j) != 0 {
+								t.Fatalf("%d-way, %d sets: probeRun(%#x, %d) set miss bit %d", ways, sets, tag0, n, j)
+							}
+							continue
+						}
+						want := p.probe(p.set(tag), tag)
+						if int(out[j]) != want || (miss&(1<<j) != 0) != (want < 0) {
+							t.Fatalf("%d-way, %d sets: probeRun(%#x, %d) line %d: way %d, miss bit %v; probe %d",
+								ways, sets, tag0, n, j, out[j], miss&(1<<j) != 0, want)
+						}
+						if want >= 0 {
+							hitAt[want] = true
+						}
+					}
+				}
+				for w, hit := range hitAt {
+					if !hit {
+						t.Fatalf("%d-way, %d sets: no run line hit way %d", ways, sets, w)
+					}
+				}
+			}
+		}
+	})
+}
+
 var sinkWay int
 
 // BenchmarkTagMatch measures one probe of a full set, the lookup every
