@@ -38,6 +38,9 @@ import (
 var validFigs = []string{"3", "4", "8", "9", "10", "11", "12", "13", "14", "15"}
 var validTabs = []string{"1", "2"}
 
+// ablationSelectors are the experiments -ablations adds.
+var ablationSelectors = []string{"abl-mech", "abl-growth", "abl-ddioext", "abl-mba", "abl-policy", "abl-storage", "abl-remote", "abl-sens", "abl-resq"}
+
 func main() {
 	figs := flag.String("fig", "", "comma-separated figure numbers to run ("+strings.Join(validFigs, ",")+")")
 	tabs := flag.String("tab", "", "comma-separated table numbers to print ("+strings.Join(validTabs, ",")+")")
@@ -228,7 +231,7 @@ func parseSelectors(figs, tabs string, all, ablations bool) (map[string]bool, []
 		}
 	}
 	if ablations {
-		for _, k := range []string{"abl-mech", "abl-growth", "abl-ddioext", "abl-mba", "abl-policy", "abl-storage", "abl-remote", "abl-sens", "abl-resq"} {
+		for _, k := range ablationSelectors {
 			want[k] = true
 		}
 	}

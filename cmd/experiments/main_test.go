@@ -2,6 +2,8 @@ package main
 
 import (
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -34,4 +36,45 @@ func TestParseSelectors(t *testing.T) {
 	if len(all) != len(validFigs)+len(validTabs) {
 		t.Fatalf("-all expanded to %d selectors, want %d", len(all), len(validFigs)+len(validTabs))
 	}
+}
+
+// FuzzParseSelectors feeds arbitrary -fig/-tab strings and -all/-ablations
+// flags to the parser: it either rejects them or returns only known
+// selectors, sorted, matching its want set, and it never panics.
+func FuzzParseSelectors(f *testing.F) {
+	f.Add("8", "1", false, false)
+	f.Add("12,13,14", "", false, true)
+	f.Add(" 3 ,,4", "2,", true, false)
+	f.Add("99", "", false, false)
+	f.Add("", "7,1", false, false)
+	known := map[string]bool{}
+	for _, v := range validFigs {
+		known["fig"+v] = true
+	}
+	for _, v := range validTabs {
+		known["tab"+v] = true
+	}
+	for _, v := range ablationSelectors {
+		known[v] = true
+	}
+	f.Fuzz(func(t *testing.T, figs, tabs string, all, ablations bool) {
+		want, selectors, err := parseSelectors(figs, tabs, all, ablations)
+		if err != nil {
+			return
+		}
+		if !sort.StringsAreSorted(selectors) || len(selectors) != len(want) {
+			t.Fatalf("selectors %v are unsorted or disagree with want %v", selectors, want)
+		}
+		for i, s := range selectors {
+			if !known[s] || !want[s] || (i > 0 && selectors[i-1] == s) {
+				t.Fatalf("selector %q: unknown, missing from want or repeated (%v)", s, selectors)
+			}
+		}
+		for s := range known {
+			isAbl := strings.HasPrefix(s, "abl-")
+			if (all && !isAbl || ablations && isAbl) && !want[s] {
+				t.Fatalf("-all %v -ablations %v left out %q: %v", all, ablations, s, selectors)
+			}
+		}
+	})
 }

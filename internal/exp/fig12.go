@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"iatsim/internal/harness"
 	"iatsim/internal/ycsb"
@@ -25,17 +26,21 @@ type Fig12Row struct {
 	IAT float64
 }
 
-// Fig12Opts parameterises the application study.
+// Fig12Opts parameterises the application study, Figs. 12-14. Fig. 14
+// ignores Nets, Corners, TargetInstr and TargetOps: its cells have a fixed
+// window and corners.
 type Fig12Opts struct {
-	Scale float64
-	Nets  []string
-	Apps  []string
-	// Corners are the baseline placements to sweep (min/max come from
-	// these).
+	Scale float64  // Figs. 12-14
+	Nets  []string // Figs. 12 and 13
+	// Apps are Fig. 12's non-networking apps; Figs. 13 and 14 read only
+	// Apps[0] == "quick", which narrows their YCSB mixes to A and C.
+	Apps []string
+	// Corners are the baseline placements whose min/max bound the
+	// baseline (Figs. 12 and 13).
 	Corners     []Placement
-	IntervalNS  float64
-	TargetInstr uint64
-	TargetOps   uint64
+	IntervalNS  float64 // Figs. 12-14
+	TargetInstr uint64  // Fig. 12's SPEC apps; 0 selects the calibrated default
+	TargetOps   uint64  // RocksDB, Figs. 12 and 13; 0 selects the calibrated default
 }
 
 // DefaultFig12Opts selects a representative subset of the paper's
@@ -62,23 +67,113 @@ func AllFig12Apps() []string {
 	}, apps...)
 }
 
+// appMixCell is one bar group of Figs. 12-14: a solo run, the baseline at
+// each placement corner, then IAT started from the worst corner.
+type appMixCell struct {
+	name    string // "fig12/redis/mcf": seeds the cell's runs and prefixes their job names
+	base    AppMixOpts
+	netOnly bool // the solo run is the networking side alone (Fig. 14), not the app alone
+	corners []Placement
+	iatFrom Placement
+}
+
+// appMixRun is one RunAppMix of a cell under its job name.
+type appMixRun struct {
+	name string
+	opts AppMixOpts
+}
+
+// runs returns the cell's runs in order (solo, one per corner, then IAT),
+// each seeded from the cell's name under the current base seed.
+func (c appMixCell) runs() []appMixRun {
+	base := c.base
+	base.Seed = jobSeed(c.name)
+	solo, iat := base, base
+	solo.Solo, solo.NetOnly = !c.netOnly, c.netOnly
+	iat.Placement, iat.IAT = c.iatFrom, true
+	runs := []appMixRun{{c.name + "/solo", solo}}
+	for _, pl := range c.corners {
+		base.Placement = pl
+		runs = append(runs, appMixRun{c.name + "/" + string(pl), base})
+	}
+	return append(runs, appMixRun{c.name + "/iat", iat})
+}
+
+// runAppMixCells runs every run of every cell as its own harness job and
+// reduces each cell's (solo, corners, iat) results to a row, in cell
+// order. A cell with a failed run has no row; the manifest and stderr
+// name the failed run.
+func runAppMixCells[R any](cells []appMixCell, reduce func(c appMixCell, solo AppMixResult, corners []AppMixResult, iat AppMixResult) R) []R {
+	var jobs []harness.Job
+	for _, c := range cells {
+		figure, _, _ := strings.Cut(c.name, "/")
+		for _, r := range c.runs() {
+			jobs = append(jobs, harness.Job{Name: r.name, Figure: figure, Seed: r.opts.Seed,
+				Fn: func() (any, error) { return RunAppMix(r.opts), nil }})
+		}
+	}
+	results := runJobsAt(jobs)
+	var rows []R
+	for _, c := range cells {
+		n := len(c.corners) + 2
+		var done []AppMixResult
+		for _, row := range results[:n] {
+			if r, ok := row.(AppMixResult); ok {
+				done = append(done, r)
+			}
+		}
+		if results = results[n:]; len(done) == n {
+			rows = append(rows, reduce(c, done[0], done[1:n-1], done[n-1]))
+		}
+	}
+	return rows
+}
+
+// spread returns the least and the greatest metric over the corner runs,
+// (1e18, 0) with none.
+func spread(corners []AppMixResult, metric func(AppMixResult) float64) (lo, hi float64) {
+	lo = 1e18
+	for _, r := range corners {
+		v := metric(r)
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, hi
+}
+
+// ycsbWorkloads are the YCSB mixes of Figs. 13 and 14.
+func ycsbWorkloads(o Fig12Opts) []string {
+	if len(o.Apps) > 0 && o.Apps[0] == "quick" {
+		return []string{"A", "C"}
+	}
+	return []string{"A", "B", "C", "D", "E", "F"}
+}
+
+// fig12Cells is one cell per networking and non-networking app.
+func fig12Cells(o Fig12Opts) (cells []appMixCell) {
+	for _, net := range o.Nets {
+		for _, app := range o.Apps {
+			base := AppMixOpts{Scale: o.Scale, Net: net, App: app, IntervalNS: o.IntervalNS,
+				TargetInstr: o.TargetInstr, TargetOps: o.TargetOps}
+			cells = append(cells, appMixCell{name: "fig12/" + net + "/" + app, base: base,
+				corners: o.Corners, iatFrom: PlacePC})
+		}
+	}
+	return cells
+}
+
+// fig12Row normalises the app's execution time to its solo run.
+func fig12Row(c appMixCell, solo AppMixResult, corners []AppMixResult, iat AppMixResult) Fig12Row {
+	exec := func(r AppMixResult) float64 { return normalized(r.ExecNS, solo.ExecNS) }
+	row := Fig12Row{Net: c.base.Net, App: c.base.App, SoloNS: solo.ExecNS, IAT: exec(iat)}
+	row.BaseMin, row.BaseMax = spread(corners, exec)
+	return row
+}
+
 // RunFig12 reproduces Fig. 12: normalised execution time of non-networking
 // applications co-running with Redis (aggregation) or a FastClick chain
 // (slicing), baseline placement range vs IAT.
 func RunFig12(w io.Writer, o Fig12Opts) []Fig12Row {
-	var jobs []harness.Job
-	for _, net := range o.Nets {
-		for _, app := range o.Apps {
-			net, app := net, app
-			name := fmt.Sprintf("fig12/%s/%s", net, app)
-			seed := jobSeed(name)
-			jobs = append(jobs, harness.Job{
-				Name: name, Figure: "fig12", Seed: seed,
-				Fn: func() (any, error) { return runFig12Cell(net, app, seed, o), nil },
-			})
-		}
-	}
-	rows := runJobs[Fig12Row](jobs)
+	rows := runAppMixCells(fig12Cells(o), fig12Row)
 	if w != nil {
 		fmt.Fprintf(w, "Fig 12 — normalised execution time (co-run / solo)\n")
 		fmt.Fprintf(w, "%-10s %-12s %9s %9s %9s %9s\n", "net", "app", "solo(s)", "base-min", "base-max", "IAT")
@@ -88,38 +183,6 @@ func RunFig12(w io.Writer, o Fig12Opts) []Fig12Row {
 		}
 	}
 	return rows
-}
-
-func runFig12Cell(net, app string, seed int64, o Fig12Opts) Fig12Row {
-	base := AppMixOpts{
-		Scale: o.Scale, Net: net, App: app,
-		IntervalNS:  o.IntervalNS,
-		TargetInstr: o.TargetInstr,
-		TargetOps:   o.TargetOps,
-		Seed:        seed,
-	}
-	soloOpts := base
-	soloOpts.Solo = true
-	solo := RunAppMix(soloOpts)
-
-	row := Fig12Row{Net: net, App: app, SoloNS: solo.ExecNS, BaseMin: 1e18}
-	for _, pl := range o.Corners {
-		opts := base
-		opts.Placement = pl
-		r := RunAppMix(opts)
-		n := normalized(r.ExecNS, solo.ExecNS)
-		if n < row.BaseMin {
-			row.BaseMin = n
-		}
-		if n > row.BaseMax {
-			row.BaseMax = n
-		}
-	}
-	iatOpts := base
-	iatOpts.Placement = PlacePC // start from the worst corner
-	iatOpts.IAT = true
-	row.IAT = normalized(RunAppMix(iatOpts).ExecNS, solo.ExecNS)
-	return row
 }
 
 func normalized(v, solo float64) float64 {
@@ -142,27 +205,31 @@ type Fig13Row struct {
 	IAT      float64
 }
 
+// fig13Cells is one RocksDB cell per networking app and YCSB workload.
+func fig13Cells(o Fig12Opts) (cells []appMixCell) {
+	for _, net := range o.Nets {
+		for _, wl := range ycsbWorkloads(o) {
+			base := AppMixOpts{Scale: o.Scale, Net: net, App: "rocksdb:" + wl, IntervalNS: o.IntervalNS,
+				TargetOps: o.TargetOps}
+			cells = append(cells, appMixCell{name: "fig13/" + net + "/ycsb-" + wl, base: base,
+				corners: o.Corners, iatFrom: PlacePC})
+		}
+	}
+	return cells
+}
+
+// fig13Row normalises RocksDB's per-op latencies to its solo run.
+func fig13Row(c appMixCell, solo AppMixResult, corners []AppMixResult, iat AppMixResult) Fig13Row {
+	lat := func(r AppMixResult) float64 { return WeightedLatency(r.RocksHists, solo.RocksHists) }
+	row := Fig13Row{Net: c.base.Net, Workload: strings.TrimPrefix(c.base.App, "rocksdb:"), IAT: lat(iat)}
+	row.BaseMin, row.BaseMax = spread(corners, lat)
+	return row
+}
+
 // RunFig13 reproduces Fig. 13: the normalised weighted average latency of
 // RocksDB under YCSB A-F, co-running with the two networking applications.
 func RunFig13(w io.Writer, o Fig12Opts) []Fig13Row {
-	var rows []Fig13Row
-	workloads := []string{"A", "B", "C", "D", "E", "F"}
-	if len(o.Apps) > 0 && o.Apps[0] == "quick" {
-		workloads = []string{"A", "C"}
-	}
-	var jobs []harness.Job
-	for _, net := range o.Nets {
-		for _, wl := range workloads {
-			net, wl := net, wl
-			name := fmt.Sprintf("fig13/%s/ycsb-%s", net, wl)
-			seed := jobSeed(name)
-			jobs = append(jobs, harness.Job{
-				Name: name, Figure: "fig13", Seed: seed,
-				Fn: func() (any, error) { return runFig13Cell(net, wl, seed, o), nil },
-			})
-		}
-	}
-	rows = runJobs[Fig13Row](jobs)
+	rows := runAppMixCells(fig13Cells(o), fig13Row)
 	if w != nil {
 		fmt.Fprintf(w, "Fig 13 — RocksDB normalised weighted latency (co-run / solo)\n")
 		fmt.Fprintf(w, "%-10s %-9s %9s %9s %9s\n", "net", "workload", "base-min", "base-max", "IAT")
@@ -193,37 +260,6 @@ func WeightedLatency(co, solo map[ycsb.Op]*ycsb.Histogram) float64 {
 	return acc / float64(total)
 }
 
-func runFig13Cell(net, wl string, seed int64, o Fig12Opts) Fig13Row {
-	base := AppMixOpts{
-		Scale: o.Scale, Net: net, App: "rocksdb:" + wl,
-		IntervalNS: o.IntervalNS,
-		TargetOps:  o.TargetOps,
-		Seed:       seed,
-	}
-	soloOpts := base
-	soloOpts.Solo = true
-	solo := RunAppMix(soloOpts)
-
-	row := Fig13Row{Net: net, Workload: wl, BaseMin: 1e18}
-	for _, pl := range o.Corners {
-		opts := base
-		opts.Placement = pl
-		r := RunAppMix(opts)
-		n := WeightedLatency(r.RocksHists, solo.RocksHists)
-		if n < row.BaseMin {
-			row.BaseMin = n
-		}
-		if n > row.BaseMax {
-			row.BaseMax = n
-		}
-	}
-	iatOpts := base
-	iatOpts.Placement = PlacePC
-	iatOpts.IAT = true
-	row.IAT = WeightedLatency(RunAppMix(iatOpts).RocksHists, solo.RocksHists)
-	return row
-}
-
 // Fig14Row is one YCSB workload of Fig. 14: Redis throughput and latency
 // degradation under co-location.
 type Fig14Row struct {
@@ -237,25 +273,41 @@ type Fig14Row struct {
 	IATP99                   float64
 }
 
+// fig14Cells is one Redis cell per YCSB workload beside the
+// non-networking trio, over a fixed window.
+func fig14Cells(o Fig12Opts) (cells []appMixCell) {
+	for _, wl := range ycsbWorkloads(o) {
+		base := AppMixOpts{Scale: o.Scale, Net: "redis", App: "mcf", RedisWorkload: wl, IntervalNS: o.IntervalNS,
+			TargetInstr: 1 << 62, // mcf runs for the whole window
+			MaxNS:       3e9,     // fixed window: Redis metrics need equal spans
+		}
+		// The corners that matter for the networking side: no overlap vs
+		// the cache-hungry X-Mem on the DDIO ways, its worst corner.
+		cells = append(cells, appMixCell{name: "fig14/redis/ycsb-" + wl, base: base, netOnly: true,
+			corners: []Placement{PlaceNone, PlaceBE10, PlacePC}, iatFrom: PlaceBE10})
+	}
+	return cells
+}
+
+// fig14Row normalises Redis's throughput and latencies to the
+// networking-only solo run: min and max of throughput, max of the
+// latencies.
+func fig14Row(c appMixCell, solo AppMixResult, corners []AppMixResult, iat AppMixResult) Fig14Row {
+	tput := func(r AppMixResult) float64 { return normalized(r.RedisOpsPS, solo.RedisOpsPS) }
+	avg := func(r AppMixResult) float64 { return normalized(r.RedisMeanNS, solo.RedisMeanNS) }
+	p99 := func(r AppMixResult) float64 { return normalized(r.RedisP99NS, solo.RedisP99NS) }
+	row := Fig14Row{Workload: c.base.RedisWorkload, IATTput: tput(iat), IATAvg: avg(iat), IATP99: p99(iat)}
+	row.BaseTputMin, row.BaseTputMax = spread(corners, tput)
+	_, row.BaseAvgMax = spread(corners, avg)
+	_, row.BaseP99Max = spread(corners, p99)
+	return row
+}
+
 // RunFig14 reproduces Fig. 14: Redis YCSB results when co-running with the
 // non-networking trio (PC app = the cache-hungry mcf), baseline placement
 // range vs IAT.
 func RunFig14(w io.Writer, o Fig12Opts) []Fig14Row {
-	workloads := []string{"A", "B", "C", "D", "E", "F"}
-	if len(o.Apps) > 0 && o.Apps[0] == "quick" {
-		workloads = []string{"A", "C"}
-	}
-	var jobs []harness.Job
-	for _, wl := range workloads {
-		wl := wl
-		name := "fig14/redis/ycsb-" + wl
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "fig14", Seed: seed,
-			Fn: func() (any, error) { return runFig14Cell(wl, seed, o), nil },
-		})
-	}
-	rows := runJobs[Fig14Row](jobs)
+	rows := runAppMixCells(fig14Cells(o), fig14Row)
 	if w != nil {
 		fmt.Fprintf(w, "Fig 14 — Redis under co-location (normalised to networking-solo)\n")
 		fmt.Fprintf(w, "%-9s %9s %9s %9s %9s %9s %9s %9s\n",
@@ -266,48 +318,4 @@ func RunFig14(w io.Writer, o Fig12Opts) []Fig14Row {
 		}
 	}
 	return rows
-}
-
-func runFig14Cell(wl string, seed int64, o Fig12Opts) Fig14Row {
-	base := AppMixOpts{
-		Scale: o.Scale, Net: "redis", App: "mcf",
-		RedisWorkload: wl,
-		IntervalNS:    o.IntervalNS,
-		TargetInstr:   1 << 62, // mcf runs for the whole window
-		MaxNS:         3e9,     // fixed window: Redis metrics need equal spans
-		Seed:          seed,
-	}
-	soloOpts := base
-	soloOpts.NetOnly = true
-	solo := RunAppMix(soloOpts)
-
-	row := Fig14Row{Workload: wl, BaseTputMin: 1e18}
-	// The corners that matter for the networking side: no overlap vs the
-	// cache-hungry X-Mem on the DDIO ways.
-	for _, pl := range []Placement{PlaceNone, PlaceBE10, PlacePC} {
-		opts := base
-		opts.Placement = pl
-		r := RunAppMix(opts)
-		t := normalized(r.RedisOpsPS, solo.RedisOpsPS)
-		if t < row.BaseTputMin {
-			row.BaseTputMin = t
-		}
-		if t > row.BaseTputMax {
-			row.BaseTputMax = t
-		}
-		if a := normalized(r.RedisMeanNS, solo.RedisMeanNS); a > row.BaseAvgMax {
-			row.BaseAvgMax = a
-		}
-		if p := normalized(r.RedisP99NS, solo.RedisP99NS); p > row.BaseP99Max {
-			row.BaseP99Max = p
-		}
-	}
-	iatOpts := base
-	iatOpts.Placement = PlaceBE10 // worst corner for the networking side
-	iatOpts.IAT = true
-	r := RunAppMix(iatOpts)
-	row.IATTput = normalized(r.RedisOpsPS, solo.RedisOpsPS)
-	row.IATAvg = normalized(r.RedisMeanNS, solo.RedisMeanNS)
-	row.IATP99 = normalized(r.RedisP99NS, solo.RedisP99NS)
-	return row
 }

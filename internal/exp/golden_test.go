@@ -129,6 +129,28 @@ var goldenCases = []goldenCase{
 	{"tournament", 0, false, func(t *testing.T, out artifacts) {
 		out.csv(t, "tournament.csv", RunPolicyTournament(nil, testTournamentOpts()), 4)
 	}},
+	{"fig12", 42, true, func(t *testing.T, out artifacts) {
+		o := DefaultFig12Opts()
+		o.Nets, o.Apps = []string{"fastclick"}, []string{"gcc"}
+		o.TargetInstr = 1e6
+		out.csv(t, "fig12.csv", RunFig12(io.Discard, o), 1)
+	}},
+	{"fig13", 42, true, func(t *testing.T, out artifacts) {
+		o := DefaultFig12Opts()
+		o.TargetOps = 5000
+		o.Corners = []Placement{PlacePC}
+		// Fig12Opts selects Fig. 13's workloads only as A-F or as A and
+		// C, so the one-cell entry comes from the cell table.
+		cell := fig13Cells(o)[0] // redis/ycsb-A
+		out.csv(t, "fig13.csv", runAppMixCells([]appMixCell{cell}, fig13Row), 1)
+	}},
+	{"fig14", 42, true, func(t *testing.T, out artifacts) {
+		// Fig. 14's window and corners are fixed inside its cells.
+		cell := fig14Cells(DefaultFig12Opts())[0] // redis/ycsb-A
+		cell.base.MaxNS = 0.2e9
+		cell.corners = []Placement{PlaceBE10} // the corner IAT starts from
+		out.csv(t, "fig14.csv", runAppMixCells([]appMixCell{cell}, fig14Row), 1)
+	}},
 	{"abl-mba", 42, true, func(t *testing.T, out artifacts) {
 		out.csv(t, "abl-mba.csv", RunAblationMBA(io.Discard, 100), 3)
 	}},

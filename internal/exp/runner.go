@@ -64,10 +64,24 @@ func jobSeed(name string) int64 {
 
 // runJobs executes a job set under the current Exec policy and
 // collects the surviving rows in submission order. A job may return an
-// R or a []R (time-series runners). Failed jobs are reported on stderr
-// and in the manifest; their rows are skipped so one crashed point
-// cannot kill the whole regeneration.
+// R or a []R (time-series runners); a failed job's row is skipped so one
+// crashed point cannot kill the whole regeneration.
 func runJobs[R any](jobs []harness.Job) []R {
+	var rows []R
+	for _, row := range runJobsAt(jobs) {
+		if v, ok := row.(R); ok {
+			rows = append(rows, v)
+		} else if vs, ok := row.([]R); ok {
+			rows = append(rows, vs...)
+		}
+	}
+	return rows
+}
+
+// runJobsAt executes a job set under the current Exec policy and returns
+// each job's row at its submission index, nil where the job failed.
+// Failed jobs are reported on stderr and in the manifest.
+func runJobsAt(jobs []harness.Job) []any {
 	e := CurrentExec()
 	rep := harness.Run(jobs, harness.Options{
 		Workers:      e.Jobs,
@@ -78,19 +92,13 @@ func runJobs[R any](jobs []harness.Job) []R {
 	if e.Manifest != nil {
 		e.Manifest.Append(rep)
 	}
-	var rows []R
-	for i := range rep.Results {
-		res := &rep.Results[i]
+	rows := make([]any, len(rep.Results))
+	for i, res := range rep.Results {
 		if res.Failed() {
 			fmt.Fprintf(os.Stderr, "exp: job %s failed after %d attempt(s): %s\n",
 				res.Name, res.Attempts, firstLine(res.Err))
-			continue
 		}
-		if v, ok := res.Row.(R); ok {
-			rows = append(rows, v)
-		} else if vs, ok := res.Row.([]R); ok {
-			rows = append(rows, vs...)
-		}
+		rows[i] = res.Row // nil when the job failed
 	}
 	return rows
 }
