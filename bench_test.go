@@ -534,7 +534,7 @@ func BenchmarkHostCheckpoint(b *testing.B) {
 func BenchmarkAblationMechanisms(b *testing.B) {
 	var rows []exp.AblationMechRow
 	for i := 0; i < b.N; i++ {
-		rows = exp.RunAblationMechanisms(io.Discard, 100)
+		rows = exp.RunAblationMechanisms(io.Discard)
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.DDIOMissPS, "miss/s-"+r.Variant)
@@ -545,7 +545,7 @@ func BenchmarkAblationMechanisms(b *testing.B) {
 func BenchmarkAblationDDIOExt(b *testing.B) {
 	var rows []exp.AblationDDIOExtRow
 	for i := 0; i < b.N; i++ {
-		rows = exp.RunAblationDDIOExt(io.Discard, 100)
+		rows = exp.RunAblationDDIOExt(io.Discard)
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.VictimLatNS, "victim-ns-"+r.Variant)

@@ -156,15 +156,15 @@ func main() {
 	run("fig13", func() any { return exp.RunFig13(w, fig13Opts(*full)) })
 	run("fig14", func() any { return exp.RunFig14(w, fig13Opts(*full)) })
 	run("fig15", func() any { return exp.RunFig15(w, fig15Opts(*full)) })
-	run("abl-mech", func() any { return exp.RunAblationMechanisms(w, 100) })
-	run("abl-growth", func() any { return exp.RunAblationGrowth(w, 100) })
-	run("abl-ddioext", func() any { return exp.RunAblationDDIOExt(w, 100) })
-	run("abl-mba", func() any { return exp.RunAblationMBA(w, 100) })
-	run("abl-policy", func() any { return exp.RunAblationReplacement(w, 100) })
-	run("abl-storage", func() any { return exp.RunAblationStorage(w, 100) })
-	run("abl-remote", func() any { return exp.RunAblationRemoteSocket(w, 100) })
-	run("abl-sens", func() any { return exp.RunSensitivity(w, 100) })
-	run("abl-resq", func() any { return exp.RunAblationResQ(w, 100) })
+	run("abl-mech", func() any { return exp.RunAblationMechanisms(w) })
+	run("abl-growth", func() any { return exp.RunAblationGrowth(w) })
+	run("abl-ddioext", func() any { return exp.RunAblationDDIOExt(w) })
+	run("abl-mba", func() any { return exp.RunAblationMBA(w) })
+	run("abl-policy", func() any { return exp.RunAblationReplacement(w) })
+	run("abl-storage", func() any { return exp.RunAblationStorage(w) })
+	run("abl-remote", func() any { return exp.RunAblationRemoteSocket(w) })
+	run("abl-sens", func() any { return exp.RunSensitivity(w) })
+	run("abl-resq", func() any { return exp.RunAblationResQ(w) })
 	run("chaos", func() any { return exp.RunChaos(w, chaosOpts(*full, *chaos)) })
 	run("fleet", func() any { return exp.RunFleetGrid(w, fleetOpts(*full, *chaos, *seed)) })
 	run("tournament", func() any { return exp.RunPolicyTournament(w, tournamentOpts(*full)) })

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"iatsim/internal/nic"
 )
 
 // smokeArgs is a deliberately small search: tiny ring, few flows, short
@@ -40,10 +44,65 @@ func TestSmokeDeterministicSearch(t *testing.T) {
 	}
 }
 
-// TestBadFlags covers the CLI contract for unparsable flags.
+// TestBadFlags covers the CLI contract for bad flags: an unparsable value
+// is a parse error, and every out-of-range value is a usageError (exit 2
+// in main) returned before any simulation runs.
 func TestBadFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-ring", "not-a-number"}, &out); err == nil {
 		t.Fatal("bad -ring value should error")
 	}
+	for _, args := range [][]string{
+		{"-flows", "0"},
+		{"-flows", "4000000000"},
+		{"-ring", "-5"},
+		{"-ring", "0"},
+		{"-ring", "1000000"},
+		{"-size", "0"},
+		{"-size", "63"},
+		{"-size", "2049"},
+		{"-scale", "0"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-warm", "-1"},
+		{"-measure", "NaN"},
+		{"-measure", "Inf"},
+	} {
+		out.Reset()
+		err := run(args, &out)
+		var ue usageError
+		if !errors.As(err, &ue) {
+			t.Errorf("%v: err = %v, want a usageError", args, err)
+			continue
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.HasPrefix(msg, args[0]+" ") {
+			t.Errorf("%v: message %q, want one line naming %s", args, msg, args[0])
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before rejecting", args, out.String())
+		}
+	}
+}
+
+// FuzzRFC2544Flags feeds arbitrary command lines to the flag parser: it
+// never panics, and any options it accepts describe one point within
+// the bounds the search can run.
+func FuzzRFC2544Flags(f *testing.F) {
+	f.Add("-flows 0")
+	f.Add("-ring -5")
+	f.Add("-ring 0")
+	f.Add("-size 0 -scale 0")
+	f.Add("-ring 512 -size 1500 -flows 4096 -warm 0.05 -measure 0.1")
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(strings.Fields(line))
+		if err != nil {
+			return
+		}
+		positiveFinite := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+		if len(o.Rings) != 1 || o.Rings[0] < 1 || o.Rings[0] > maxRing ||
+			len(o.Sizes) != 1 || o.Sizes[0] < 64 || o.Sizes[0] > nic.BufSize ||
+			o.Flows < 1 || o.Flows > maxFlows || !positiveFinite(o.Scale) || !positiveFinite(o.WarmNS) || !positiveFinite(o.MeasureNS) {
+			t.Fatalf("%q accepted out of bounds: %+v", line, o)
+		}
+	})
 }

@@ -7,14 +7,19 @@ import (
 
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
-	"iatsim/internal/harness"
 	"iatsim/internal/nic"
 	"iatsim/internal/nvme"
 	"iatsim/internal/pkt"
 	"iatsim/internal/sim"
+	"iatsim/internal/telemetry"
 	"iatsim/internal/tgen"
 	"iatsim/internal/workload"
 )
+
+// ablationScale is the simulation scale every ablation runs at, the
+// figures' default: rates and core cycle budgets are divided by it and
+// reported rates multiplied back.
+const ablationScale = 100
 
 // AblationMechRow is one row of the mechanism ablation: which of IAT's two
 // levers (DDIO way sizing, BE shuffling) buys what on the Leaky DMA
@@ -29,10 +34,7 @@ type AblationMechRow struct {
 // four controller variants: no controller, shuffle-only, DDIO-sizing-only,
 // and full IAT — quantifying each mechanism's contribution (the design
 // choices DESIGN.md calls out).
-func RunAblationMechanisms(w io.Writer, scale float64) []AblationMechRow {
-	if scale == 0 {
-		scale = 100
-	}
+func RunAblationMechanisms(w io.Writer) []AblationMechRow {
 	variants := []struct {
 		name string
 		opts *core.Options // nil = no controller
@@ -42,29 +44,24 @@ func RunAblationMechanisms(w io.Writer, scale float64) []AblationMechRow {
 		{"ddio-only", &core.Options{DisableShuffle: true, DisableTenantAdjust: true}},
 		{"full-iat", &core.Options{}},
 	}
-	var jobs []harness.Job
+	var points []point[AblationMechRow]
 	for _, v := range variants {
-		v := v
-		name := "abl-mech/" + v.name
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-mech", Seed: seed,
-			Fn: func() (any, error) {
-				rs := rigSpec{leaky: LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed}}
+		points = append(points, newPoint("abl-mech/"+v.name,
+			func(seed int64, _ *telemetry.Registry) (AblationMechRow, *telemetry.Snapshot) {
+				rs := rigSpec{leaky: LeakyOpts{Scale: ablationScale, PktSize: 1500, Seed: seed}}
 				if v.opts != nil {
-					rs.daemon = iatDaemon(scale, 0.2e9)
+					rs.daemon = iatDaemon(ablationScale, 0.2e9)
 					rs.daemon.opts = *v.opts
 				}
 				win, _ := newLeakyRig(rs, nil).measure(2.4e9, 0.8e9)
 				return AblationMechRow{
 					Variant:    v.name,
-					DDIOMissPS: win.DDIOMissPS() * scale,
-					MemGBps:    win.MemGBps() * scale,
+					DDIOMissPS: win.DDIOMissPS() * ablationScale,
+					MemGBps:    win.MemGBps() * ablationScale,
 				}, nil
-			},
-		})
+			}))
 	}
-	rows := runJobs[AblationMechRow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Ablation — IAT mechanisms on the Leaky DMA scenario (1.5KB line rate)\n")
 		fmt.Fprintf(w, "%14s %14s %10s\n", "variant", "DDIOmiss/s", "mem GB/s")
@@ -87,23 +84,16 @@ type AblationGrowthRow struct {
 // RunAblationGrowth compares the paper's one-way-per-iteration increments
 // against the UCP-style multi-way policy (Sec. IV-D's suggested
 // exploration) on the Leaky DMA scenario: how fast does each converge?
-func RunAblationGrowth(w io.Writer, scale float64) []AblationGrowthRow {
-	if scale == 0 {
-		scale = 100
-	}
-	var jobs []harness.Job
+func RunAblationGrowth(w io.Writer) []AblationGrowthRow {
+	var points []point[AblationGrowthRow]
 	for _, pol := range []core.GrowthPolicy{core.GrowOneWay, core.GrowUCP} {
-		pol := pol
-		name := "abl-growth/" + pol.String()
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-growth", Seed: seed,
-			Fn: func() (any, error) {
-				daemon := iatDaemon(scale, 0.2e9)
+		points = append(points, newPoint("abl-growth/"+pol.String(),
+			func(seed int64, _ *telemetry.Registry) (AblationGrowthRow, *telemetry.Snapshot) {
+				daemon := iatDaemon(ablationScale, 0.2e9)
 				daemon.params.Growth = pol
-				r := newLeakyRig(rigSpec{leaky: LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed}, daemon: daemon}, nil)
+				r := newLeakyRig(rigSpec{leaky: LeakyOpts{Scale: ablationScale, PktSize: 1500, Seed: seed}, daemon: daemon}, nil)
 				row := AblationGrowthRow{Policy: pol}
-				thresh := 1e6 / scale
+				thresh := 1e6 / ablationScale
 				for t := 0.0; t < 4e9; t += 0.2e9 {
 					win := Measure(r.P, 0.2e9)
 					if t > 0.6e9 && win.DDIOMissPS() < thresh && row.ConvergeNS == 0 {
@@ -113,10 +103,9 @@ func RunAblationGrowth(w io.Writer, scale float64) []AblationGrowthRow {
 				}
 				row.FinalWays = r.P.RDT.DDIOMask().Count()
 				return row, nil
-			},
-		})
+			}))
 	}
-	rows := runJobs[AblationGrowthRow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Ablation — growth policy convergence (Leaky DMA, 1.5KB)\n")
 		fmt.Fprintf(w, "%10s %14s %10s\n", "policy", "converge(s)", "ddio ways")
@@ -148,12 +137,9 @@ type AblationDDIOExtRow struct {
 //     every packet, steering payloads to memory — trading memory bandwidth
 //     for cache isolation;
 //   - device-mask: device-aware DDIO confines this NIC to a single way.
-func RunAblationDDIOExt(w io.Writer, scale float64) []AblationDDIOExtRow {
-	if scale == 0 {
-		scale = 100
-	}
+func RunAblationDDIOExt(w io.Writer) []AblationDDIOExtRow {
 	run := func(variant string, seed int64) AblationDDIOExtRow {
-		p := sim.NewPlatform(sim.XeonGold6140(scale))
+		p := sim.NewPlatform(sim.XeonGold6140(ablationScale))
 		ways := p.Cfg.Hier.LLC.Ways
 		dev := p.AddDevice(nic.Config{Name: "nic0", VFs: 1})
 		vf := dev.VF(0)
@@ -197,25 +183,22 @@ func RunAblationDDIOExt(w io.Writer, scale float64) []AblationDDIOExtRow {
 		row := AblationDDIOExtRow{
 			Variant:     variant,
 			VictimLatNS: d.AvgLatCycles() / p.Cfg.FreqGHz,
-			FwdPPS:      float64(vf.Stats.TxPackets-txA) / 1.0 * scale,
-			MemGBps:     win.MemGBps() * scale,
+			FwdPPS:      float64(vf.Stats.TxPackets-txA) / 1.0 * ablationScale,
+			MemGBps:     win.MemGBps() * ablationScale,
 		}
 		if cyc := p.CoreCycles(1) - cycA; cyc > 0 {
 			row.VictimMops = float64(d.Ops) * p.Cfg.FreqGHz * 1e9 / float64(cyc) / 1e6
 		}
 		return row
 	}
-	var jobs []harness.Job
+	var points []point[AblationDDIOExtRow]
 	for _, v := range []string{"stock", "header-only", "device-mask"} {
-		v := v
-		name := "abl-ddioext/" + v
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-ddioext", Seed: seed,
-			Fn: func() (any, error) { return run(v, seed), nil },
-		})
+		points = append(points, newPoint("abl-ddioext/"+v,
+			func(seed int64, _ *telemetry.Registry) (AblationDDIOExtRow, *telemetry.Snapshot) {
+				return run(v, seed), nil
+			}))
 	}
-	rows := runJobs[AblationDDIOExtRow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Ablation — future-DDIO extensions (Sec. VII) on the Latent Contender scenario\n")
 		fmt.Fprintf(w, "%12s %12s %12s %12s %10s\n", "variant", "victim lat", "victim Mops", "fwd pps", "mem GB/s")
@@ -238,12 +221,9 @@ type AblationMBARow struct {
 // (Sec. VI-C): LLC partitioning cannot stop a streaming best-effort
 // neighbour from saturating memory bandwidth, but throttling its class
 // restores the PC tenant's memory latency.
-func RunAblationMBA(w io.Writer, scale float64) []AblationMBARow {
-	if scale == 0 {
-		scale = 100
-	}
+func RunAblationMBA(w io.Writer) []AblationMBARow {
 	run := func(throttle int, seed int64) AblationMBARow {
-		cfg := sim.XeonGold6140(scale)
+		cfg := sim.XeonGold6140(ablationScale)
 		// A narrow memory system makes the bandwidth contention visible
 		// at simulation scale.
 		cfg.Mem.BandwidthGBps = 2
@@ -283,20 +263,17 @@ func RunAblationMBA(w io.Writer, scale float64) []AblationMBARow {
 		return AblationMBARow{
 			ThrottlePct: throttle,
 			PCLatNS:     d.AvgLatCycles() / p.Cfg.FreqGHz,
-			BEOpsPS:     float64(beOps) * scale,
+			BEOpsPS:     float64(beOps) * ablationScale,
 		}
 	}
-	var jobs []harness.Job
+	var points []point[AblationMBARow]
 	for _, thr := range []int{0, 50, 90} {
-		thr := thr
-		name := fmt.Sprintf("abl-mba/throttle=%d", thr)
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-mba", Seed: seed,
-			Fn: func() (any, error) { return run(thr, seed), nil },
-		})
+		points = append(points, newPoint(fmt.Sprintf("abl-mba/throttle=%d", thr),
+			func(seed int64, _ *telemetry.Registry) (AblationMBARow, *telemetry.Snapshot) {
+				return run(thr, seed), nil
+			}))
 	}
-	rows := runJobs[AblationMBARow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Ablation — MBA on memory-bandwidth interference (narrow 2GB/s memory)\n")
 		fmt.Fprintf(w, "%12s %14s %14s\n", "BE throttle", "PC lat (ns)", "BE ops/s")
@@ -324,12 +301,9 @@ type AblationPolicyRow struct {
 // grants; under SRRIP (modern Intel behaviour, the default) the parked
 // lines age out and the moved tenant converges to the control. Mask-based
 // accounting is only sound under RRIP-style policies.
-func RunAblationReplacement(w io.Writer, scale float64) []AblationPolicyRow {
-	if scale == 0 {
-		scale = 100
-	}
+func RunAblationReplacement(w io.Writer) []AblationPolicyRow {
 	run := func(policy cache.ReplacementPolicy, startOnDDIO bool, seed int64) float64 {
-		cfg := sim.XeonGold6140(scale)
+		cfg := sim.XeonGold6140(ablationScale)
 		cfg.Hier.LLC.Policy = policy
 		p := sim.NewPlatform(cfg)
 		ways := cfg.Hier.LLC.Ways
@@ -374,23 +348,18 @@ func RunAblationReplacement(w io.Writer, scale float64) []AblationPolicyRow {
 		}
 		return float64(d.Ops) * p.Cfg.FreqGHz * 1e9 / float64(cyc) / 1e6
 	}
-	var jobs []harness.Job
+	var points []point[AblationPolicyRow]
 	for _, pol := range []cache.ReplacementPolicy{cache.PolicySRRIP, cache.PolicyLRU} {
-		pol := pol
-		name := "abl-policy/" + pol.String()
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-policy", Seed: seed,
-			Fn: func() (any, error) {
+		points = append(points, newPoint("abl-policy/"+pol.String(),
+			func(seed int64, _ *telemetry.Registry) (AblationPolicyRow, *telemetry.Snapshot) {
 				return AblationPolicyRow{
 					Policy:      pol,
 					MovedMops:   run(pol, true, seed),
 					ControlMops: run(pol, false, seed),
 				}, nil
-			},
-		})
+			}))
 	}
-	rows := runJobs[AblationPolicyRow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Ablation — replacement policy vs mask squatting (tenant shuffled off the DDIO ways)\n")
 		fmt.Fprintf(w, "%8s %12s %14s %10s\n", "policy", "moved Mops", "control Mops", "ratio")
@@ -418,14 +387,11 @@ type AblationStorageRow struct {
 // in flight, an 8MB DMA footprint that thrashes the two default DDIO ways
 // exactly as oversized Rx rings do. IAT sees the same chip-wide DDIO miss
 // counters — it cannot tell a NIC from an SSD — and grows the DDIO ways.
-func RunAblationStorage(w io.Writer, scale float64) []AblationStorageRow {
-	if scale == 0 {
-		scale = 100
-	}
+func RunAblationStorage(w io.Writer) []AblationStorageRow {
 	run := func(iat bool, seed int64) AblationStorageRow {
-		p := sim.NewPlatform(sim.XeonGold6140(scale))
+		p := sim.NewPlatform(sim.XeonGold6140(ablationScale))
 		cfg := nvme.DefaultConfig("ssd0")
-		cfg.BandwidthGBps /= scale // device bandwidth is a rate: scale it
+		cfg.BandwidthGBps /= ablationScale // device bandwidth is a rate: scale it
 		dev := nvme.New(cfg, 1, p.DDIO, p.Alloc)
 		dev.QP(0).ConsumerCore = 0
 		p.AddMicrotickHook(dev.Tick)
@@ -437,7 +403,7 @@ func RunAblationStorage(w io.Writer, scale float64) []AblationStorageRow {
 			Workers: []sim.Worker{srv},
 		})
 		if iat {
-			attachDaemon(p, iatDaemon(scale, 0.2e9), nil)
+			attachDaemon(p, iatDaemon(ablationScale, 0.2e9), nil)
 		}
 		p.Run(2.5e9)
 		srv.Hist().Reset()
@@ -450,27 +416,24 @@ func RunAblationStorage(w io.Writer, scale float64) []AblationStorageRow {
 		}
 		return AblationStorageRow{
 			Mode:       mode,
-			DDIOMissPS: win.DDIOMissPS() * scale,
-			MemGBps:    win.MemGBps() * scale,
-			IOPS:       float64(d.Ops) / 1.5 * scale,
+			DDIOMissPS: win.DDIOMissPS() * ablationScale,
+			MemGBps:    win.MemGBps() * ablationScale,
+			IOPS:       float64(d.Ops) / 1.5 * ablationScale,
 			MeanLatNS:  srv.Hist().Mean(),
 			DDIOWays:   p.RDT.DDIOMask().Count(),
 		}
 	}
-	var jobs []harness.Job
+	var points []point[AblationStorageRow]
 	for _, mode := range []struct {
 		name string
 		iat  bool
 	}{{"baseline", false}, {"iat", true}} {
-		mode := mode
-		name := "abl-storage/" + mode.name
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-storage", Seed: seed,
-			Fn: func() (any, error) { return run(mode.iat, seed), nil },
-		})
+		points = append(points, newPoint("abl-storage/"+mode.name,
+			func(seed int64, _ *telemetry.Registry) (AblationStorageRow, *telemetry.Snapshot) {
+				return run(mode.iat, seed), nil
+			}))
 	}
-	rows := runJobs[AblationStorageRow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Ablation — storage Leaky DMA: SPDK server, 64 x 128KB reads in flight\n")
 		fmt.Fprintf(w, "%10s %14s %10s %12s %12s %6s\n", "mode", "DDIOmiss/s", "mem GB/s", "IOPS", "lat(ns)", "dWays")
@@ -497,12 +460,9 @@ type AblationRemoteRow struct {
 // packet line it touches. The "socket-direct" row models a multi-socket
 // NIC (IOctopus-style), which delivers to the consumer's socket and
 // removes the penalty.
-func RunAblationRemoteSocket(w io.Writer, scale float64) []AblationRemoteRow {
-	if scale == 0 {
-		scale = 100
-	}
+func RunAblationRemoteSocket(w io.Writer) []AblationRemoteRow {
 	run := func(consumer string, seed int64) AblationRemoteRow {
-		p := sim.NewPlatform(sim.XeonGold6140(scale))
+		p := sim.NewPlatform(sim.XeonGold6140(ablationScale))
 		if consumer == "remote" {
 			// Core 0 lives on socket 1, 60ns of UPI away from the
 			// NIC's socket.
@@ -529,23 +489,20 @@ func RunAblationRemoteSocket(w io.Writer, scale float64) []AblationRemoteRow {
 		d := fwd.Stats().Sub(a)
 		row := AblationRemoteRow{
 			Consumer:  consumer,
-			FwdPPS:    float64(vf.Stats.TxPackets-txA) * scale,
+			FwdPPS:    float64(vf.Stats.TxPackets-txA) * ablationScale,
 			CPP:       d.AvgLatCycles(),
 			MeanLatNS: d.AvgLatCycles() / p.Cfg.FreqGHz,
 		}
 		return row
 	}
-	var jobs []harness.Job
+	var points []point[AblationRemoteRow]
 	for _, consumer := range []string{"local", "remote", "socket-direct"} {
-		consumer := consumer
-		name := "abl-remote/" + consumer
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-remote", Seed: seed,
-			Fn: func() (any, error) { return run(consumer, seed), nil },
-		})
+		points = append(points, newPoint("abl-remote/"+consumer,
+			func(seed int64, _ *telemetry.Registry) (AblationRemoteRow, *telemetry.Snapshot) {
+				return run(consumer, seed), nil
+			}))
 	}
-	rows := runJobs[AblationRemoteRow](jobs)
+	rows := sweep(points)
 	// socket-direct == local in this model (the multi-socket NIC makes
 	// the consumer's socket the delivery target); keep the label so the
 	// output reads as the three deployment choices.
@@ -575,21 +532,18 @@ type SensitivityRow struct {
 // mechanism should keep the data-plane outcome (miss rate, memory
 // bandwidth) flat across reasonable settings, with only the control-plane
 // churn varying.
-func RunSensitivity(w io.Writer, scale float64) []SensitivityRow {
-	if scale == 0 {
-		scale = 100
-	}
+func RunSensitivity(w io.Writer) []SensitivityRow {
 	run := func(param, value string, mod func(*core.Params), seed int64) SensitivityRow {
-		daemon := iatDaemon(scale, 0.2e9)
+		daemon := iatDaemon(ablationScale, 0.2e9)
 		mod(&daemon.params)
-		r := newLeakyRig(rigSpec{leaky: LeakyOpts{Scale: scale, PktSize: 1500, Seed: seed}, daemon: daemon}, nil)
+		r := newLeakyRig(rigSpec{leaky: LeakyOpts{Scale: ablationScale, PktSize: 1500, Seed: seed}, daemon: daemon}, nil)
 		win, _ := r.measure(2.4e9, 0.8e9)
 		_, unstable := r.daemon.Iterations()
 		return SensitivityRow{
 			Param:      param,
 			Value:      value,
-			DDIOMissPS: win.DDIOMissPS() * scale,
-			MemGBps:    win.MemGBps() * scale,
+			DDIOMissPS: win.DDIOMissPS() * ablationScale,
+			MemGBps:    win.MemGBps() * ablationScale,
 			Unstable:   unstable,
 			FinalWays:  r.P.RDT.DDIOMask().Count(),
 		}
@@ -603,22 +557,19 @@ func RunSensitivity(w io.Writer, scale float64) []SensitivityRow {
 		{"stable-thresh", "10%", func(p *core.Params) { p.ThresholdStable = 0.10 }},
 		{"interval", "100ms", func(p *core.Params) { p.IntervalNS = 0.1e9 }},
 		{"interval", "500ms", func(p *core.Params) { p.IntervalNS = 0.5e9 }},
-		{"miss-low", "0.3M/s", func(p *core.Params) { p.ThresholdMissLowPerSec = 0.3e6 / scale }},
-		{"miss-low", "3M/s", func(p *core.Params) { p.ThresholdMissLowPerSec = 3e6 / scale }},
+		{"miss-low", "0.3M/s", func(p *core.Params) { p.ThresholdMissLowPerSec = 0.3e6 / ablationScale }},
+		{"miss-low", "3M/s", func(p *core.Params) { p.ThresholdMissLowPerSec = 3e6 / ablationScale }},
 		{"ddio-max", "4", func(p *core.Params) { p.DDIOWaysMax = 4 }},
 		{"ddio-max", "8", func(p *core.Params) { p.DDIOWaysMax = 8 }},
 	}
-	var jobs []harness.Job
+	var points []point[SensitivityRow]
 	for _, v := range variants {
-		v := v
-		name := fmt.Sprintf("abl-sens/%s=%s", v.param, v.value)
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-sens", Seed: seed,
-			Fn: func() (any, error) { return run(v.param, v.value, v.mod, seed), nil },
-		})
+		points = append(points, newPoint(fmt.Sprintf("abl-sens/%s=%s", v.param, v.value),
+			func(seed int64, _ *telemetry.Registry) (SensitivityRow, *telemetry.Snapshot) {
+				return run(v.param, v.value, v.mod, seed), nil
+			}))
 	}
-	rows := runJobs[SensitivityRow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Sensitivity — IAT parameters on the Leaky DMA scenario (1.5KB)\n")
 		fmt.Fprintf(w, "%14s %8s %14s %10s %10s %6s\n", "param", "value", "DDIOmiss/s", "mem GB/s", "unstable", "dWays")
@@ -659,42 +610,35 @@ func resqRingEntries(ddioBytes uint64, rings, bufBytes int) int {
 // Both stop the 1.5KB leak — but the shallow ResQ rings collapse bursty
 // small-packet throughput, which is exactly why the paper argues buffer
 // sizing is not a panacea.
-func RunAblationResQ(w io.Writer, scale float64) []AblationResQRow {
-	if scale == 0 {
-		scale = 100
-	}
+func RunAblationResQ(w io.Writer) []AblationResQRow {
 	// ResQ's ring size must be provisioned for the deployment's tenant
 	// count, not today's traffic: the paper's Sec. III-A example is 20
 	// containers each with an SR-IOV VF, i.e. 40 rings sharing the
 	// default DDIO capacity -- each gets a shallow ring.
-	llcCfg := sim.XeonGold6140(scale).Hier.LLC
+	llcCfg := sim.XeonGold6140(ablationScale).Hier.LLC
 	ddioBytes := uint64(2 * llcCfg.WayBytes())
 	resqRing := resqRingEntries(ddioBytes, 40, nic.BufSize)
 
 	leak := func(ring int, iat bool, seed int64) (missPS, memGBps float64) {
-		rs := rigSpec{leaky: LeakyOpts{Scale: scale, PktSize: 1500, RingSize: ring, Seed: seed}}
+		rs := rigSpec{leaky: LeakyOpts{Scale: ablationScale, PktSize: 1500, RingSize: ring, Seed: seed}}
 		if iat {
-			rs.daemon = iatDaemon(scale, 0.2e9)
+			rs.daemon = iatDaemon(ablationScale, 0.2e9)
 		}
 		win, _ := newLeakyRig(rs, nil).measure(2.4e9, 0.8e9)
-		return win.DDIOMissPS() * scale, win.MemGBps() * scale
+		return win.DDIOMissPS() * ablationScale, win.MemGBps() * ablationScale
 	}
 	// The RFC2544 probe calls runFig3Point directly (not RunFig3) so the
 	// nested sweep does not spawn a second harness run inside this job.
 	small := func(ring int, seed int64) float64 {
 		o := DefaultFig3Opts()
-		o.Scale = scale
+		o.Scale = ablationScale
 		return runFig3Point(64, ring, seed, o).MaxMpps
 	}
 
-	var jobs []harness.Job
+	var points []point[AblationResQRow]
 	for _, mode := range []string{"baseline", "resq", "iat"} {
-		mode := mode
-		name := "abl-resq/" + mode
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "abl-resq", Seed: seed,
-			Fn: func() (any, error) {
+		points = append(points, newPoint("abl-resq/"+mode,
+			func(seed int64, _ *telemetry.Registry) (AblationResQRow, *telemetry.Snapshot) {
 				r := AblationResQRow{Mode: mode}
 				ring, iat := 1024, false
 				switch mode {
@@ -706,10 +650,9 @@ func RunAblationResQ(w io.Writer, scale float64) []AblationResQRow {
 				r.DDIOMissPS, r.MemGBps = leak(ring, iat, seed)
 				r.SmallPktMpps = small(ring, seed)
 				return r, nil
-			},
-		})
+			}))
 	}
-	rows := runJobs[AblationResQRow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Ablation — ResQ (ring sizing, %d entries) vs IAT (DDIO sizing)\n", resqRing)
 		fmt.Fprintf(w, "%10s %14s %10s %16s\n", "mode", "DDIOmiss/s", "mem GB/s", "64B bursty Mpps")

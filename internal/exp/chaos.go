@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"iatsim/internal/faults"
-	"iatsim/internal/harness"
 	"iatsim/internal/telemetry"
 )
 
@@ -81,22 +80,16 @@ func RunChaos(w io.Writer, o ChaosOpts) []ChaosRow {
 	if err != nil {
 		panic(err) // cmd/experiments validates the profile before running
 	}
-	var jobs []harness.Job
+	var points []point[ChaosRow]
 	for _, scale := range o.Scales {
 		for _, mode := range []string{"baseline", "iat"} {
-			scale, mode := scale, mode
-			name := fmt.Sprintf("chaos/%s/x%g/%s", base.Name, scale, mode)
-			seed := jobSeed(name)
-			jobs = append(jobs, harness.Job{
-				Name: name, Figure: "chaos", Seed: seed,
-				TelFn: func(tel *telemetry.Registry) (any, *telemetry.Snapshot, error) {
-					row, snap := runChaosPoint(base.Scaled(scale), scale, mode, seed, o, tel)
-					return row, snap, nil
-				},
-			})
+			points = append(points, newPoint(fmt.Sprintf("chaos/%s/x%g/%s", base.Name, scale, mode),
+				func(seed int64, tel *telemetry.Registry) (ChaosRow, *telemetry.Snapshot) {
+					return runChaosPoint(base.Scaled(scale), scale, mode, seed, o, tel)
+				}))
 		}
 	}
-	rows := runJobs[ChaosRow](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Chaos — stability under faults: profile %q, baseline vs hardened IAT\n", o.Profile)
 		fmt.Fprintf(w, "%6s %9s %6s %6s %6s %6s | %5s %5s %5s %5s %5s %7s | %5s %-10s %9s\n",

@@ -241,7 +241,7 @@ func TestTablesPrint(t *testing.T) {
 
 func TestAblationMechanisms(t *testing.T) {
 	skipHeavy(t)
-	rows := RunAblationMechanisms(io.Discard, 100)
+	rows := RunAblationMechanisms(io.Discard)
 	pinCommittedCSV(t, "abl-mech", rows)
 	byName := map[string]AblationMechRow{}
 	for _, r := range rows {
@@ -258,7 +258,7 @@ func TestAblationMechanisms(t *testing.T) {
 
 func TestAblationDDIOExtHeaderOnlyTradeoff(t *testing.T) {
 	skipHeavy(t)
-	rows := RunAblationDDIOExt(io.Discard, 100)
+	rows := RunAblationDDIOExt(io.Discard)
 	pinCommittedCSV(t, "abl-ddioext", rows)
 	byName := map[string]AblationDDIOExtRow{}
 	for _, r := range rows {
@@ -281,7 +281,7 @@ func TestAblationDDIOExtHeaderOnlyTradeoff(t *testing.T) {
 
 func TestAblationMBAOrdersLatency(t *testing.T) {
 	skipHeavy(t)
-	rows := RunAblationMBA(io.Discard, 100)
+	rows := RunAblationMBA(io.Discard)
 	pinCommittedCSV(t, "abl-mba", rows)
 	if !(rows[0].PCLatNS > rows[1].PCLatNS && rows[1].PCLatNS > rows[2].PCLatNS) {
 		t.Fatalf("PC latency not monotone in BE throttle: %+v", rows)
@@ -293,7 +293,7 @@ func TestAblationMBAOrdersLatency(t *testing.T) {
 
 func TestAblationGrowthBothConverge(t *testing.T) {
 	skipHeavy(t)
-	rows := RunAblationGrowth(io.Discard, 100)
+	rows := RunAblationGrowth(io.Discard)
 	pinCommittedCSV(t, "abl-growth", rows)
 	for _, r := range rows {
 		if r.ConvergeNS == 0 {
@@ -307,7 +307,7 @@ func TestAblationGrowthBothConverge(t *testing.T) {
 
 func TestAblationReplacementSquatting(t *testing.T) {
 	skipHeavy(t)
-	rows := RunAblationReplacement(io.Discard, 100)
+	rows := RunAblationReplacement(io.Discard)
 	pinCommittedCSV(t, "abl-policy", rows)
 	var srrip, lru AblationPolicyRow
 	for _, r := range rows {
@@ -331,7 +331,7 @@ func TestAblationReplacementSquatting(t *testing.T) {
 
 func TestAblationStorageLeak(t *testing.T) {
 	skipHeavy(t)
-	rows := RunAblationStorage(io.Discard, 100)
+	rows := RunAblationStorage(io.Discard)
 	pinCommittedCSV(t, "abl-storage", rows)
 	base, iat := rows[0], rows[1]
 	if base.DDIOMissPS == 0 {
@@ -350,7 +350,7 @@ func TestAblationStorageLeak(t *testing.T) {
 
 func TestAblationRemoteSocketPenalty(t *testing.T) {
 	skipHeavy(t)
-	rows := RunAblationRemoteSocket(io.Discard, 100)
+	rows := RunAblationRemoteSocket(io.Discard)
 	pinCommittedCSV(t, "abl-remote", rows)
 	var local, remote, direct AblationRemoteRow
 	for _, r := range rows {
@@ -376,7 +376,7 @@ func TestAblationRemoteSocketPenalty(t *testing.T) {
 
 func TestSensitivityOutcomeRobust(t *testing.T) {
 	skipHeavy(t)
-	rows := RunSensitivity(io.Discard, 100)
+	rows := RunSensitivity(io.Discard)
 	pinCommittedCSV(t, "abl-sens", rows)
 	baseMem := rows[0].MemGBps
 	baselineScenario := 2.2 // no-controller memory bandwidth on this scenario
@@ -395,7 +395,7 @@ func TestSensitivityOutcomeRobust(t *testing.T) {
 
 func TestAblationResQTradeoff(t *testing.T) {
 	skipHeavy(t)
-	rows := RunAblationResQ(io.Discard, 100)
+	rows := RunAblationResQ(io.Discard)
 	pinCommittedCSV(t, "abl-resq", rows)
 	byMode := map[string]AblationResQRow{}
 	for _, r := range rows {

@@ -5,10 +5,10 @@ import (
 	"io"
 
 	"iatsim/internal/cache"
-	"iatsim/internal/harness"
 	"iatsim/internal/nic"
 	"iatsim/internal/pkt"
 	"iatsim/internal/sim"
+	"iatsim/internal/telemetry"
 	"iatsim/internal/tgen"
 	"iatsim/internal/workload"
 )
@@ -62,19 +62,16 @@ func DefaultFig3Opts() Fig3Opts {
 // but collapses small-packet throughput — the reason ResQ-style buffer
 // sizing is not a panacea.
 func RunFig3(w io.Writer, o Fig3Opts) []Fig3Row {
-	var jobs []harness.Job
+	var points []point[Fig3Row]
 	for _, size := range o.Sizes {
 		for _, ring := range o.Rings {
-			size, ring := size, ring
-			name := fmt.Sprintf("fig3/pkt=%d/ring=%d", size, ring)
-			seed := jobSeed(name)
-			jobs = append(jobs, harness.Job{
-				Name: name, Figure: "fig3", Seed: seed,
-				Fn: func() (any, error) { return runFig3Point(size, ring, seed, o), nil },
-			})
+			points = append(points, newPoint(fmt.Sprintf("fig3/pkt=%d/ring=%d", size, ring),
+				func(seed int64, _ *telemetry.Registry) (Fig3Row, *telemetry.Snapshot) {
+					return runFig3Point(size, ring, seed, o), nil
+				}))
 		}
 	}
-	rows := runJobs[Fig3Row](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Fig 3 — RFC2544 zero-drop throughput of l3fwd vs Rx ring size\n")
 		fmt.Fprintf(w, "%8s %9s %12s %14s %7s\n", "pkt(B)", "ring", "max Mpps", "line-rate Mpps", "trials")

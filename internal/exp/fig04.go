@@ -5,10 +5,10 @@ import (
 	"io"
 
 	"iatsim/internal/cache"
-	"iatsim/internal/harness"
 	"iatsim/internal/nic"
 	"iatsim/internal/pkt"
 	"iatsim/internal/sim"
+	"iatsim/internal/telemetry"
 	"iatsim/internal/tgen"
 	"iatsim/internal/workload"
 )
@@ -52,23 +52,20 @@ func DefaultFig4Opts() Fig4Opts {
 // ways, the supposedly isolated X-Mem loses throughput and latency even
 // though no core shares its ways.
 func RunFig4(w io.Writer, o Fig4Opts) []Fig4Row {
-	var jobs []harness.Job
+	var points []point[Fig4Row]
 	for _, ws := range o.WorkingSets {
 		for _, overlap := range []bool{false, true} {
-			ws, overlap := ws, overlap
 			kind := "dedicated"
 			if overlap {
 				kind = "ddio-ovlp"
 			}
-			name := fmt.Sprintf("fig4/ws=%dMB/%s", ws, kind)
-			seed := jobSeed(name)
-			jobs = append(jobs, harness.Job{
-				Name: name, Figure: "fig4", Seed: seed,
-				Fn: func() (any, error) { return runFig4Point(ws, overlap, seed, o), nil },
-			})
+			points = append(points, newPoint(fmt.Sprintf("fig4/ws=%dMB/%s", ws, kind),
+				func(seed int64, _ *telemetry.Registry) (Fig4Row, *telemetry.Snapshot) {
+					return runFig4Point(ws, overlap, seed, o), nil
+				}))
 		}
 	}
-	rows := runJobs[Fig4Row](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Fig 4 — Latent Contender: X-Mem with dedicated vs DDIO-overlapped ways\n")
 		fmt.Fprintf(w, "%7s %9s %10s %12s\n", "WS(MB)", "ways", "Mops/s", "avg lat(ns)")

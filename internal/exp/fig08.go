@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"iatsim/internal/harness"
 	"iatsim/internal/telemetry"
 )
 
@@ -51,22 +50,16 @@ func DefaultFig8Opts() Fig8Opts {
 // and miss rates (Figs. 8a/8b), memory bandwidth (8c), and OVS IPC and
 // cycles-per-packet (8d).
 func RunFig8(w io.Writer, o Fig8Opts) []Fig8Row {
-	var jobs []harness.Job
+	var points []point[Fig8Row]
 	for _, size := range o.Sizes {
 		for _, mode := range []string{"baseline", "iat"} {
-			size, mode := size, mode
-			name := fmt.Sprintf("fig8/pkt=%d/%s", size, mode)
-			seed := jobSeed(name)
-			jobs = append(jobs, harness.Job{
-				Name: name, Figure: "fig8", Seed: seed,
-				TelFn: func(tel *telemetry.Registry) (any, *telemetry.Snapshot, error) {
-					row, snap := runFig8Point(size, mode, seed, o, tel)
-					return row, snap, nil
-				},
-			})
+			points = append(points, newPoint(fmt.Sprintf("fig8/pkt=%d/%s", size, mode),
+				func(seed int64, tel *telemetry.Registry) (Fig8Row, *telemetry.Snapshot) {
+					return runFig8Point(size, mode, seed, o, tel)
+				}))
 		}
 	}
-	rows := runJobs[Fig8Row](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Fig 8 — Leaky DMA: 2x testpmd via OVS, line rate, baseline vs IAT\n")
 		fmt.Fprintf(w, "%8s %9s %12s %12s %9s %8s %9s %6s %-10s\n",

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"iatsim/internal/harness"
 	"iatsim/internal/pkt"
+	"iatsim/internal/telemetry"
 )
 
 // Fig9Row is one plateau of Fig. 9: OVS behaviour at one live flow count.
@@ -47,17 +47,17 @@ func DefaultFig9Opts() Fig9Opts {
 func RunFig9(w io.Writer, o Fig9Opts) []Fig9Row {
 	// One job per mode: each ramp is a single time series (the flow
 	// steps within it are deliberately path-dependent).
-	var jobs []harness.Job
+	var points []point[[]Fig9Row]
 	for _, mode := range []string{"baseline", "iat"} {
-		mode := mode
-		name := "fig9/ramp/" + mode
-		seed := jobSeed(name)
-		jobs = append(jobs, harness.Job{
-			Name: name, Figure: "fig9", Seed: seed,
-			Fn: func() (any, error) { return runFig9Ramp(mode, seed, o), nil },
-		})
+		points = append(points, newPoint("fig9/ramp/"+mode,
+			func(seed int64, _ *telemetry.Registry) ([]Fig9Row, *telemetry.Snapshot) {
+				return runFig9Ramp(mode, seed, o), nil
+			}))
 	}
-	rows := runJobs[Fig9Row](jobs)
+	var rows []Fig9Row
+	for _, ramp := range sweep(points) {
+		rows = append(rows, ramp...)
+	}
 	if w != nil {
 		fmt.Fprintf(w, "Fig 9 — flow scaling: 64B line rate through OVS, flow table ramp\n")
 		fmt.Fprintf(w, "%9s %9s %12s %8s %9s %8s\n", "flows", "mode", "OVSmiss/s", "OVS IPC", "OVS CPP", "OVSways")

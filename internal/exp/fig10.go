@@ -6,7 +6,6 @@ import (
 
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
-	"iatsim/internal/harness"
 	"iatsim/internal/nic"
 	"iatsim/internal/pkt"
 	"iatsim/internal/policy"
@@ -114,22 +113,17 @@ func DefaultFig10Opts() Fig10Opts {
 // I/O-iso and IAT (with DDIO way adjustment disabled, per the paper's
 // footnote 3), across packet sizes, in the two phases of the experiment.
 func RunFig10(w io.Writer, o Fig10Opts) []Fig10Row {
-	var jobs []harness.Job
+	var points []point[Fig10Row]
 	for _, size := range o.Sizes {
 		for _, mode := range o.Modes {
-			size, mode := size, mode
-			name := fmt.Sprintf("fig10/pkt=%d/%s", size, mode)
-			seed := jobSeed(name)
-			jobs = append(jobs, harness.Job{
-				Name: name, Figure: "fig10", Seed: seed,
-				TelFn: func(tel *telemetry.Registry) (any, *telemetry.Snapshot, error) {
+			points = append(points, newPoint(fmt.Sprintf("fig10/pkt=%d/%s", size, mode),
+				func(seed int64, tel *telemetry.Registry) (Fig10Row, *telemetry.Snapshot) {
 					r, _, snap := runFig10Point(size, mode, seed, o, nil, tel)
-					return r, snap, nil
-				},
-			})
+					return r, snap
+				}))
 		}
 	}
-	rows := runJobs[Fig10Row](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Fig 10 — Latent Contender: container-4 X-Mem, phases 2 (WS=10MB) and 3 (DDIO=4 ways)\n")
 		fmt.Fprintf(w, "%8s %10s %10s %12s %10s %12s\n", "pkt(B)", "mode", "P2 Mops/s", "P2 lat(ns)", "P3 Mops/s", "P3 lat(ns)")
@@ -251,17 +245,15 @@ func stateOf(d *core.Daemon) string {
 // RunFig11 reproduces Fig. 11: the 1.5KB-packet IAT run of Fig. 10 as a
 // time series of LLC way allocation and container-4 LLC misses.
 func RunFig11(w io.Writer, o Fig10Opts) []Fig11Sample {
-	name := "fig11/pkt=1500/iat"
-	seed := jobSeed(name)
-	jobs := []harness.Job{{
-		Name: name, Figure: "fig11", Seed: seed,
-		TelFn: func(tel *telemetry.Registry) (any, *telemetry.Snapshot, error) {
-			var s []Fig11Sample
-			_, _, snap := runFig10Point(1500, "iat", seed, o, &s, tel)
-			return s, snap, nil
-		},
-	}}
-	series := runJobs[Fig11Sample](jobs)
+	pt := newPoint("fig11/pkt=1500/iat", func(seed int64, tel *telemetry.Registry) ([]Fig11Sample, *telemetry.Snapshot) {
+		var s []Fig11Sample
+		_, _, snap := runFig10Point(1500, "iat", seed, o, &s, tel)
+		return s, snap
+	})
+	var series []Fig11Sample
+	for _, s := range sweep([]point[[]Fig11Sample]{pt}) {
+		series = append(series, s...)
+	}
 	if w != nil {
 		fmt.Fprintf(w, "Fig 11 — IAT dynamics over time (1.5KB packets)\n")
 		fmt.Fprintf(w, "%8s %12s %12s %12s %12s %12s %-10s\n",

@@ -5,7 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"iatsim/internal/harness"
+	"iatsim/internal/telemetry"
 	"iatsim/internal/ycsb"
 )
 
@@ -104,22 +104,23 @@ func (c appMixCell) runs() []appMixRun {
 // order. A cell with a failed run has no row; the manifest and stderr
 // name the failed run.
 func runAppMixCells[R any](cells []appMixCell, reduce func(c appMixCell, solo AppMixResult, corners []AppMixResult, iat AppMixResult) R) []R {
-	var jobs []harness.Job
+	var points []point[AppMixResult]
 	for _, c := range cells {
-		figure, _, _ := strings.Cut(c.name, "/")
 		for _, r := range c.runs() {
-			jobs = append(jobs, harness.Job{Name: r.name, Figure: figure, Seed: r.opts.Seed,
-				Fn: func() (any, error) { return RunAppMix(r.opts), nil }})
+			points = append(points, point[AppMixResult]{name: r.name, seed: r.opts.Seed,
+				run: func(int64, *telemetry.Registry) (AppMixResult, *telemetry.Snapshot) {
+					return RunAppMix(r.opts), nil // r.opts carries the cell's seed
+				}})
 		}
 	}
-	results := runJobsAt(jobs)
+	results := sweepAt(points)
 	var rows []R
 	for _, c := range cells {
 		n := len(c.corners) + 2
 		var done []AppMixResult
-		for _, row := range results[:n] {
-			if r, ok := row.(AppMixResult); ok {
-				done = append(done, r)
+		for _, r := range results[:n] {
+			if r != nil {
+				done = append(done, *r)
 			}
 		}
 		if results = results[n:]; len(done) == n {

@@ -7,8 +7,8 @@ import (
 
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
-	"iatsim/internal/harness"
 	"iatsim/internal/sim"
+	"iatsim/internal/telemetry"
 	"iatsim/internal/workload"
 )
 
@@ -58,22 +58,21 @@ func RunFig15(w io.Writer, o Fig15Opts) []Fig15Row {
 	// is the artifact under test), so they are Exclusive: the harness
 	// drains the pool and runs each alone rather than letting
 	// concurrent simulations inflate the timings.
-	var jobs []harness.Job
+	var points []point[Fig15Row]
 	for _, cper := range o.CoresPer {
 		for _, n := range o.TenantCounts {
 			if n*cper > 17 {
 				continue // the paper is bounded by its 18 cores too
 			}
-			n, cper := n, cper
-			name := fmt.Sprintf("fig15/tenants=%d/cores=%d", n, cper)
-			seed := jobSeed(name)
-			jobs = append(jobs, harness.Job{
-				Name: name, Figure: "fig15", Seed: seed, Exclusive: true,
-				Fn: func() (any, error) { return runFig15Point(n, cper, seed, o), nil },
-			})
+			pt := newPoint(fmt.Sprintf("fig15/tenants=%d/cores=%d", n, cper),
+				func(seed int64, _ *telemetry.Registry) (Fig15Row, *telemetry.Snapshot) {
+					return runFig15Point(n, cper, seed, o), nil
+				})
+			pt.exclusive = true
+			points = append(points, pt)
 		}
 	}
-	rows := runJobs[Fig15Row](jobs)
+	rows := sweep(points)
 	if w != nil {
 		fmt.Fprintf(w, "Fig 15 — IAT per-iteration execution time (wall clock)\n")
 		fmt.Fprintf(w, "%8s %10s %12s %12s\n", "tenants", "cores/ten", "stable(us)", "unstable(us)")

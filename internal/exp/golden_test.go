@@ -152,16 +152,16 @@ var goldenCases = []goldenCase{
 		out.csv(t, "fig14.csv", runAppMixCells([]appMixCell{cell}, fig14Row), 1)
 	}},
 	{"abl-mba", 42, true, func(t *testing.T, out artifacts) {
-		out.csv(t, "abl-mba.csv", RunAblationMBA(io.Discard, 100), 3)
+		out.csv(t, "abl-mba.csv", RunAblationMBA(io.Discard), 3)
 	}},
 	{"abl-remote", 42, true, func(t *testing.T, out artifacts) {
-		out.csv(t, "abl-remote.csv", RunAblationRemoteSocket(io.Discard, 100), 3)
+		out.csv(t, "abl-remote.csv", RunAblationRemoteSocket(io.Discard), 3)
 	}},
 	{"abl-storage", 42, true, func(t *testing.T, out artifacts) {
-		out.csv(t, "abl-storage.csv", RunAblationStorage(io.Discard, 100), 2)
+		out.csv(t, "abl-storage.csv", RunAblationStorage(io.Discard), 2)
 	}},
 	{"abl-ddioext", 42, true, func(t *testing.T, out artifacts) {
-		out.csv(t, "abl-ddioext.csv", RunAblationDDIOExt(io.Discard, 100), 3)
+		out.csv(t, "abl-ddioext.csv", RunAblationDDIOExt(io.Discard), 3)
 	}},
 }
 

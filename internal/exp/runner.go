@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"iatsim/internal/harness"
+	"iatsim/internal/telemetry"
 )
 
 // Exec is the package-wide execution policy for the figure and ablation
@@ -31,7 +32,7 @@ type Exec struct {
 	// failures across runners.
 	Manifest *harness.Manifest
 	// TelemetryDir, when non-empty, collects a per-job telemetry
-	// snapshot (for runners migrated to harness.Job.TelFn) into
+	// snapshot (for the points that return one) into
 	// <TelemetryDir>/<job name>.{json,csv,trace.json}.
 	TelemetryDir string
 }
@@ -62,26 +63,50 @@ func jobSeed(name string) int64 {
 	return harness.DeriveSeed(CurrentExec().Seed, name)
 }
 
-// runJobs executes a job set under the current Exec policy and
-// collects the surviving rows in submission order. A job may return an
-// R or a []R (time-series runners); a failed job's row is skipped so one
+// point is one sweep point: a self-contained, seeded run under a job
+// name such as "fig8/pkt=64/iat". The name's prefix before the first '/'
+// is the figure label. run gets the point's seed and the job's telemetry
+// registry (nil when telemetry is off) and returns its row and its
+// snapshot (nil when it has none).
+type point[R any] struct {
+	name      string
+	seed      int64
+	exclusive bool // measures host wall-clock: the harness runs it alone
+	run       func(seed int64, tel *telemetry.Registry) (R, *telemetry.Snapshot)
+}
+
+// newPoint returns a point seeded from its name under the current base
+// seed.
+func newPoint[R any](name string, run func(seed int64, tel *telemetry.Registry) (R, *telemetry.Snapshot)) point[R] {
+	return point[R]{name: name, seed: jobSeed(name), run: run}
+}
+
+// sweep runs the points under the current Exec policy and returns the
+// surviving rows in point order: a failed point's row is skipped so one
 // crashed point cannot kill the whole regeneration.
-func runJobs[R any](jobs []harness.Job) []R {
+func sweep[R any](points []point[R]) []R {
 	var rows []R
-	for _, row := range runJobsAt(jobs) {
-		if v, ok := row.(R); ok {
-			rows = append(rows, v)
-		} else if vs, ok := row.([]R); ok {
-			rows = append(rows, vs...)
+	for _, row := range sweepAt(points) {
+		if row != nil {
+			rows = append(rows, *row)
 		}
 	}
 	return rows
 }
 
-// runJobsAt executes a job set under the current Exec policy and returns
-// each job's row at its submission index, nil where the job failed.
-// Failed jobs are reported on stderr and in the manifest.
-func runJobsAt(jobs []harness.Job) []any {
+// sweepAt runs each point as one harness job under the current Exec
+// policy and returns its row at the point's index, nil where the point
+// failed. Failed points are reported on stderr and in the manifest.
+func sweepAt[R any](points []point[R]) []*R {
+	jobs := make([]harness.Job, len(points))
+	for i, pt := range points {
+		figure, _, _ := strings.Cut(pt.name, "/")
+		jobs[i] = harness.Job{Name: pt.name, Figure: figure, Seed: pt.seed, Exclusive: pt.exclusive,
+			Fn: func(tel *telemetry.Registry) (any, *telemetry.Snapshot, error) {
+				row, snap := pt.run(pt.seed, tel)
+				return row, snap, nil
+			}}
+	}
 	e := CurrentExec()
 	rep := harness.Run(jobs, harness.Options{
 		Workers:      e.Jobs,
@@ -92,13 +117,15 @@ func runJobsAt(jobs []harness.Job) []any {
 	if e.Manifest != nil {
 		e.Manifest.Append(rep)
 	}
-	rows := make([]any, len(rep.Results))
+	rows := make([]*R, len(rep.Results))
 	for i, res := range rep.Results {
 		if res.Failed() {
 			fmt.Fprintf(os.Stderr, "exp: job %s failed after %d attempt(s): %s\n",
 				res.Name, res.Attempts, firstLine(res.Err))
+			continue
 		}
-		rows[i] = res.Row // nil when the job failed
+		row := res.Row.(R)
+		rows[i] = &row
 	}
 	return rows
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"iatsim/internal/faults"
-	"iatsim/internal/harness"
 	"iatsim/internal/policy"
 	"iatsim/internal/telemetry"
 )
@@ -75,12 +74,7 @@ func mixByName(name string) (LeakyOpts, error) {
 // name-derived seed, so rows are byte-identical at any -jobs value; the
 // ranking is computed after the sweep from the returned rows alone.
 func RunPolicyTournament(w io.Writer, o TournamentOpts) []TournamentRow {
-	type cell struct {
-		mix  LeakyOpts
-		prof faults.Profile
-		spec policy.Spec
-	}
-	var jobs []harness.Job
+	var points []point[TournamentRow]
 	for _, mixName := range o.Workloads {
 		mix, err := mixByName(mixName)
 		if err != nil {
@@ -96,22 +90,16 @@ func RunPolicyTournament(w io.Writer, o TournamentOpts) []TournamentRow {
 				if err != nil {
 					panic(err)
 				}
-				c := cell{mix: mix, prof: prof, spec: spec}
-				mixName, profName, polName := mixName, profName, polName
-				name := fmt.Sprintf("tournament/%s/%s/%s", mixName, profName, polName)
-				seed := jobSeed(name)
-				jobs = append(jobs, harness.Job{
-					Name: name, Figure: "tournament", Seed: seed,
-					TelFn: func(tel *telemetry.Registry) (any, *telemetry.Snapshot, error) {
-						row, snap := runTournamentPoint(c.mix, c.prof, c.spec, seed, o, tel)
+				points = append(points, newPoint(fmt.Sprintf("tournament/%s/%s/%s", mixName, profName, polName),
+					func(seed int64, tel *telemetry.Registry) (TournamentRow, *telemetry.Snapshot) {
+						row, snap := runTournamentPoint(mix, prof, spec, seed, o, tel)
 						row.Workload, row.Faults, row.Policy = mixName, profName, polName
-						return row, snap, nil
-					},
-				})
+						return row, snap
+					}))
 			}
 		}
 	}
-	rows := runJobs[TournamentRow](jobs)
+	rows := sweep(points)
 
 	// Rank within each (workload, faults) cell by OVS IPC, descending;
 	// ties keep entry order (the o.Policies order), so the ranking is as

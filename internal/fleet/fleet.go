@@ -352,22 +352,21 @@ func worstDownFrac(hosts []*Host, onNew int) float64 {
 func stepAll(cfg Config, round int) ([]HostObs, error) {
 	jobs := make([]harness.Job, len(cfg.Hosts))
 	for i, h := range cfg.Hosts {
-		h := h
 		jobs[i] = harness.Job{
 			Name:   fmt.Sprintf("round%03d/%s", round, h.Name),
 			Figure: "fleet",
 			Seed:   h.Seed,
-			Fn: func() (any, error) {
+			Fn: func(*telemetry.Registry) (any, *telemetry.Snapshot, error) {
 				if h.down {
-					return HostObs{Host: h.ID, Policy: h.policy.Name, Down: true}, nil
+					return HostObs{Host: h.ID, Policy: h.policy.Name, Down: true}, nil, nil
 				}
 				obs := h.step(cfg.RoundNS)
 				if cfg.CheckpointEvery > 0 && (round+1)%cfg.CheckpointEvery == 0 {
 					if err := h.Checkpoint(); err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 				}
-				return obs, nil
+				return obs, nil, nil
 			},
 		}
 	}

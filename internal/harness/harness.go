@@ -41,16 +41,14 @@ type Job struct {
 	// Fig. 15 daemon-overhead points): it must not share the machine
 	// with other jobs, so the pool drains and runs it alone.
 	Exclusive bool
-	// Fn computes the point's row (or row slice). It must be
-	// self-contained: build its own platform and share no mutable
-	// state with other jobs.
-	Fn func() (any, error)
-	// TelFn, when set, is used instead of Fn and additionally returns
-	// the point's telemetry snapshot. The harness hands it a private
-	// registry when Options.TelemetryDir is set and nil otherwise —
-	// nil flows through telemetry's nil-safe handles, so the closure
-	// wires it unconditionally and pays nothing when telemetry is off.
-	TelFn func(tel *telemetry.Registry) (row any, snap *telemetry.Snapshot, err error)
+	// Fn computes the point's row (or row slice) and, optionally, its
+	// telemetry snapshot. It must be self-contained: build its own
+	// platform and share no mutable state with other jobs. The harness
+	// hands it a private registry when Options.TelemetryDir is set and
+	// nil otherwise — nil flows through telemetry's nil-safe handles, so
+	// the function wires it unconditionally and pays nothing when
+	// telemetry is off. A nil snapshot writes no file.
+	Fn func(tel *telemetry.Registry) (row any, snap *telemetry.Snapshot, err error)
 }
 
 // Result is the outcome of one job.
@@ -87,7 +85,7 @@ type Options struct {
 	// Label prefixes the progress line; defaults to the first job's
 	// Figure.
 	Label string
-	// TelemetryDir, when non-empty, gives every TelFn job a private
+	// TelemetryDir, when non-empty, gives every job a private
 	// telemetry registry and writes its returned snapshot to
 	// <TelemetryDir>/<SnapshotBase(job name)>.{json,csv,trace.json}.
 	TelemetryDir string
@@ -184,23 +182,19 @@ func execute(j Job, o Options) Result {
 }
 
 // capture invokes the job's function, converting a panic into an error
-// carrying the stack trace. TelFn jobs get a fresh registry when
-// telemetry collection is on.
+// carrying the stack trace. The job gets a fresh registry when telemetry
+// collection is on.
 func capture(j Job, wantTel bool) (row any, snap *telemetry.Snapshot, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	if j.TelFn != nil {
-		var reg *telemetry.Registry
-		if wantTel {
-			reg = telemetry.NewRegistry()
-		}
-		return j.TelFn(reg)
+	var reg *telemetry.Registry
+	if wantTel {
+		reg = telemetry.NewRegistry()
 	}
-	row, err = j.Fn()
-	return row, nil, err
+	return j.Fn(reg)
 }
 
 // progress renders the live status line. All methods are safe on a nil

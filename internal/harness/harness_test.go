@@ -8,7 +8,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"iatsim/internal/telemetry"
 )
+
+// rowFn adapts a function that returns only a row (no telemetry) to
+// Job.Fn.
+func rowFn(f func() (any, error)) func(*telemetry.Registry) (any, *telemetry.Snapshot, error) {
+	return func(*telemetry.Registry) (any, *telemetry.Snapshot, error) {
+		row, err := f()
+		return row, nil, err
+	}
+}
 
 // TestRunOrderingInvariant forces jobs to finish in reverse submission
 // order (later jobs sleep less) and checks that every worker count still
@@ -18,13 +29,12 @@ func TestRunOrderingInvariant(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 32} {
 		jobs := make([]Job, n)
 		for i := range jobs {
-			i := i
 			jobs[i] = Job{
 				Name: fmt.Sprintf("job/%d", i),
-				Fn: func() (any, error) {
+				Fn: rowFn(func() (any, error) {
 					time.Sleep(time.Duration(n-i) * time.Millisecond)
 					return i * i, nil
-				},
+				}),
 			}
 		}
 		rep := Run(jobs, Options{Workers: workers})
@@ -41,8 +51,8 @@ func TestRunOrderingInvariant(t *testing.T) {
 
 func TestPanicBecomesFailure(t *testing.T) {
 	jobs := []Job{
-		{Name: "ok", Fn: func() (any, error) { return 1, nil }},
-		{Name: "boom", Fn: func() (any, error) { panic("kaboom") }},
+		{Name: "ok", Fn: rowFn(func() (any, error) { return 1, nil })},
+		{Name: "boom", Fn: rowFn(func() (any, error) { panic("kaboom") })},
 	}
 	rep := Run(jobs, Options{Workers: 4})
 	if rep.Failures != 1 {
@@ -65,12 +75,12 @@ func TestPanicBecomesFailure(t *testing.T) {
 
 func TestRetryRecovers(t *testing.T) {
 	var calls int32
-	jobs := []Job{{Name: "flaky", Fn: func() (any, error) {
+	jobs := []Job{{Name: "flaky", Fn: rowFn(func() (any, error) {
 		if atomic.AddInt32(&calls, 1) < 3 {
 			return nil, errors.New("transient")
 		}
 		return "ok", nil
-	}}}
+	})}}
 	rep := Run(jobs, Options{Workers: 2, Retries: 2})
 	if rep.Failures != 0 {
 		t.Fatalf("flaky job not recovered: %+v", rep.Results[0])
@@ -79,9 +89,9 @@ func TestRetryRecovers(t *testing.T) {
 		t.Fatalf("attempts/row = %d/%v, want 3/ok", got.Attempts, got.Row)
 	}
 
-	rep = Run([]Job{{Name: "always", Fn: func() (any, error) {
+	rep = Run([]Job{{Name: "always", Fn: rowFn(func() (any, error) {
 		return nil, errors.New("nope")
-	}}}, Options{Retries: 1})
+	})}}, Options{Retries: 1})
 	if rep.Failures != 1 || rep.Results[0].Attempts != 2 {
 		t.Fatalf("exhausted retries misreported: %+v", rep.Results[0])
 	}
@@ -95,7 +105,7 @@ func TestEmptyAndSingleJob(t *testing.T) {
 	if len(rep.Results) != 0 || rep.Failures != 0 {
 		t.Fatalf("empty run: %+v", rep)
 	}
-	rep = Run([]Job{{Name: "solo", Fn: func() (any, error) { return 42, nil }}},
+	rep = Run([]Job{{Name: "solo", Fn: rowFn(func() (any, error) { return 42, nil })}},
 		Options{Workers: 8})
 	if len(rep.Results) != 1 || rep.Results[0].Row.(int) != 42 {
 		t.Fatalf("single run: %+v", rep)
@@ -110,19 +120,19 @@ func TestEmptyAndSingleJob(t *testing.T) {
 // starts once no parallel job is in flight.
 func TestExclusiveRunsAlone(t *testing.T) {
 	var running int32
-	jobs := []Job{{Name: "excl", Exclusive: true, Fn: func() (any, error) {
+	jobs := []Job{{Name: "excl", Exclusive: true, Fn: rowFn(func() (any, error) {
 		if n := atomic.LoadInt32(&running); n != 0 {
 			return nil, fmt.Errorf("%d parallel jobs still running", n)
 		}
 		return "alone", nil
-	}}}
+	})}}
 	for i := 0; i < 8; i++ {
-		jobs = append(jobs, Job{Name: fmt.Sprintf("par/%d", i), Fn: func() (any, error) {
+		jobs = append(jobs, Job{Name: fmt.Sprintf("par/%d", i), Fn: rowFn(func() (any, error) {
 			atomic.AddInt32(&running, 1)
 			time.Sleep(5 * time.Millisecond)
 			atomic.AddInt32(&running, -1)
 			return nil, nil
-		}})
+		})})
 	}
 	rep := Run(jobs, Options{Workers: 4})
 	if rep.Failures != 0 {
@@ -136,8 +146,8 @@ func TestExclusiveRunsAlone(t *testing.T) {
 func TestProgressLine(t *testing.T) {
 	var buf bytes.Buffer
 	jobs := []Job{
-		{Name: "a", Figure: "figX", Fn: func() (any, error) { return nil, nil }},
-		{Name: "b", Figure: "figX", Fn: func() (any, error) { return nil, nil }},
+		{Name: "a", Figure: "figX", Fn: rowFn(func() (any, error) { return nil, nil })},
+		{Name: "b", Figure: "figX", Fn: rowFn(func() (any, error) { return nil, nil })},
 	}
 	Run(jobs, Options{Workers: 2, Progress: &buf})
 	out := buf.String()

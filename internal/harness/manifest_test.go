@@ -12,8 +12,8 @@ func TestManifestRoundTrip(t *testing.T) {
 		Selectors: []string{"fig3", "tab1"}, Full: true,
 	})
 	rep := Run([]Job{
-		{Name: "fig3/a", Figure: "fig3", Seed: 11, Fn: func() (any, error) { return 1, nil }},
-		{Name: "fig3/b", Figure: "fig3", Seed: 12, Fn: func() (any, error) { return nil, errors.New("boom") }},
+		{Name: "fig3/a", Figure: "fig3", Seed: 11, Fn: rowFn(func() (any, error) { return 1, nil })},
+		{Name: "fig3/b", Figure: "fig3", Seed: 12, Fn: rowFn(func() (any, error) { return nil, errors.New("boom") })},
 	}, Options{Workers: 2})
 	m.Append(rep)
 	m.Finish()

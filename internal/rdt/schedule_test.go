@@ -26,9 +26,7 @@ func TestMemoizedPathsAreFaultScheduleInvariant(t *testing.T) {
 		}
 		var ticks uint64
 		for core := 0; core < 4; core++ {
-			core := core
 			for ev := 0; ev < 4; ev++ {
-				ev := ev
 				f.MapRead(msr.CoreCounterAddr(core, ev), func() uint64 {
 					return ticks * uint64(1+core+ev)
 				})

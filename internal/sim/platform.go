@@ -138,14 +138,12 @@ func NewPlatform(cfg Config) *Platform {
 func (p *Platform) wireCounters() {
 	llc := p.Hier.LLC()
 	for core := 0; core < p.Cfg.Cores; core++ {
-		core := core
 		p.MSR.MapRead(msr.CoreCounterAddr(core, msr.EvInstructions), func() uint64 { return p.instr[core] })
 		p.MSR.MapRead(msr.CoreCounterAddr(core, msr.EvCycles), func() uint64 { return p.cycles[core] })
 		p.MSR.MapRead(msr.CoreCounterAddr(core, msr.EvLLCRefs), func() uint64 { return llc.CoreRefs(core) })
 		p.MSR.MapRead(msr.CoreCounterAddr(core, msr.EvLLCMisses), func() uint64 { return llc.CoreMisses(core) })
 	}
 	for s := 0; s < p.Cfg.Hier.LLC.Slices; s++ {
-		s := s
 		p.MSR.MapRead(msr.CHACounterAddr(s, msr.EvDDIOHit), func() uint64 { return llc.SliceStats(s).DDIOHits })
 		p.MSR.MapRead(msr.CHACounterAddr(s, msr.EvDDIOMiss), func() uint64 { return llc.SliceStats(s).DDIOMisses })
 	}

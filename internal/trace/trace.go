@@ -1,13 +1,8 @@
-// Package trace renders the daemon's telemetry event stream as CSV time
-// series — notably the Fig. 11 allocation timeline cmd/experiments
-// regenerates — so any external tool can plot a run.
-//
-// The writer is a thin renderer: the daemon publishes one "iteration"
-// event per control-loop pass on its telemetry sink (core.Daemon.Tel),
-// with the full core.IterationInfo as the event payload, and this
-// package formats those payloads. Record remains usable directly as the
-// daemon's OnIteration callback for streaming runs whose event volume
-// exceeds any bounded ring.
+// Package trace streams the IAT daemon's iterations as a CSV time series:
+// cmd/iatd -trace writes one row per control-loop pass (state, DDIO ways
+// and every CLOS mask), so any external tool can plot a run. Fig. 11's
+// CSV does not come from here: it is exp.RunFig11's rows written by
+// exp.WriteRowsCSV.
 package trace
 
 import (
@@ -17,7 +12,6 @@ import (
 	"strconv"
 
 	"iatsim/internal/core"
-	"iatsim/internal/telemetry"
 )
 
 // Writer streams IAT iteration records as CSV. The CLOS column set is
@@ -47,8 +41,7 @@ func (t *Writer) header(info core.IterationInfo) error {
 	return t.csv.Write(cols)
 }
 
-// Record appends one iteration. Safe to use as a core.Daemon OnIteration
-// callback via t.Hook().
+// Record appends one iteration.
 func (t *Writer) Record(info core.IterationInfo) error {
 	if t.clos == nil {
 		if err := t.header(info); err != nil {
@@ -69,37 +62,6 @@ func (t *Writer) Record(info core.IterationInfo) error {
 		row = append(row, info.MaskOf(clos).String())
 	}
 	return t.csv.Write(row)
-}
-
-// RecordEvent renders one telemetry event: daemon "iteration" events
-// (whose payload is a core.IterationInfo) become CSV rows; everything
-// else — other subsystems, state transitions, mask writes — is not part
-// of this time series and is skipped.
-func (t *Writer) RecordEvent(ev telemetry.Event) error {
-	info, ok := ev.Data.(core.IterationInfo)
-	if !ok {
-		return nil
-	}
-	return t.Record(info)
-}
-
-// RenderEvents replays an event stream (e.g. a snapshot's ring) through
-// a fresh writer and flushes it — the offline path for re-deriving the
-// Fig. 11 CSV from captured telemetry.
-func RenderEvents(w io.Writer, evs []telemetry.Event) error {
-	t := NewWriter(w)
-	for _, ev := range evs {
-		if err := t.RecordEvent(ev); err != nil {
-			return err
-		}
-	}
-	return t.Flush()
-}
-
-// Hook adapts the writer to the daemon's OnIteration callback, swallowing
-// write errors (tracing must never perturb the control loop).
-func (t *Writer) Hook() func(core.IterationInfo) {
-	return func(info core.IterationInfo) { _ = t.Record(info) }
 }
 
 // Flush drains buffered rows to the underlying writer.
