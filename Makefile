@@ -80,12 +80,16 @@ telemetry-smoke: build
 # is built explicitly because `go run` masks the child's exit 137 as its
 # own exit 1): -crash-after kills the run with exit 137 and its message,
 # and -resume from the surviving checkpoint completes and records the
-# resumed-from provenance in its manifest. Byte-identity of the resumed
+# resumed-from provenance in its manifest, once under the IAT policy and
+# once under core-only with the other engines as shadows. Byte-identity of the resumed
 # run is cmd/iatd's TestCheckpointResumeDeterministic; fleet crash
 # storms are internal/exp's TestGoldenGate (fleet-ckpt), cmd/fleetd's
 # TestFleetdDeterministicAcrossJobs and internal/fleet's
 # TestFleetCrashRestartDeterminism.
 CKPTFLAGS = -duration 4 -interval 0.2 -chaos default -chaos-seed 7
+# The second crash/resume pair restores every other policy's snapshot
+# form: core-only active, the other four engines as shadows.
+CKPTALT = -policy core-only -shadow static,ioca,greedy,io-iso
 ckpt-smoke: build
 	rm -rf $(TMP)/ckpt && mkdir -p $(TMP)/ckpt/ck
 	printf 'fwd0 0 2 pc io testpmd:1500\nbatch 1 2 be - xmem:4\n@0.6s batch xmem-ws 8\n' > $(TMP)/ckpt/tenants.conf
@@ -94,7 +98,12 @@ ckpt-smoke: build
 	grep -q 'simulated crash after iteration 10' $(TMP)/ckpt/crash.err
 	$(TMP)/ckpt/iatd -tenants $(TMP)/ckpt/tenants.conf $(CKPTFLAGS) -resume $(TMP)/ckpt/ck/iatd.ckpt -json $(TMP)/ckpt > /dev/null
 	grep -q '"resumed_from"' $(TMP)/ckpt/manifest.json
-	@echo "ckpt-smoke OK: iatd crashed with exit 137 and resumed with provenance"
+	mkdir -p $(TMP)/ckpt/alt/ck
+	$(TMP)/ckpt/iatd -tenants $(TMP)/ckpt/tenants.conf $(CKPTFLAGS) $(CKPTALT) -checkpoint $(TMP)/ckpt/alt/ck -checkpoint-every 3 -crash-after 10 > /dev/null 2> $(TMP)/ckpt/alt/crash.err; [ $$? -eq 137 ]
+	grep -q 'simulated crash after iteration 10' $(TMP)/ckpt/alt/crash.err
+	$(TMP)/ckpt/iatd -tenants $(TMP)/ckpt/tenants.conf $(CKPTFLAGS) $(CKPTALT) -resume $(TMP)/ckpt/alt/ck/iatd.ckpt -json $(TMP)/ckpt/alt > /dev/null
+	grep -q '"resumed_from"' $(TMP)/ckpt/alt/manifest.json
+	@echo "ckpt-smoke OK: iatd crashed with exit 137 and resumed with provenance, under IAT and under core-only with four shadows"
 
 # regen-check: regenerate every -all and -ablations CSV at the canonical
 # seed and cmp each against the committed results/, naming any file that

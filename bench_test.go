@@ -565,7 +565,7 @@ func BenchmarkNICPollRx(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyDecide measures one Observe+Decide cycle of each
+// BenchmarkPolicyDecide measures one Decide call of each
 // shipped allocation policy over an 8-tenant sample, alternating quiet
 // and loud I/O so the change-detection path runs every other tick — the
 // pure decision cost the daemon pays per polling interval.
@@ -575,8 +575,6 @@ func BenchmarkPolicyDecide(b *testing.B) {
 		ThresholdMissLowPerSec: 1e6,
 		DDIOWaysMin:            1,
 		DDIOWaysMax:            6,
-		MissDropFactor:         0.5,
-		TenantMissRateFloor:    0.05,
 	}
 	mkSample := func(missPS float64) policy.Sample {
 		s := policy.Sample{
@@ -610,8 +608,7 @@ func BenchmarkPolicyDecide(b *testing.B) {
 					s = loud
 				}
 				s.NowNS = float64(i) * 1e8
-				pol.Observe(s)
-				_ = pol.Decide()
+				_ = pol.Decide(s)
 			}
 		})
 	}

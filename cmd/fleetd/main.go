@@ -24,9 +24,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 
 	"iatsim/internal/exp"
@@ -58,84 +60,96 @@ func main() {
 	}
 }
 
-// run is the testable body of the CLI. Output on stdout is deterministic
-// for a given flag set.
-func run(args []string, stdout io.Writer) error {
+// options is one parsed and validated fleetd command line.
+type options struct {
+	hosts, rounds, jobs, ckptEvery int
+	topology, rollout              string
+	roundSecs, interval, scale     float64
+	seed, chaosSeed                int64
+	chaos, polFlag, shadowFlag     string
+	csvDir, jsonDir, telDir        string
+	prof                           prof.Opts
+}
+
+// positiveFinite reports whether v is positive and v*unit is finite (a
+// span in seconds must still be finite in nanoseconds). NaN fails the
+// comparison.
+func positiveFinite(v, unit float64) bool { return v > 0 && !math.IsInf(v*unit, 1) }
+
+// parseFlags parses and validates the command line. It creates no
+// directory: the output directories are checked by run.
+func parseFlags(args []string) (options, error) {
+	var o options
 	fs := flag.NewFlagSet("fleetd", flag.ContinueOnError)
-	hosts := fs.Int("hosts", 8, "number of simulated hosts")
-	topology := fs.String("topology", "striped", "workload-mix assignment across hosts ("+strings.Join(exp.TopologyNames(), ",")+")")
-	rollout := fs.String("rollout", "canary", "policy rollout strategy ("+strings.Join(fleet.StrategyNames(), ",")+")")
-	rounds := fs.Int("rounds", 8, "aggregation rounds to run")
-	roundSecs := fs.Float64("round", 0.3, "simulated seconds per round per host")
-	interval := fs.Float64("interval", 0.1, "IAT polling interval in simulated seconds")
-	scale := fs.Float64("scale", 800, "simulation scale factor")
-	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "hosts stepped concurrently (output is identical at any value)")
-	seed := fs.Int64("seed", 0, "base seed; per-host seeds and fault schedules derive from it")
-	chaos := fs.String("chaos", "", "arm a correlated fault storm on the canary cohort with this profile ("+strings.Join(faults.ProfileNames(), ",")+" or kind=rate,... spec)")
-	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the storm's per-host fault schedules")
-	ckptEvery := fs.Int("checkpoint-every", 1, "checkpoint each up host's daemon after every Nth round (0 disables; hosts crashed by a storm then cold start)")
-	polFlag := fs.String("policy", "", "roll out a decision-engine change to this policy instead of the DDIO-budget tightening ("+strings.Join(policy.SpecNames(), ", ")+")")
-	shadowFlag := fs.String("shadow", "", "comma-separated shadow policies every host evaluates counterfactually each tick")
-	csvDir := fs.String("csv", "", "write the per-round aggregate rows as <dir>/fleet.csv")
-	jsonDir := fs.String("json", "", "write the run manifest as JSON into this directory")
-	telDir := fs.String("telemetry", "", "write controller and merged-host telemetry snapshots into this directory")
-	var pf prof.Opts
-	pf.RegisterFlags(fs)
+	fs.IntVar(&o.hosts, "hosts", 8, "number of simulated hosts")
+	fs.StringVar(&o.topology, "topology", "striped", "workload-mix assignment across hosts ("+strings.Join(exp.TopologyNames(), ",")+")")
+	fs.StringVar(&o.rollout, "rollout", "canary", "policy rollout strategy ("+strings.Join(fleet.StrategyNames(), ",")+")")
+	fs.IntVar(&o.rounds, "rounds", 8, "aggregation rounds to run")
+	fs.Float64Var(&o.roundSecs, "round", 0.3, "simulated seconds per round per host")
+	fs.Float64Var(&o.interval, "interval", 0.1, "IAT polling interval in simulated seconds")
+	fs.Float64Var(&o.scale, "scale", 800, "simulation scale factor")
+	fs.IntVar(&o.jobs, "jobs", runtime.GOMAXPROCS(0), "hosts stepped concurrently (output is identical at any value)")
+	fs.Int64Var(&o.seed, "seed", 0, "base seed; per-host seeds and fault schedules derive from it")
+	fs.StringVar(&o.chaos, "chaos", "", "arm a correlated fault storm on the canary cohort with this profile ("+strings.Join(faults.ProfileNames(), ",")+" or kind=rate,... spec)")
+	fs.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the storm's per-host fault schedules")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 1, "checkpoint each up host's daemon after every Nth round (0 disables; hosts crashed by a storm then cold start)")
+	fs.StringVar(&o.polFlag, "policy", "", "roll out a decision-engine change to this policy instead of the DDIO-budget tightening ("+strings.Join(policy.SpecNames(), ", ")+")")
+	fs.StringVar(&o.shadowFlag, "shadow", "", "comma-separated shadow policies every host evaluates counterfactually each tick")
+	fs.StringVar(&o.csvDir, "csv", "", "write the per-round aggregate rows as <dir>/fleet.csv")
+	fs.StringVar(&o.jsonDir, "json", "", "write the run manifest as JSON into this directory")
+	fs.StringVar(&o.telDir, "telemetry", "", "write controller and merged-host telemetry snapshots into this directory")
+	o.prof.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
 	}
 	// Validate every flag before assembling anything: a bad value must
 	// fail fast (exit 2), not crash mid-run or complete a long simulation
 	// and then fail to write its outputs.
-	if *hosts < 1 {
-		return usageError{fmt.Sprintf("-hosts must be >= 1 (got %d)", *hosts)}
+	switch {
+	case o.hosts < 1:
+		return options{}, usageError{fmt.Sprintf("-hosts must be >= 1 (got %d)", o.hosts)}
+	case o.rounds < 1:
+		return options{}, usageError{fmt.Sprintf("-rounds must be >= 1 (got %d)", o.rounds)}
+	case !positiveFinite(o.roundSecs, 1e9):
+		return options{}, usageError{fmt.Sprintf("-round must be positive and finite (got %g)", o.roundSecs)}
+	case !positiveFinite(o.interval, 1e9):
+		return options{}, usageError{fmt.Sprintf("-interval must be positive and finite (got %g)", o.interval)}
+	case !positiveFinite(o.scale, 1):
+		return options{}, usageError{fmt.Sprintf("-scale must be positive and finite (got %g)", o.scale)}
+	case o.jobs < 1:
+		return options{}, usageError{fmt.Sprintf("-jobs must be >= 1 (got %d)", o.jobs)}
+	case o.ckptEvery < 0:
+		return options{}, usageError{fmt.Sprintf("-checkpoint-every must be >= 0 (got %d)", o.ckptEvery)}
+	case !slices.Contains(exp.TopologyNames(), o.topology):
+		return options{}, usageError{fmt.Sprintf("-topology: unknown topology %q (valid: %s)", o.topology, strings.Join(exp.TopologyNames(), ", "))}
 	}
-	if *rounds < 1 {
-		return usageError{fmt.Sprintf("-rounds must be >= 1 (got %d)", *rounds)}
+	if _, err := fleet.StrategyByName(o.rollout); err != nil {
+		return options{}, usageError{fmt.Sprintf("-rollout: %v", err)}
 	}
-	if *roundSecs <= 0 {
-		return usageError{fmt.Sprintf("-round must be positive (got %g)", *roundSecs)}
-	}
-	if *interval <= 0 {
-		return usageError{fmt.Sprintf("-interval must be positive (got %g)", *interval)}
-	}
-	if *scale <= 0 {
-		return usageError{fmt.Sprintf("-scale must be positive (got %g)", *scale)}
-	}
-	if *jobs < 1 {
-		return usageError{fmt.Sprintf("-jobs must be >= 1 (got %d)", *jobs)}
-	}
-	if *ckptEvery < 0 {
-		return usageError{fmt.Sprintf("-checkpoint-every must be >= 0 (got %d)", *ckptEvery)}
-	}
-	valid := false
-	for _, t := range exp.TopologyNames() {
-		if *topology == t {
-			valid = true
+	if o.chaos != "" {
+		if _, err := faults.ProfileByName(o.chaos); err != nil {
+			return options{}, usageError{fmt.Sprintf("-chaos: %v", err)}
 		}
 	}
-	if !valid {
-		return usageError{fmt.Sprintf("-topology: unknown topology %q (valid: %s)", *topology, strings.Join(exp.TopologyNames(), ", "))}
-	}
-	if _, err := fleet.StrategyByName(*rollout); err != nil {
-		return usageError{fmt.Sprintf("-rollout: %v", err)}
-	}
-	if *chaos != "" {
-		if _, err := faults.ProfileByName(*chaos); err != nil {
-			return usageError{fmt.Sprintf("-chaos: %v", err)}
+	if o.polFlag != "" {
+		if _, err := policy.ParseSpec(o.polFlag); err != nil {
+			return options{}, usageError{fmt.Sprintf("-policy: %v", err)}
 		}
 	}
-	if *polFlag != "" {
-		if _, err := policy.ParseSpec(*polFlag); err != nil {
-			return usageError{fmt.Sprintf("-policy: %v", err)}
-		}
+	if _, err := policy.ParseShadowSpecs(o.shadowFlag); err != nil {
+		return options{}, usageError{fmt.Sprintf("-shadow: %v", err)}
 	}
-	if *shadowFlag != "" {
-		if _, err := policy.ParseShadowSpecs(*shadowFlag); err != nil {
-			return usageError{fmt.Sprintf("-shadow: %v", err)}
-		}
+	return o, nil
+}
+
+// run is the testable body of the CLI. Output on stdout is deterministic
+// for a given flag set.
+func run(args []string, stdout io.Writer) error {
+	o, err := parseFlags(args)
+	if err != nil {
+		return err
 	}
-	for _, dir := range []string{*csvDir, *jsonDir, *telDir} {
+	for _, dir := range []string{o.csvDir, o.jsonDir, o.telDir} {
 		if dir != "" {
 			if err := ensureWritableDir(dir); err != nil {
 				return usageError{err.Error()}
@@ -144,7 +158,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// Profiling is host-side observability, outside the determinism
 	// guarantee: the run's stdout is byte-identical with it on or off.
-	profiler, err := pf.Start()
+	profiler, err := o.prof.Start()
 	if err != nil {
 		return usageError{fmt.Sprintf("profiling: %v", err)}
 	}
@@ -160,31 +174,31 @@ func run(args []string, stdout io.Writer) error {
 	// The storm profile and its seed are recorded for every run — "off"
 	// included — so any CSV is reproducible from its manifest alone.
 	var stormSeed int64
-	if *chaos != "" {
-		stormSeed = *chaosSeed
+	if o.chaos != "" {
+		stormSeed = o.chaosSeed
 	}
 	manifest := harness.NewManifest(harness.RunOptions{
-		Jobs: *jobs, Seed: *seed,
+		Jobs: o.jobs, Seed: o.seed,
 		Selectors: []string{"fleet"},
-		Chaos:     *chaos, ChaosSeed: stormSeed,
-		CheckpointEvery: *ckptEvery,
+		Chaos:     o.chaos, ChaosSeed: stormSeed,
+		CheckpointEvery: o.ckptEvery,
 	})
-	exp.SetExec(exp.Exec{Jobs: *jobs, Seed: *seed, Manifest: manifest})
+	exp.SetExec(exp.Exec{Jobs: o.jobs, Seed: o.seed, Manifest: manifest})
 
 	// FleetOpts treats 0 as "use the default cadence", so the flag's
 	// explicit 0 (checkpointing off) maps to the negative sentinel.
-	every := *ckptEvery
+	every := o.ckptEvery
 	if every == 0 {
 		every = -1
 	}
 	tel := telemetry.NewRegistry()
 	rep, fleetHosts, err := exp.RunFleet(stdout, exp.FleetOpts{
-		Hosts: *hosts, Topology: *topology, Rollout: *rollout,
-		Storm: *chaos, StormSeed: stormSeed,
-		Policy: *polFlag, Shadow: *shadowFlag,
-		Scale: *scale, Rounds: *rounds,
-		RoundNS: *roundSecs * 1e9, IntervalNS: *interval * 1e9,
-		Seed: *seed, Tel: tel,
+		Hosts: o.hosts, Topology: o.topology, Rollout: o.rollout,
+		Storm: o.chaos, StormSeed: stormSeed,
+		Policy: o.polFlag, Shadow: o.shadowFlag,
+		Scale: o.scale, Rounds: o.rounds,
+		RoundNS: o.roundSecs * 1e9, IntervalNS: o.interval * 1e9,
+		Seed: o.seed, Tel: tel,
 		CheckpointEvery: every,
 	})
 	if err != nil {
@@ -192,8 +206,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 	last := rep.Rows[len(rep.Rows)-1]
 	fmt.Fprintf(stdout, "fleetd: done; %d hosts, %d rounds; final phase %s, %d host(s) on new policy, rolled back: %v\n",
-		*hosts, *rounds, last.Phase, rep.FinalOnNew, rep.RolledBack)
-	if *shadowFlag != "" {
+		o.hosts, o.rounds, last.Phase, rep.FinalOnNew, rep.RolledBack)
+	if o.shadowFlag != "" {
 		// Fold every host's shadow divergence into one fleet-wide line
 		// per shadow policy. Summaries() orders shadows by spec, the same
 		// on every host, so the fold is index-wise over hosts in ID order.
@@ -223,29 +237,29 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *csvDir != "" {
-		if err := exp.SaveRowsCSV(*csvDir, "fleet", rep.Rows); err != nil {
+	if o.csvDir != "" {
+		if err := exp.SaveRowsCSV(o.csvDir, "fleet", rep.Rows); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "fleetd: rows written to %s\n", filepath.Join(*csvDir, "fleet.csv"))
+		fmt.Fprintf(stdout, "fleetd: rows written to %s\n", filepath.Join(o.csvDir, "fleet.csv"))
 	}
-	if *telDir != "" {
+	if o.telDir != "" {
 		now := fleetHosts[len(fleetHosts)-1].P.NowNS()
-		if err := tel.Snapshot(now).WriteFiles(filepath.Join(*telDir, "controller")); err != nil {
+		if err := tel.Snapshot(now).WriteFiles(filepath.Join(o.telDir, "controller")); err != nil {
 			return err
 		}
 		merged, err := exp.MergeFleetTelemetry(fleetHosts)
 		if err != nil {
 			return err
 		}
-		if err := merged.WriteFiles(filepath.Join(*telDir, "hosts")); err != nil {
+		if err := merged.WriteFiles(filepath.Join(o.telDir, "hosts")); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "fleetd: telemetry snapshots written to %s/{controller,hosts}.{json,csv,trace.json}\n", *telDir)
+		fmt.Fprintf(stdout, "fleetd: telemetry snapshots written to %s/{controller,hosts}.{json,csv,trace.json}\n", o.telDir)
 	}
 	manifest.Finish()
-	if *jsonDir != "" {
-		path, err := manifest.Write(*jsonDir)
+	if o.jsonDir != "" {
+		path, err := manifest.Write(o.jsonDir)
 		if err != nil {
 			return err
 		}

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"iatsim/internal/exp"
 	"iatsim/internal/harness"
 	"iatsim/internal/telemetry"
 )
@@ -159,6 +163,12 @@ func TestUsageErrors(t *testing.T) {
 		{"-round", "-1"},
 		{"-interval", "0"},
 		{"-scale", "-5"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-round", "NaN"},
+		{"-round", "Inf"},
+		{"-interval", "NaN"},
+		{"-interval", "1e300"},
 		{"-jobs", "0"},
 		{"-topology", "mesh"},
 		{"-rollout", "yolo"},
@@ -201,4 +211,45 @@ func TestPolicyRolloutSmoke(t *testing.T) {
 	if !strings.Contains(s, "fleetd: done;") {
 		t.Fatalf("run did not complete:\n%s", s)
 	}
+}
+
+// isFlagError reports whether err is one parseFlags may return: a
+// usageError, flag.ErrHelp, or the flag package's own syntax error.
+func isFlagError(err error) bool {
+	var ue usageError
+	if errors.As(err, &ue) || errors.Is(err, flag.ErrHelp) {
+		return true
+	}
+	for _, prefix := range []string{"flag provided but not defined", "bad flag syntax", "flag needs an argument", "invalid value", "invalid boolean"} {
+		if strings.HasPrefix(err.Error(), prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzFleetdFlags feeds arbitrary command lines to the flag parser: it
+// never panics, fails only with a usage or flag error, and any options
+// it accepts are finite and within the bounds a fleet run needs.
+func FuzzFleetdFlags(f *testing.F) {
+	f.Add("-scale NaN")
+	f.Add("-round NaN")
+	f.Add("-interval NaN -round Inf")
+	f.Add("-hosts 4 -rounds 4 -round 0.2 -interval 0.05 -scale 3200 -chaos heavy -checkpoint-every 1")
+	f.Add("-policy static:2 -shadow greedy,ioca -topology striped -rollout bigbang")
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(strings.Fields(line))
+		if err != nil {
+			if !isFlagError(err) {
+				t.Fatalf("%q: error %v is neither a usage nor a flag error", line, err)
+			}
+			return
+		}
+		span := func(v float64) bool { return v > 0 && !math.IsNaN(v) && !math.IsInf(v*1e9, 0) }
+		if o.hosts < 1 || o.rounds < 1 || o.jobs < 1 || o.ckptEvery < 0 ||
+			!span(o.roundSecs) || !span(o.interval) || !(o.scale > 0) || math.IsInf(o.scale, 0) ||
+			!slices.Contains(exp.TopologyNames(), o.topology) {
+			t.Fatalf("%q accepted out of bounds: %+v", line, o)
+		}
+	})
 }

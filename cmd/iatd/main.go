@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -99,67 +100,79 @@ func main() {
 	}
 }
 
-// run is the testable body of the daemon CLI: it parses args, assembles
-// the platform, runs the IAT loop, and prints every decision to stdout.
-// The output is deterministic for a given tenant file and flag set.
-func run(args []string, stdout io.Writer) error {
+// options is one parsed and validated iatd command line.
+type options struct {
+	tenantsPath               string
+	duration, interval, scale float64
+	tracePath, telDir         string
+	chaos                     string
+	chaosSeed                 int64
+	faults                    faults.Profile
+	polFlag, shadowFlag       string
+	polSpec                   policy.Spec
+	shadowSpecs               []policy.Spec
+	shadowCSV                 string
+	ckptDir                   string
+	ckptEvery                 int
+	resumePath                string
+	crashAfter                uint64
+	jsonDir                   string
+	prof                      prof.Opts
+}
+
+// positiveFinite reports whether v is positive and v*unit is finite (a
+// span in seconds must still be finite in nanoseconds). NaN fails the
+// comparison.
+func positiveFinite(v, unit float64) bool { return v > 0 && !math.IsInf(v*unit, 1) }
+
+// parseFlags parses and validates the command line. It creates no
+// directory and reads no file: the output directories and the -resume
+// checkpoint are checked by run.
+func parseFlags(args []string) (options, error) {
+	var o options
 	fs := flag.NewFlagSet("iatd", flag.ContinueOnError)
-	tenantsPath := fs.String("tenants", "", "tenant description file (required)")
-	duration := fs.Float64("duration", 20, "simulated seconds to run")
-	interval := fs.Float64("interval", 1, "IAT polling interval in simulated seconds")
-	scale := fs.Float64("scale", 100, "simulation scale factor")
-	tracePath := fs.String("trace", "", "write a per-iteration CSV trace to this file")
-	telDir := fs.String("telemetry", "", "collect telemetry and write <dir>/snapshot.{json,csv,trace.json} at exit")
-	chaos := fs.String("chaos", "", "inject deterministic faults from this profile ("+joinNames()+" or kind=rate,... spec)")
-	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault-injection schedule")
-	polFlag := fs.String("policy", "iat", "active allocation policy ("+strings.Join(policy.SpecNames(), ", ")+")")
-	shadowFlag := fs.String("shadow", "", "comma-separated shadow policies evaluated counterfactually each tick")
-	shadowCSV := fs.String("shadow-csv", "", "write the per-tick shadow divergence log to this CSV file (requires -shadow)")
-	ckptDir := fs.String("checkpoint", "", "maintain an atomic state checkpoint at <dir>/"+ckptFileName)
-	ckptEvery := fs.Int("checkpoint-every", 5, "iterations between checkpoint writes (requires -checkpoint)")
-	resumePath := fs.String("resume", "", "resume from this checkpoint file: replay silently to its iteration, verify, restore, continue")
-	crashAfter := fs.Uint64("crash-after", 0, "simulate a daemon crash immediately after this iteration (0 = never; exits 137)")
-	jsonDir := fs.String("json", "", "write the run manifest (with checkpoint provenance) as JSON into this directory")
-	var pf prof.Opts
-	pf.RegisterFlags(fs)
+	fs.StringVar(&o.tenantsPath, "tenants", "", "tenant description file (required)")
+	fs.Float64Var(&o.duration, "duration", 20, "simulated seconds to run")
+	fs.Float64Var(&o.interval, "interval", 1, "IAT polling interval in simulated seconds")
+	fs.Float64Var(&o.scale, "scale", 100, "simulation scale factor")
+	fs.StringVar(&o.tracePath, "trace", "", "write a per-iteration CSV trace to this file")
+	fs.StringVar(&o.telDir, "telemetry", "", "collect telemetry and write <dir>/snapshot.{json,csv,trace.json} at exit")
+	fs.StringVar(&o.chaos, "chaos", "", "inject deterministic faults from this profile ("+joinNames()+" or kind=rate,... spec)")
+	fs.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the fault-injection schedule")
+	fs.StringVar(&o.polFlag, "policy", "iat", "active allocation policy ("+strings.Join(policy.SpecNames(), ", ")+")")
+	fs.StringVar(&o.shadowFlag, "shadow", "", "comma-separated shadow policies evaluated counterfactually each tick")
+	fs.StringVar(&o.shadowCSV, "shadow-csv", "", "write the per-tick shadow divergence log to this CSV file (requires -shadow)")
+	fs.StringVar(&o.ckptDir, "checkpoint", "", "maintain an atomic state checkpoint at <dir>/"+ckptFileName)
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 5, "iterations between checkpoint writes (requires -checkpoint)")
+	fs.StringVar(&o.resumePath, "resume", "", "resume from this checkpoint file: replay silently to its iteration, verify, restore, continue")
+	fs.Uint64Var(&o.crashAfter, "crash-after", 0, "simulate a daemon crash immediately after this iteration (0 = never; exits 137)")
+	fs.StringVar(&o.jsonDir, "json", "", "write the run manifest (with checkpoint provenance) as JSON into this directory")
+	o.prof.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
 	}
-	if *tenantsPath == "" {
+	if o.tenantsPath == "" {
 		fs.Usage()
-		return flag.ErrHelp
+		return options{}, flag.ErrHelp
 	}
 	// Validate every flag before assembling anything: a bad value must fail
 	// fast with a clear message, not crash mid-run or — worse for -telemetry
 	// — complete a multi-minute simulation and then fail to write it out.
-	if *duration <= 0 {
-		return usageError{fmt.Sprintf("-duration must be positive (got %g)", *duration)}
+	switch {
+	case !positiveFinite(o.duration, 1e9):
+		return options{}, usageError{fmt.Sprintf("-duration must be positive and finite (got %g)", o.duration)}
+	case !positiveFinite(o.interval, 1e9):
+		return options{}, usageError{fmt.Sprintf("-interval must be positive and finite (got %g)", o.interval)}
+	case !positiveFinite(o.scale, 1):
+		return options{}, usageError{fmt.Sprintf("-scale must be positive and finite (got %g)", o.scale)}
+	case o.ckptEvery < 1:
+		return options{}, usageError{fmt.Sprintf("-checkpoint-every must be >= 1 (got %d)", o.ckptEvery)}
 	}
-	if *interval <= 0 {
-		return usageError{fmt.Sprintf("-interval must be positive (got %g)", *interval)}
-	}
-	if *scale <= 0 {
-		return usageError{fmt.Sprintf("-scale must be positive (got %g)", *scale)}
-	}
-	var prof faults.Profile
-	if *chaos != "" {
+	if o.chaos != "" {
 		var err error
-		if prof, err = faults.ProfileByName(*chaos); err != nil {
-			return usageError{fmt.Sprintf("-chaos: %v", err)}
+		if o.faults, err = faults.ProfileByName(o.chaos); err != nil {
+			return options{}, usageError{fmt.Sprintf("-chaos: %v", err)}
 		}
-	}
-	if *telDir != "" {
-		if err := ensureWritableDir(*telDir); err != nil {
-			return usageError{fmt.Sprintf("-telemetry: %v", err)}
-		}
-	}
-	if *ckptDir != "" {
-		if err := ensureWritableDir(*ckptDir); err != nil {
-			return usageError{fmt.Sprintf("-checkpoint: %v", err)}
-		}
-	}
-	if *ckptEvery < 1 {
-		return usageError{fmt.Sprintf("-checkpoint-every must be >= 1 (got %d)", *ckptEvery)}
 	}
 	everySet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -167,17 +180,42 @@ func run(args []string, stdout io.Writer) error {
 			everySet = true
 		}
 	})
-	if everySet && *ckptDir == "" {
-		return usageError{"-checkpoint-every requires -checkpoint"}
+	if everySet && o.ckptDir == "" {
+		return options{}, usageError{"-checkpoint-every requires -checkpoint"}
 	}
-	if *jsonDir != "" {
-		if err := ensureWritableDir(*jsonDir); err != nil {
-			return usageError{fmt.Sprintf("-json: %v", err)}
+	var err error
+	if o.polSpec, err = policy.ParseSpec(o.polFlag); err != nil {
+		return options{}, usageError{fmt.Sprintf("-policy: %v", err)}
+	}
+	if o.shadowSpecs, err = policy.ParseShadowSpecs(o.shadowFlag); err != nil {
+		return options{}, usageError{fmt.Sprintf("-shadow: %v", err)}
+	}
+	if o.shadowCSV != "" && len(o.shadowSpecs) == 0 {
+		return options{}, usageError{"-shadow-csv requires -shadow"}
+	}
+	return o, nil
+}
+
+// run is the testable body of the daemon CLI: it parses args, assembles
+// the platform, runs the IAT loop, and prints every decision to stdout.
+// The output is deterministic for a given tenant file and flag set.
+func run(args []string, stdout io.Writer) error {
+	o, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	for _, d := range []struct{ flag, dir string }{
+		{"-telemetry", o.telDir}, {"-checkpoint", o.ckptDir}, {"-json", o.jsonDir},
+	} {
+		if d.dir != "" {
+			if err := ensureWritableDir(d.dir); err != nil {
+				return usageError{fmt.Sprintf("%s: %v", d.flag, err)}
+			}
 		}
 	}
 	// Profiling is host-side observability, outside the determinism
 	// guarantee: the run's stdout is byte-identical with it on or off.
-	profiler, err := pf.Start()
+	profiler, err := o.prof.Start()
 	if err != nil {
 		return usageError{fmt.Sprintf("profiling: %v", err)}
 	}
@@ -194,32 +232,21 @@ func run(args []string, stdout io.Writer) error {
 	// front, not after a multi-minute silent replay.
 	var resume *ckpt.Checkpoint
 	var resumeHash string
-	if *resumePath != "" {
-		c, err := ckpt.ReadFile(*resumePath)
+	if o.resumePath != "" {
+		c, err := ckpt.ReadFile(o.resumePath)
 		if err != nil {
 			return usageError{fmt.Sprintf("-resume: %v", err)}
 		}
 		if c.Iteration == 0 {
-			return usageError{fmt.Sprintf("-resume: %s records no completed iteration", *resumePath)}
+			return usageError{fmt.Sprintf("-resume: %s records no completed iteration", o.resumePath)}
 		}
-		h, err := ckpt.FileHash(*resumePath)
+		h, err := ckpt.FileHash(o.resumePath)
 		if err != nil {
 			return err
 		}
 		resume, resumeHash = c, h
 	}
-	polSpec, err := policy.ParseSpec(*polFlag)
-	if err != nil {
-		return usageError{fmt.Sprintf("-policy: %v", err)}
-	}
-	shadowSpecs, err := policy.ParseShadowSpecs(*shadowFlag)
-	if err != nil {
-		return usageError{fmt.Sprintf("-shadow: %v", err)}
-	}
-	if *shadowCSV != "" && len(shadowSpecs) == 0 {
-		return usageError{"-shadow-csv requires -shadow"}
-	}
-	tenantData, err := os.ReadFile(*tenantsPath)
+	tenantData, err := os.ReadFile(o.tenantsPath)
 	if err != nil {
 		return err
 	}
@@ -233,8 +260,8 @@ func run(args []string, stdout io.Writer) error {
 	// state verification at the checkpoint iteration would fail anyway,
 	// after minutes instead of milliseconds.
 	cfgHash := ckpt.ConfigHash(string(tenantData),
-		fmtFlag(*duration), fmtFlag(*interval), fmtFlag(*scale),
-		*chaos, strconv.FormatInt(*chaosSeed, 10), *polFlag, *shadowFlag)
+		fmtFlag(o.duration), fmtFlag(o.interval), fmtFlag(o.scale),
+		o.chaos, strconv.FormatInt(o.chaosSeed, 10), o.polFlag, o.shadowFlag)
 	if resume != nil && resume.ConfigHash != cfgHash {
 		return usageError{fmt.Sprintf(
 			"-resume: checkpoint config hash %s does not match this invocation (%s); rerun with the tenant file and flags of the checkpointed run",
@@ -245,9 +272,9 @@ func run(args []string, stdout io.Writer) error {
 	// pre-checkpoint iterations without printing them.
 	out := &mutingWriter{w: stdout}
 
-	p := sim.NewPlatform(sim.XeonGold6140(*scale))
+	p := sim.NewPlatform(sim.XeonGold6140(o.scale))
 	var tel *telemetry.Registry
-	if *telDir != "" {
+	if o.telDir != "" {
 		// Attach before build so AddDevice auto-instruments every NIC
 		// and buildWorkers can instrument NVMe devices it creates.
 		tel = telemetry.NewRegistry()
@@ -258,7 +285,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	daemon, err := bridge.NewIAT(p, bridge.ScaledParams(*scale, *interval*1e9), core.Options{})
+	daemon, err := bridge.NewIAT(p, bridge.ScaledParams(o.scale, o.interval*1e9), core.Options{})
 	if err != nil {
 		return err
 	}
@@ -268,22 +295,22 @@ func run(args []string, stdout io.Writer) error {
 	// Only a non-default policy is swapped in: with -policy iat the daemon
 	// keeps the policy NewDaemon installed, so output (including the
 	// telemetry event stream) is bit-for-bit the pre-flag behaviour.
-	if polSpec.Kind != policy.KindIAT {
-		if err := daemon.SetPolicy(polSpec.New()); err != nil {
+	if o.polSpec.Kind != policy.KindIAT {
+		if err := daemon.SetPolicy(o.polSpec.New()); err != nil {
 			return err
 		}
 	}
 	var shadows *policy.Evaluator
-	if len(shadowSpecs) > 0 {
-		shadows = policy.NewEvaluator(shadowSpecs)
+	if len(o.shadowSpecs) > 0 {
+		shadows = policy.NewEvaluator(o.shadowSpecs)
 		if tel != nil {
 			shadows.Tel = tel
 		}
 		daemon.AttachShadows(shadows)
 	}
 	var tracer *trace.Writer
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
+	if o.tracePath != "" {
+		tf, err := os.Create(o.tracePath)
 		if err != nil {
 			return err
 		}
@@ -297,13 +324,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// Arm the injector only after the machine is assembled: construction-time
 	// mask programming is not part of the fault surface.
-	inj := faults.NewInjector(prof, *chaosSeed)
-	if prof.Active() {
+	inj := faults.NewInjector(o.faults, o.chaosSeed)
+	if o.faults.Active() {
 		if tel != nil {
 			inj.AttachTelemetry(tel, p.NowNS)
 		}
 		p.SetFaults(inj)
-		fmt.Fprintf(out, "iatd: chaos profile %q armed (seed %d)\n", *chaos, *chaosSeed)
+		fmt.Fprintf(out, "iatd: chaos profile %q armed (seed %d)\n", o.chaos, o.chaosSeed)
 	}
 
 	// The iteration counter drives the whole checkpoint machinery: writes
@@ -314,7 +341,7 @@ func run(args []string, stdout io.Writer) error {
 	// the two states are comparable byte for byte.
 	var iter uint64
 	var replayErr error
-	ckptPath := filepath.Join(*ckptDir, ckptFileName)
+	ckptPath := filepath.Join(o.ckptDir, ckptFileName)
 	daemon.OnIteration = func(it core.IterationInfo) {
 		iter++
 		if tracer != nil {
@@ -328,27 +355,27 @@ func run(args []string, stdout io.Writer) error {
 				it.NowNS/1e9, it.State, it.Action, it.DDIOMask, fmtMasks(it.Masks))
 		}
 		if resume != nil && iter == resume.Iteration && replayErr == nil {
-			if replayErr = restoreFromCheckpoint(daemon, inj, prof.Active(), resume, cfgHash, it.NowNS, iter); replayErr == nil {
+			if replayErr = restoreFromCheckpoint(daemon, inj, o.faults.Active(), resume, cfgHash, it.NowNS, iter); replayErr == nil {
 				out.muted = false
 			}
 		}
-		if *ckptDir != "" && iter%uint64(*ckptEvery) == 0 {
-			if err := writeCheckpoint(ckptPath, cfgHash, iter, it.NowNS, daemon, inj, prof.Active()); err != nil {
+		if o.ckptDir != "" && iter%uint64(o.ckptEvery) == 0 {
+			if err := writeCheckpoint(ckptPath, cfgHash, iter, it.NowNS, daemon, inj, o.faults.Active()); err != nil {
 				log.Printf("iatd: checkpoint: %v", err)
 			} else if tel != nil {
 				tel.Counter("ckpt", "", "writes").Inc()
 			}
 		}
-		if *crashAfter > 0 && iter == *crashAfter {
+		if o.crashAfter > 0 && iter == o.crashAfter {
 			panic(crashError{iter})
 		}
 	}
 
 	fmt.Fprintf(out, "iatd: %d tenants, %d events, %d ways, interval %.2fs, running %.0fs of simulated time\n",
-		len(entries), len(events), p.RDT.NumWays(), *interval, *duration)
+		len(entries), len(events), p.RDT.NumWays(), o.interval, o.duration)
 	if resume != nil {
 		fmt.Fprintf(out, "iatd: resuming from %s (iteration %d, %.2fs simulated); replaying silently to the checkpoint\n",
-			*resumePath, resume.Iteration, resume.SimTimeNS/1e9)
+			o.resumePath, resume.Iteration, resume.SimTimeNS/1e9)
 		out.muted = true
 	}
 	if err := func() (err error) {
@@ -361,7 +388,7 @@ func run(args []string, stdout io.Writer) error {
 				err = ce
 			}
 		}()
-		runWithEvents(p, daemon, events, xmems, *duration*1e9, out)
+		runWithEvents(p, daemon, events, xmems, o.duration*1e9, out)
 		return nil
 	}(); err != nil {
 		return err
@@ -379,7 +406,7 @@ func run(args []string, stdout io.Writer) error {
 	total, unstable := daemon.Iterations()
 	fmt.Fprintf(out, "iatd: done; %d iterations (%d unstable), final state %s, final DDIO mask %v\n",
 		total, unstable, daemon.State(), p.RDT.DDIOMask())
-	if prof.Active() {
+	if o.faults.Active() {
 		h := daemon.Health()
 		fmt.Fprintf(out, "iatd: chaos: %d faults injected; health: rejects=%d retries=%d wfail=%d degradations=%d rearms=%d degraded=%v\n",
 			inj.Total(), h.SampleRejects, h.WriteRetries, h.WriteFailures, h.Degradations, h.Rearms, h.Degraded)
@@ -393,8 +420,8 @@ func run(args []string, stdout io.Writer) error {
 		if n := shadows.Dropped(); n > 0 {
 			fmt.Fprintf(out, "iatd: shadow: %d divergence rows dropped (log bound reached)\n", n)
 		}
-		if *shadowCSV != "" {
-			cf, err := os.Create(*shadowCSV)
+		if o.shadowCSV != "" {
+			cf, err := os.Create(o.shadowCSV)
 			if err != nil {
 				return err
 			}
@@ -405,27 +432,27 @@ func run(args []string, stdout io.Writer) error {
 			if err := cf.Close(); err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "iatd: shadow divergence log written to %s\n", *shadowCSV)
+			fmt.Fprintf(out, "iatd: shadow divergence log written to %s\n", o.shadowCSV)
 		}
 	}
 	if tel != nil {
-		base := filepath.Join(*telDir, "snapshot")
+		base := filepath.Join(o.telDir, "snapshot")
 		if err := tel.Snapshot(p.NowNS()).WriteFiles(base); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "iatd: telemetry snapshot written to %s.{json,csv,trace.json}\n", base)
 	}
-	if *jsonDir != "" {
+	if o.jsonDir != "" {
 		var cseed int64
-		if *chaos != "" {
-			cseed = *chaosSeed
+		if o.chaos != "" {
+			cseed = o.chaosSeed
 		}
 		opts := harness.RunOptions{
 			Jobs: 1, Selectors: []string{"iatd"},
-			Chaos: *chaos, ChaosSeed: cseed,
+			Chaos: o.chaos, ChaosSeed: cseed,
 		}
-		if *ckptDir != "" {
-			opts.CheckpointEvery = *ckptEvery
+		if o.ckptDir != "" {
+			opts.CheckpointEvery = o.ckptEvery
 		}
 		if resume != nil {
 			opts.ResumedFrom = resumeHash
@@ -433,7 +460,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		manifest := harness.NewManifest(opts)
 		manifest.Finish()
-		path, err := manifest.Write(*jsonDir)
+		path, err := manifest.Write(o.jsonDir)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,6 +142,13 @@ func TestFlagValidation(t *testing.T) {
 		{"zero interval", []string{"-tenants", path, "-interval", "0"}, "-interval"},
 		{"negative duration", []string{"-tenants", path, "-duration", "-1"}, "-duration"},
 		{"zero scale", []string{"-tenants", path, "-scale", "0"}, "-scale"},
+		{"NaN interval", []string{"-tenants", path, "-interval", "NaN"}, "-interval"},
+		{"infinite interval", []string{"-tenants", path, "-interval", "+Inf"}, "-interval"},
+		{"interval past float range in ns", []string{"-tenants", path, "-interval", "1e300"}, "-interval"},
+		{"NaN duration", []string{"-tenants", path, "-duration", "NaN"}, "-duration"},
+		{"infinite duration", []string{"-tenants", path, "-duration", "Inf"}, "-duration"},
+		{"NaN scale", []string{"-tenants", path, "-scale", "NaN"}, "-scale"},
+		{"infinite scale", []string{"-tenants", path, "-scale", "Inf"}, "-scale"},
 		{"bad chaos profile", []string{"-tenants", path, "-chaos", "nosuch"}, "-chaos"},
 		{"bad chaos spec", []string{"-tenants", path, "-chaos", "msr-reject=2.5"}, "-chaos"},
 		{"unknown policy", []string{"-tenants", path, "-policy", "bogus"}, "-policy"},
@@ -523,8 +531,49 @@ func TestCheckpointFileGolden(t *testing.T) {
 			t.Fatalf("checkpoint lacks %s:\n%s", want, data)
 		}
 	}
-	const golden = "6a159587cb9dca58393176ebba8c6d18f37ca3ce564d6b018444c44392036143"
+	const golden = "ec0739260e0533c86b336ccb7bb7d50ded8b50d41b32d5b95171333bcde92151"
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != golden {
 		t.Fatalf("checkpoint sha256 = %s, want %s", got, golden)
 	}
+}
+
+// isFlagError reports whether err is one parseFlags may return: a
+// usageError, flag.ErrHelp, or the flag package's own syntax error.
+func isFlagError(err error) bool {
+	var ue usageError
+	if errors.As(err, &ue) || errors.Is(err, flag.ErrHelp) {
+		return true
+	}
+	for _, prefix := range []string{"flag provided but not defined", "bad flag syntax", "flag needs an argument", "invalid value", "invalid boolean"} {
+		if strings.HasPrefix(err.Error(), prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzIatdFlags feeds arbitrary command lines to the flag parser: it
+// never panics, fails only with a usage or flag error, and any options
+// it accepts are finite and within the bounds a run needs.
+func FuzzIatdFlags(f *testing.F) {
+	f.Add("-tenants t.conf -interval NaN")
+	f.Add("-tenants t.conf -scale NaN")
+	f.Add("-tenants t.conf -duration NaN -interval 1e300")
+	f.Add("-tenants t.conf -duration 4 -interval 0.2 -chaos default -chaos-seed 7 -checkpoint ck -checkpoint-every 3")
+	f.Add("-tenants t.conf -policy core-only -shadow static,ioca,greedy,io-iso -shadow-csv s.csv")
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(strings.Fields(line))
+		if err != nil {
+			if !isFlagError(err) {
+				t.Fatalf("%q: error %v is neither a usage nor a flag error", line, err)
+			}
+			return
+		}
+		span := func(v float64) bool { return v > 0 && !math.IsNaN(v) && !math.IsInf(v*1e9, 0) }
+		if o.tenantsPath == "" || !span(o.duration) || !span(o.interval) ||
+			!(o.scale > 0) || math.IsInf(o.scale, 0) || o.ckptEvery < 1 ||
+			(o.shadowCSV != "" && len(o.shadowSpecs) == 0) {
+			t.Fatalf("%q accepted out of bounds: %+v", line, o)
+		}
+	})
 }

@@ -60,7 +60,7 @@ func shadowedCheckpoint() *Checkpoint {
 		NumWays: 11, DDIOWays: 2, DDIOMask: cache.ContiguousMask(9, 2),
 		Limits: policy.Limits{
 			ThresholdStable: 0.03, ThresholdMissLowPerSec: 1e6,
-			DDIOWaysMin: 1, DDIOWaysMax: 6, MissDropFactor: 0.5, TenantMissRateFloor: 0.05,
+			DDIOWaysMin: 1, DDIOWaysMax: 6,
 		},
 		DDIOHitPS: 1e7,
 	}
@@ -83,8 +83,7 @@ func shadowedCheckpoint() *Checkpoint {
 	for i := 0; i < 4; i++ {
 		s.NowNS = float64(i) * 1e8
 		s.DDIOMissPS = []float64{5e6, 1e3}[i%2]
-		iat.Observe(s)
-		a := iat.Decide()
+		a := iat.Decide(s)
 		ev.Tick(s, a, s.DDIOMask)
 	}
 	if d.PolicyState, err = iat.AppendSnapshot(nil); err != nil {

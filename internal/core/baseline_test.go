@@ -22,11 +22,25 @@ func baselineSys() *mockSys {
 }
 
 // baselineRig is a daemon running one of the comparison points over the
-// mock, with the rig's clock.
+// mock, with the rig's clock and the policy's decision mix.
 type baselineRig struct {
 	d   *Daemon
 	m   *mockSys
 	now float64
+	mix map[string]int
+}
+
+// mixWatch wraps a policy and counts its decisions by Classify class,
+// each against the DDIO way count of the sample it was made on.
+type mixWatch struct {
+	policy.Policy
+	mix map[string]int
+}
+
+func (w *mixWatch) Decide(s policy.Sample) policy.Actions {
+	a := w.Policy.Decide(s)
+	w.mix[policy.Classify(a, s.DDIOWays)]++
+	return a
 }
 
 // newBaselineRig runs spec ("core-only" or "io-iso") over m.
@@ -37,10 +51,11 @@ func newBaselineRig(t *testing.T, m *mockSys, spec string, opts Options) *baseli
 		t.Fatal(err)
 	}
 	d := testDaemon(t, m, opts)
-	if err := d.SetPolicy(sp.New()); err != nil {
+	w := &mixWatch{Policy: sp.New(), mix: map[string]int{}}
+	if err := d.SetPolicy(w); err != nil {
 		t.Fatal(err)
 	}
-	return &baselineRig{d: d, m: m}
+	return &baselineRig{d: d, m: m, mix: w.mix}
 }
 
 // drive runs steps intervals. Core i misses missFor[i](step) times per
@@ -79,8 +94,8 @@ func TestCoreOnlyGrowsIntoIdleWays(t *testing.T) {
 	if m.ddioWrites != 0 {
 		t.Fatalf("core-only wrote the DDIO register %d times", m.ddioWrites)
 	}
-	if h := r.d.Policy().Health(); h.GrowTenant == 0 {
-		t.Fatalf("health = %+v, want tenant grows", h)
+	if r.mix["grow-tenant"] == 0 {
+		t.Fatalf("decision mix = %v, want tenant grows", r.mix)
 	}
 }
 
@@ -95,8 +110,8 @@ func TestCoreOnlyStopsWhenFull(t *testing.T) {
 	if total != 11 {
 		t.Fatalf("total widths %d, want the whole 11-way LLC", total)
 	}
-	if h := r.d.Policy().Health(); h.Holds == 0 {
-		t.Fatalf("health = %+v, want holds once the ways were full", h)
+	if r.mix["hold"] == 0 {
+		t.Fatalf("decision mix = %v, want holds once the ways were full", r.mix)
 	}
 }
 
@@ -128,8 +143,8 @@ func TestIOIsoStealsFromBestEffort(t *testing.T) {
 	if m.masks[2].Count() >= 3 && m.masks[3].Count() >= 3 {
 		t.Fatal("no best-effort group was shrunk")
 	}
-	if h := r.d.Policy().Health(); h.GrowTenant == 0 {
-		t.Fatalf("health = %+v, want the steals counted as tenant grows", h)
+	if r.mix["grow-tenant"] == 0 {
+		t.Fatalf("decision mix = %v, want the steals counted as tenant grows", r.mix)
 	}
 }
 
@@ -196,8 +211,8 @@ func TestBaselineGrowerMovesToTop(t *testing.T) {
 			t.Fatalf("clos %d = %v, want %v (all masks %v)", clos, m.masks[clos], w, m.masks)
 		}
 	}
-	if h := r.d.Policy().Health(); h.GrowTenant != 1 {
-		t.Fatalf("health = %+v, want exactly one grant", h)
+	if r.mix["grow-tenant"] != 1 {
+		t.Fatalf("decision mix = %v, want exactly one grant", r.mix)
 	}
 }
 

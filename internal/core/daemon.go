@@ -150,7 +150,6 @@ type Daemon struct {
 // NewDaemon builds a daemon over sys running the default IAT policy. It
 // performs the Get Tenant Info and LLC Alloc steps on the first Tick.
 func NewDaemon(sys System, p Params, opts Options) (*Daemon, error) {
-	p = p.withRobustnessDefaults()
 	if err := p.Validate(sys.NumWays()); err != nil {
 		return nil, err
 	}
@@ -176,7 +175,6 @@ func NewDaemon(sys System, p Params, opts Options) (*Daemon, error) {
 // adaptation simply continues under the new limits. On error the old
 // parameters stay in force.
 func (d *Daemon) SetParams(p Params) error {
-	p = p.withRobustnessDefaults()
 	if err := p.Validate(d.nWays); err != nil {
 		return err
 	}
@@ -385,8 +383,6 @@ func (d *Daemon) sampleFor(nowNS float64, cur intervalSample) policy.Sample {
 			ThresholdMissLowPerSec: d.P.ThresholdMissLowPerSec,
 			DDIOWaysMin:            d.P.DDIOWaysMin,
 			DDIOWaysMax:            d.P.DDIOWaysMax,
-			MissDropFactor:         d.P.MissDropFactor,
-			TenantMissRateFloor:    d.P.TenantMissRateFloor,
 			UCPGrowth:              d.P.Growth == GrowUCP,
 			DisableDDIOAdjust:      d.Opts.DisableDDIOAdjust,
 			DisableShuffle:         d.Opts.DisableShuffle,
@@ -449,8 +445,7 @@ func (d *Daemon) iterate(nowNS float64) {
 		return
 	}
 	s := d.sampleFor(nowNS, cur)
-	d.pol.Observe(s)
-	a := d.pol.Decide()
+	a := d.pol.Decide(s)
 	if a.Warmup {
 		// Baseline adoption: silent, uncounted, no re-allocation.
 		d.state = a.State
@@ -565,7 +560,7 @@ func (d *Daemon) apply() bool {
 	if d.Opts.DisableShuffle {
 		d.order = OrderGroups(d.order[:0], d.groups, -1, 0) // priority order, no refs sort hysteresis
 	} else {
-		d.order = OrderGroups(d.order[:0], d.groups, d.topCLOS, d.P.ShuffleMargin)
+		d.order = OrderGroups(d.order[:0], d.groups, d.topCLOS, shuffleMargin)
 	}
 	layout, err := PackBottomUp(d.layout[:0], d.nWays, d.order)
 	if err != nil {

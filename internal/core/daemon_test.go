@@ -432,11 +432,11 @@ func TestUnstableTickAllocatesNothing(t *testing.T) {
 	}
 }
 
-// prevWatch wraps the IAT policy and, on every Observe, checks that the
-// policy's state (its retained cur and prev samples) still encodes as it
-// did right after the previous Decide. The daemon refills its sample
-// buffer in place before each Observe, so this fails if a policy keeps
-// the daemon's array instead of its own copy.
+// prevWatch wraps the IAT policy and, on every Decide, checks that the
+// policy's state (its retained prev sample) still encodes as it did right
+// after the previous Decide. The daemon refills its sample buffer in
+// place before each Decide, so this fails if a policy keeps the daemon's
+// array instead of its own copy.
 type prevWatch struct {
 	*policy.IAT
 	t      *testing.T
@@ -444,22 +444,18 @@ type prevWatch struct {
 	checks int
 }
 
-func (w *prevWatch) Observe(s policy.Sample) {
+func (w *prevWatch) Decide(s policy.Sample) policy.Actions {
 	if w.last != nil {
 		now, err := w.IAT.AppendSnapshot(nil)
 		if err != nil {
 			w.t.Fatal(err)
 		}
 		if !bytes.Equal(now, w.last) {
-			w.t.Fatalf("retained samples changed before the next Observe:\n%s\nvs\n%s", w.last, now)
+			w.t.Fatalf("retained samples changed before the next Decide:\n%s\nvs\n%s", w.last, now)
 		}
 		w.checks++
 	}
-	w.IAT.Observe(s)
-}
-
-func (w *prevWatch) Decide() policy.Actions {
-	a := w.IAT.Decide()
+	a := w.IAT.Decide(s)
 	var err error
 	if w.last, err = w.IAT.AppendSnapshot(w.last[:0]); err != nil {
 		w.t.Fatal(err)

@@ -200,7 +200,7 @@ func TestDaemonInvariantsUnderFaults(t *testing.T) {
 		}
 
 		// Faults stop and the stream settles: the daemon must shed any
-		// degradation (re-arm backoff caps at 8x RearmAfter = 16 samples)
+		// degradation (re-arm backoff caps at 8x rearmAfter = 16 samples)
 		// and keep iterating.
 		fs.glitchRate, fs.rejectRate, fs.dropRate = 0, 0, 0
 		for i := 0; i < 25; i++ {

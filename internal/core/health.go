@@ -41,8 +41,8 @@ func (d *Daemon) sampleInsane(s intervalSample) string {
 		if g.RefsPS > d.P.SaneRateMax || g.MissPS > d.P.SaneRateMax {
 			return fmt.Sprintf("clos %d LLC rate %.3g/%.3g exceeds %.3g/s", clos, g.RefsPS, g.MissPS, d.P.SaneRateMax)
 		}
-		if g.IPC > d.P.SaneIPCMax {
-			return fmt.Sprintf("clos %d IPC %.3g exceeds %.3g", clos, g.IPC, d.P.SaneIPCMax)
+		if g.IPC > saneIPCMax {
+			return fmt.Sprintf("clos %d IPC %.3g exceeds %.3g", clos, g.IPC, saneIPCMax)
 		}
 		if g.MissPS > g.RefsPS*1.01+d.P.ThresholdMissLowPerSec {
 			return fmt.Sprintf("clos %d misses %.3g/s exceed references %.3g/s", clos, g.MissPS, g.RefsPS)
@@ -64,14 +64,14 @@ func (d *Daemon) rejectSample(nowNS float64, cur intervalSample, reason string) 
 }
 
 // backoffResetFactor scales how long the daemon must run clean before the
-// exponential re-arm backoff is forgiven: backoffResetFactor * RearmAfter
+// exponential re-arm backoff is forgiven: backoffResetFactor * rearmAfter
 // consecutive clean iterations reset rearmNeed to the base requirement.
 const backoffResetFactor = 8
 
 // finishIter closes one normal iteration: a write failure during it counts
 // toward degradation, a clean one resets the bad streak and — sustained
 // long enough — unwinds the re-arm backoff, so an isolated fault burst far
-// in the future starts from the base RearmAfter requirement again rather
+// in the future starts from the base rearmAfter requirement again rather
 // than the 8x cap a long-past flapping episode left behind.
 func (d *Daemon) finishIter() {
 	if d.writeFailedIter {
@@ -81,7 +81,7 @@ func (d *Daemon) finishIter() {
 	d.consecBad = 0
 	if d.rearmNeed > 0 {
 		d.cleanStreak++
-		if need := backoffResetFactor * d.P.RearmAfter; d.cleanStreak >= need {
+		if need := backoffResetFactor * rearmAfter; d.cleanStreak >= need {
 			d.rearmNeed = 0
 			d.cleanStreak = 0
 			d.health.BackoffResets++
@@ -93,11 +93,11 @@ func (d *Daemon) finishIter() {
 }
 
 // noteBad advances the consecutive-bad-iteration streak and degrades the
-// daemon once it reaches DegradeAfter.
+// daemon once it reaches degradeAfter.
 func (d *Daemon) noteBad() {
 	d.consecBad++
 	d.cleanStreak = 0
-	if !d.degraded && d.consecBad >= d.P.DegradeAfter {
+	if !d.degraded && d.consecBad >= degradeAfter {
 		d.enterDegraded()
 	}
 }
@@ -105,7 +105,7 @@ func (d *Daemon) noteBad() {
 // enterDegraded is the graceful-degradation fallback: the daemon stops
 // trusting its counter view, programs a conservative static DDIO
 // allocation, and waits for the watchdog to see sane reads again. Repeated
-// degradations back off exponentially (up to 8x RearmAfter) so a flapping
+// degradations back off exponentially (up to 8x rearmAfter) so a flapping
 // fault source cannot make the daemon thrash.
 func (d *Daemon) enterDegraded() {
 	d.degraded = true
@@ -113,17 +113,17 @@ func (d *Daemon) enterDegraded() {
 	d.saneStreak = 0
 	d.health.Degradations++
 	if d.rearmNeed == 0 {
-		d.rearmNeed = d.P.RearmAfter
+		d.rearmNeed = rearmAfter
 	} else {
 		d.rearmNeed *= 2
-		if limit := 8 * d.P.RearmAfter; d.rearmNeed > limit {
+		if limit := 8 * rearmAfter; d.rearmNeed > limit {
 			d.rearmNeed = limit
 		}
 	}
 	d.bumpHealth("degraded_entries")
+	d.ddioWays = d.P.safeDDIOWays()
 	d.emitHealth(telemetry.SevWarn, "degraded",
-		fmt.Sprintf("falling back to static ddio=%d ways; re-arm after %d sane samples", d.P.SafeDDIOWays, d.rearmNeed))
-	d.ddioWays = d.P.SafeDDIOWays
+		fmt.Sprintf("falling back to static ddio=%d ways; re-arm after %d sane samples", d.ddioWays, d.rearmNeed))
 	if !d.Opts.DisableDDIOAdjust {
 		d.programDDIO(cache.ContiguousMask(d.nWays-d.ddioWays, d.ddioWays))
 	}
@@ -153,14 +153,12 @@ func (d *Daemon) degradedTick(nowNS float64, cur intervalSample) {
 	d.emitHealth(telemetry.SevInfo, "rearmed", fmt.Sprintf("after %d sane samples", d.rearmNeed))
 	d.state = policy.LowKeep
 	// Re-adopt the re-arming sample as the comparison baseline: the
-	// policy observes it and its (warmup) decision is discarded, so the
+	// policy decides on it and its (warmup) decision is discarded, so the
 	// next iteration compares against this sample — exactly the
 	// pre-extraction "prevRates = cur" re-arm semantics. The shadows see
 	// the same warmup tick and re-adopt the machine layout with it.
 	s := d.sampleFor(nowNS, cur)
-	d.pol.Observe(s)
-	aw := d.pol.Decide()
-	d.shadowTick(s, aw)
+	d.shadowTick(s, d.pol.Decide(s))
 	d.emit(nowNS, cur, false, "re-armed")
 }
 
@@ -170,7 +168,7 @@ func (d *Daemon) degradedTick(nowNS float64, cur intervalSample) {
 // retried naturally on the next iteration, because apply() re-programs any
 // register whose read-back differs from the computed layout.
 func (d *Daemon) programCLOS(clos int, m cache.WayMask) bool {
-	for attempt := 0; attempt <= d.P.WriteRetries; attempt++ {
+	for attempt := 0; attempt <= writeRetries; attempt++ {
 		if attempt > 0 {
 			d.health.WriteRetries++
 			d.bumpHealth("write_retries")
@@ -188,7 +186,7 @@ func (d *Daemon) programCLOS(clos int, m cache.WayMask) bool {
 
 // programDDIO is programCLOS for the IIO_LLC_WAYS register.
 func (d *Daemon) programDDIO(m cache.WayMask) bool {
-	for attempt := 0; attempt <= d.P.WriteRetries; attempt++ {
+	for attempt := 0; attempt <= writeRetries; attempt++ {
 		if attempt > 0 {
 			d.health.WriteRetries++
 			d.bumpHealth("write_retries")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"iatsim/internal/cache"
@@ -119,7 +120,7 @@ func TestDaemonDegradesAndRearms(t *testing.T) {
 	steady(m, tick)
 	steady(m, tick)
 
-	// DegradeAfter (3) consecutive rejected samples force the fallback.
+	// degradeAfter (3) consecutive rejected samples force the fallback.
 	glitch(m, tick)
 	glitch(m, tick)
 	glitch(m, tick)
@@ -130,14 +131,14 @@ func TestDaemonDegradesAndRearms(t *testing.T) {
 	if d.State() != policy.LowKeep {
 		t.Fatalf("degraded state = %v, want LowKeep", d.State())
 	}
-	if want := cache.ContiguousMask(11-d.P.SafeDDIOWays, d.P.SafeDDIOWays); m.ddio != want {
+	if want := cache.ContiguousMask(11-d.P.safeDDIOWays(), d.P.safeDDIOWays()); m.ddio != want {
 		t.Fatalf("fallback DDIO mask = %v, want %v", m.ddio, want)
 	}
 	if degradedIters == 0 {
 		t.Fatal("IterationInfo never reported Degraded")
 	}
 
-	// RearmAfter (2) consecutive sane samples re-arm the FSM.
+	// rearmAfter (2) consecutive sane samples re-arm the FSM.
 	steady(m, tick) // hold
 	if !d.Health().Degraded {
 		t.Fatal("re-armed after a single sane sample")
@@ -171,7 +172,7 @@ func TestDaemonDegradesOnPersistentWriteFailures(t *testing.T) {
 	steady(fs.mockSys, tick)
 	steady(fs.mockSys, tick)
 	// Sustained I/O demand: every iteration tries to grow DDIO and every
-	// write fails, so the daemon must fall back after DegradeAfter (3).
+	// write fails, so the daemon must fall back after degradeAfter (3).
 	for i := 1; i <= 3; i++ {
 		fs.advance(0, 1000, 2000, 100, 10)
 		fs.advanceDDIO(100_000, uint64(1_000_000+i*300_000)/10)
@@ -199,12 +200,12 @@ func TestDaemonDegradesOnPersistentWriteFailures(t *testing.T) {
 	}
 }
 
-// degradeOnce feeds DegradeAfter consecutive glitches, forcing one
+// degradeOnce feeds degradeAfter consecutive glitches, forcing one
 // degradation.
 func degradeOnce(t *testing.T, d *Daemon, m *mockSys, tick func()) {
 	t.Helper()
 	before := d.Health().Degradations
-	for i := 0; i < d.P.DegradeAfter; i++ {
+	for i := 0; i < degradeAfter; i++ {
 		glitch(m, tick)
 	}
 	if h := d.Health(); !h.Degraded || h.Degradations != before+1 {
@@ -231,7 +232,7 @@ func TestRearmBackoffDoublesAndCapsAtEightX(t *testing.T) {
 	steady(m, tick)
 	steady(m, tick)
 
-	// RearmAfter=2: successive degradations must require 2, 4, 8, 16 sane
+	// rearmAfter=2: successive degradations must require 2, 4, 8, 16 sane
 	// samples, then stay capped at 8x = 16.
 	want := []int{2, 4, 8, 16, 16, 16}
 	for i, w := range want {
@@ -260,13 +261,13 @@ func TestRearmBackoffResetsAfterRecovery(t *testing.T) {
 	degradeOnce(t, d, m, tick)
 	rearm(t, d, m, tick)
 	degradeOnce(t, d, m, tick)
-	if d.rearmNeed != 2*d.P.RearmAfter {
-		t.Fatalf("rearmNeed = %d, want %d", d.rearmNeed, 2*d.P.RearmAfter)
+	if d.rearmNeed != 2*rearmAfter {
+		t.Fatalf("rearmNeed = %d, want %d", d.rearmNeed, 2*rearmAfter)
 	}
 	rearm(t, d, m, tick)
 
 	// One clean iteration short of the reset threshold: backoff persists.
-	for i := 0; i < backoffResetFactor*d.P.RearmAfter-1; i++ {
+	for i := 0; i < backoffResetFactor*rearmAfter-1; i++ {
 		steady(m, tick)
 	}
 	if h := d.Health(); h.BackoffResets != 0 || d.rearmNeed == 0 {
@@ -284,8 +285,8 @@ func TestRearmBackoffResetsAfterRecovery(t *testing.T) {
 
 	// The next degradation starts from the base requirement again.
 	degradeOnce(t, d, m, tick)
-	if d.rearmNeed != d.P.RearmAfter {
-		t.Fatalf("rearmNeed after reset = %d, want %d", d.rearmNeed, d.P.RearmAfter)
+	if d.rearmNeed != rearmAfter {
+		t.Fatalf("rearmNeed after reset = %d, want %d", d.rearmNeed, rearmAfter)
 	}
 }
 
@@ -321,7 +322,6 @@ func TestSetParamsClampsAndValidates(t *testing.T) {
 	// register.
 	p := d.P
 	p.DDIOWaysMax = 4
-	p.SafeDDIOWays = 2
 	if err := d.SetParams(p); err != nil {
 		t.Fatal(err)
 	}
@@ -346,26 +346,25 @@ func TestSetParamsClampsAndValidates(t *testing.T) {
 
 func TestRobustnessDefaultsAndValidation(t *testing.T) {
 	p := DefaultParams()
-	if p.SaneIPCMax != 16 || p.SaneRateMax != 1e12 || p.WriteRetries != 2 ||
-		p.DegradeAfter != 3 || p.RearmAfter != 2 || p.SafeDDIOWays != 2 {
-		t.Fatalf("robustness defaults = %+v", p)
+	if p.SaneRateMax != 1e12 || p.safeDDIOWays() != 2 || saneIPCMax != 16 || writeRetries != 2 ||
+		degradeAfter != 3 || rearmAfter != 2 {
+		t.Fatalf("robustness defaults: %+v, safe ddio %d", p, p.safeDDIOWays())
 	}
-	bad := p
-	bad.SafeDDIOWays = 99
-	if err := bad.Validate(11); err == nil {
-		t.Error("SafeDDIOWays beyond the LLC accepted")
+	// The safe fallback is two ways clamped into the DDIO bounds in force.
+	for _, c := range []struct{ min, max, want int }{
+		{1, 1, 1}, {1, 6, 2}, {3, 6, 3}, {2, 2, 2},
+	} {
+		q := p
+		q.DDIOWaysMin, q.DDIOWaysMax = c.min, c.max
+		if got := q.safeDDIOWays(); got != c.want {
+			t.Errorf("safe ddio ways under [%d,%d] = %d, want %d", c.min, c.max, got, c.want)
+		}
 	}
-	bad = p
-	bad.WriteRetries = -1
-	if err := bad.Validate(11); err == nil {
-		t.Error("negative WriteRetries accepted")
-	}
-	// A narrow DDIO bound pulls the safe fallback inside it.
-	narrow := Params{
-		ThresholdStable: 0.03, ThresholdMissLowPerSec: 1e6,
-		DDIOWaysMin: 1, DDIOWaysMax: 1, IntervalNS: 1e9,
-	}.withRobustnessDefaults()
-	if narrow.SafeDDIOWays != 1 {
-		t.Fatalf("SafeDDIOWays not clamped to DDIOWaysMax: %d", narrow.SafeDDIOWays)
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := p
+		bad.SaneRateMax = v
+		if err := bad.Validate(11); err == nil {
+			t.Errorf("SaneRateMax %v accepted", v)
+		}
 	}
 }

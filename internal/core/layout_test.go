@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +158,13 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.DDIOWaysMax = 12 },
 		func(p *Params) { p.DDIOWaysMin = 5; p.DDIOWaysMax = 3 },
 		func(p *Params) { p.IntervalNS = 0 },
+		func(p *Params) { p.ThresholdStable = math.NaN() },
+		func(p *Params) { p.ThresholdStable = math.Inf(1) },
+		func(p *Params) { p.ThresholdMissLowPerSec = math.NaN() },
+		func(p *Params) { p.ThresholdMissLowPerSec = math.Inf(1) },
+		func(p *Params) { p.ThresholdMissLowPerSec = math.Inf(-1) },
+		func(p *Params) { p.IntervalNS = math.NaN() },
+		func(p *Params) { p.IntervalNS = math.Inf(1) },
 	}
 	for i, mod := range bad {
 		q := DefaultParams()

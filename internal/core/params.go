@@ -13,7 +13,10 @@
 // the same code.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Params are the IAT tuning parameters of Table II of the paper, expressed
 // as rates so the polling interval is an independent knob.
@@ -31,48 +34,45 @@ type Params struct {
 	// paper; simulations may shorten it — the thresholds are rates, so
 	// behaviour is interval-independent).
 	IntervalNS float64
-	// MissDropFactor is the relative DDIO-miss decrease treated as a
-	// "significant degradation" that sends I/O Demand / High Keep to
-	// Reclaim.
-	MissDropFactor float64
-	// TenantMissRateFloor is the per-tenant LLC miss rate below which a
-	// tenant is a reclaim candidate.
-	TenantMissRateFloor float64
-	// ShuffleMargin is the hysteresis on best-effort re-ordering: the
-	// DDIO-sharing tenant is replaced only when the challenger's LLC
-	// reference rate is below margin times the incumbent's.
-	ShuffleMargin float64
 	// Growth selects the re-allocation increment policy (Sec. IV-D:
 	// "miss-curve-based increment like UCP can also be explored").
 	Growth GrowthPolicy
-
-	// Robustness knobs (zero selects the default): a production daemon
-	// polls counters and programs MSRs that can glitch, so every sample is
-	// sanity-checked and every write verified. See Daemon.Health.
-
-	// SaneIPCMax is the per-group IPC above which a sample is rejected as
-	// a counter glitch (no real core sustains it; default 16).
-	SaneIPCMax float64
 	// SaneRateMax is the per-group/DDIO event rate (per second) above
-	// which a sample is rejected (default 1e12 — beyond any LLC).
+	// which a sample is rejected as a counter glitch (1e12 by default —
+	// beyond any LLC; a compressed platform divides it by its scale).
 	SaneRateMax float64
-	// WriteRetries is how many times a failed or mis-read-back mask write
-	// is retried within one iteration before counting as a failure
-	// (default 2).
-	WriteRetries int
-	// DegradeAfter is the number of consecutive bad iterations (rejected
+}
+
+// The daemon's fixed robustness and shuffling constants. A production
+// daemon polls counters and programs MSRs that can glitch, so every
+// sample is sanity-checked and every write verified (see Daemon.Health).
+const (
+	// saneIPCMax is the per-group IPC above which a sample is rejected as
+	// a counter glitch (no real core sustains it).
+	saneIPCMax = 16.0
+	// writeRetries is how many times a failed or mis-read-back mask write
+	// is retried within one iteration before counting as a failure.
+	writeRetries = 2
+	// degradeAfter is the number of consecutive bad iterations (rejected
 	// samples or write failures) after which the daemon falls back to a
-	// safe static allocation (default 3).
-	DegradeAfter int
-	// RearmAfter is the number of consecutive sane samples required
-	// before a degraded daemon re-arms its FSM (default 2). Repeated
-	// degradations double the requirement, capped at 8x; 8x RearmAfter
-	// consecutive clean iterations after a re-arm reset the backoff to
-	// the base requirement.
-	RearmAfter int
-	// SafeDDIOWays is the static DDIO way count of the degraded fallback
-	// (default 2 clamped into [DDIOWaysMin, DDIOWaysMax]).
-	SafeDDIOWays int
+	// safe static allocation.
+	degradeAfter = 3
+	// rearmAfter is the number of consecutive sane samples required
+	// before a degraded daemon re-arms its FSM. Repeated degradations
+	// double the requirement, capped at 8x; backoffResetFactor x
+	// rearmAfter consecutive clean iterations after a re-arm reset the
+	// backoff to the base requirement.
+	rearmAfter = 2
+	// shuffleMargin is the hysteresis on best-effort re-ordering: the
+	// DDIO-sharing tenant is replaced only when the challenger's LLC
+	// reference rate is below margin times the incumbent's.
+	shuffleMargin = 0.9
+)
+
+// safeDDIOWays is the static DDIO way count of the degraded fallback:
+// two ways, the hardware default, clamped into [DDIOWaysMin, DDIOWaysMax].
+func (p Params) safeDDIOWays() int {
+	return min(max(2, p.DDIOWaysMin), p.DDIOWaysMax)
 }
 
 // GrowthPolicy is the re-allocation increment strategy.
@@ -101,7 +101,7 @@ func (g GrowthPolicy) String() string {
 	return fmt.Sprintf("GrowthPolicy(%d)", int(g))
 }
 
-// DefaultParams returns Table II plus the secondary knobs' defaults.
+// DefaultParams returns Table II and the default sanity rate ceiling.
 func DefaultParams() Params {
 	return Params{
 		ThresholdStable:        0.03,
@@ -109,69 +109,35 @@ func DefaultParams() Params {
 		DDIOWaysMin:            1,
 		DDIOWaysMax:            6,
 		IntervalNS:             1e9,
-		MissDropFactor:         0.5,
-		TenantMissRateFloor:    0.05,
-		ShuffleMargin:          0.9,
-	}.withRobustnessDefaults()
+		SaneRateMax:            1e12,
+	}
 }
 
-// withRobustnessDefaults fills the zero values of the robustness knobs, so
-// pre-existing Params literals keep working and NewDaemon always runs with
-// sane self-healing thresholds.
-func (p Params) withRobustnessDefaults() Params {
-	if p.SaneIPCMax == 0 {
-		p.SaneIPCMax = 16
-	}
-	if p.SaneRateMax == 0 {
-		p.SaneRateMax = 1e12
-	}
-	if p.WriteRetries == 0 {
-		p.WriteRetries = 2
-	}
-	if p.DegradeAfter == 0 {
-		p.DegradeAfter = 3
-	}
-	if p.RearmAfter == 0 {
-		p.RearmAfter = 2
-	}
-	if p.SafeDDIOWays == 0 {
-		p.SafeDDIOWays = 2
-		if p.DDIOWaysMax > 0 && p.SafeDDIOWays > p.DDIOWaysMax {
-			p.SafeDDIOWays = p.DDIOWaysMax
-		}
-		if p.SafeDDIOWays < p.DDIOWaysMin {
-			p.SafeDDIOWays = p.DDIOWaysMin
-		}
-	}
-	return p
-}
-
-// Validate checks parameter sanity against an LLC with nWays ways.
+// Validate checks parameter sanity against an LLC with nWays ways. Every
+// float must be finite: a NaN fails every comparison, so a range check
+// such as IntervalNS <= 0 alone lets it through.
 func (p Params) Validate(nWays int) error {
-	if p.ThresholdStable <= 0 || p.ThresholdStable >= 1 {
+	if !finite(p.ThresholdStable) || p.ThresholdStable <= 0 || p.ThresholdStable >= 1 {
 		return fmt.Errorf("core: ThresholdStable %v out of (0,1)", p.ThresholdStable)
+	}
+	if !finite(p.ThresholdMissLowPerSec) {
+		return fmt.Errorf("core: ThresholdMissLowPerSec %v must be finite", p.ThresholdMissLowPerSec)
 	}
 	if p.DDIOWaysMin < 1 || p.DDIOWaysMax < p.DDIOWaysMin || p.DDIOWaysMax > nWays {
 		return fmt.Errorf("core: DDIO way bounds [%d,%d] invalid for %d ways",
 			p.DDIOWaysMin, p.DDIOWaysMax, nWays)
 	}
-	if p.IntervalNS <= 0 {
-		return fmt.Errorf("core: IntervalNS must be positive")
+	if !finite(p.IntervalNS) || p.IntervalNS <= 0 {
+		return fmt.Errorf("core: IntervalNS %v must be finite and positive", p.IntervalNS)
 	}
-	if p.SaneIPCMax < 0 || p.SaneRateMax < 0 {
-		return fmt.Errorf("core: sanity bounds must be non-negative")
-	}
-	if p.WriteRetries < 0 {
-		return fmt.Errorf("core: WriteRetries must be non-negative")
-	}
-	if p.DegradeAfter < 0 || p.RearmAfter < 0 {
-		return fmt.Errorf("core: DegradeAfter/RearmAfter must be non-negative")
-	}
-	if p.SafeDDIOWays < 0 || p.SafeDDIOWays > nWays {
-		return fmt.Errorf("core: SafeDDIOWays %d invalid for %d ways", p.SafeDDIOWays, nWays)
+	if !finite(p.SaneRateMax) || p.SaneRateMax <= 0 {
+		return fmt.Errorf("core: SaneRateMax %v must be finite and positive", p.SaneRateMax)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Options are the experiment isolation switches the paper's evaluation
 // flips (footnotes 3 and 4, and Sec. VI-C's "temporarily disable ...").

@@ -2,8 +2,6 @@ package exp
 
 import (
 	"testing"
-
-	"iatsim/internal/policy"
 )
 
 // testFleetOpts is a fleet small and time-compressed enough to run under
@@ -128,16 +126,16 @@ func TestFleetPolicyChangeRollsBack(t *testing.T) {
 		}
 	}
 	// The rollback must revert the canary's engine, not just its label.
-	if k := hosts[0].Daemon.Policy().Kind(); k != policy.KindIAT {
-		t.Errorf("canary daemon ended on engine %v, want IAT after rollback", k)
+	if n := hosts[0].Daemon.Policy().Name(); n != "iat" {
+		t.Errorf("canary daemon ended on engine %q, want iat after rollback", n)
 	}
 	for _, h := range hosts[1:] {
 		hist := h.PolicyHistory()
 		if len(hist) != 1 || hist[0] != "iat" {
 			t.Errorf("%s policy history = %v, want [iat] only", h.Name, hist)
 		}
-		if k := h.Daemon.Policy().Kind(); k != policy.KindIAT {
-			t.Errorf("%s daemon runs engine %v, want IAT", h.Name, k)
+		if n := h.Daemon.Policy().Name(); n != "iat" {
+			t.Errorf("%s daemon runs engine %q, want iat", h.Name, n)
 		}
 	}
 }
@@ -161,8 +159,8 @@ func TestFleetPolicyChangePromotes(t *testing.T) {
 		if h.Policy() != "static:2" {
 			t.Errorf("%s ended on %q, want static:2", h.Name, h.Policy())
 		}
-		if k := h.Daemon.Policy().Kind(); k != policy.KindStatic {
-			t.Errorf("%s daemon runs engine %v, want static", h.Name, k)
+		if n := h.Daemon.Policy().Name(); n != "static:2" {
+			t.Errorf("%s daemon runs engine %q, want static:2", h.Name, n)
 		}
 	}
 }

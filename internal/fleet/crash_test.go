@@ -252,7 +252,7 @@ func TestHostCheckpointGolden(t *testing.T) {
 		}
 		h.Write(data)
 	}
-	const golden = "b5f7cb047eccd4566a4731ed4f7f9f0c263e610988d6e2c556775bddf250a198"
+	const golden = "1e231bc3386413abbc34a2ac1399861d3bef6dc5c4b0c3e8ecf4be3ff3970412"
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
 		t.Fatalf("fleet checkpoints sha256 = %s, want %s", got, golden)
 	}

@@ -34,7 +34,6 @@ const (
 type Baseline struct {
 	ioIso bool
 
-	cur  Sample
 	prev Sample // the previous interval, the growth comparison point
 	have bool   // warm: prev and order hold
 	// order lists CLOS ids in bottom-up packing order.
@@ -46,7 +45,6 @@ type Baseline struct {
 	widths []int
 	masks  []cache.WayMask
 
-	h    Health
 	snap baselineState // AppendSnapshot's scratch form
 }
 
@@ -57,18 +55,12 @@ func NewCoreOnly() *Baseline { return &Baseline{} }
 func NewIOIso() *Baseline { return &Baseline{ioIso: true} }
 
 // Name implements Policy.
-func (p *Baseline) Name() string { return p.Kind().String() }
-
-// Kind implements Policy.
-func (p *Baseline) Kind() Kind {
+func (p *Baseline) Name() string {
 	if p.ioIso {
-		return KindIOIso
+		return "io-iso"
 	}
-	return KindCoreOnly
+	return "core-only"
 }
-
-// Health implements Policy.
-func (p *Baseline) Health() Health { return p.h }
 
 // Reset implements Policy: the next Decide re-adopts the registration
 // order and the comparison sample, and I/O-iso repacks on the decision
@@ -79,13 +71,9 @@ func (p *Baseline) Reset() {
 	p.ddio = 0
 }
 
-// Observe implements Policy.
-func (p *Baseline) Observe(s Sample) { keep(&p.cur, s) }
-
 // Decide implements Policy.
-func (p *Baseline) Decide() Actions {
-	s := &p.cur
-	p.h.Ticks++
+func (p *Baseline) Decide(cur Sample) Actions {
+	s := &cur
 	a := Actions{State: LowKeep, DDIOWays: s.DDIOWays}
 	if !p.have {
 		p.order = p.order[:0]
@@ -95,7 +83,6 @@ func (p *Baseline) Decide() Actions {
 		keep(&p.prev, *s)
 		p.have = true
 		a.Warmup = true
-		p.h.note(a, s.DDIOWays)
 		return a
 	}
 
@@ -165,7 +152,6 @@ func (p *Baseline) Decide() Actions {
 	if a.Grow.Set || repack {
 		a.Masks = p.pack(s, limit)
 	}
-	p.h.note(a, s.DDIOWays)
 	return a
 }
 

@@ -24,12 +24,10 @@ func baselineSample(rates ...[2]float64) Sample {
 
 // decideAfter warms p on prev and returns its decision on cur.
 func decideAfter(p Policy, prev, cur Sample) Actions {
-	p.Observe(prev)
-	if a := p.Decide(); !a.Warmup {
+	if a := p.Decide(prev); !a.Warmup {
 		panic("first decision after Reset is not a warmup")
 	}
-	p.Observe(cur)
-	return p.Decide()
+	return p.Decide(cur)
 }
 
 // TestBaselineGrowthBoundaries pins the growth rule of both comparison
@@ -135,13 +133,11 @@ func TestBaselineHoldsAndRepacks(t *testing.T) {
 	if a := decideAfter(p, s, s); a.Stable || a.Masks == nil || a.Desc.String() != "repacked below ddio" {
 		t.Fatalf("first io-iso decision = %+v", a)
 	}
-	p.Observe(s)
-	if a := p.Decide(); !a.Stable || a.Masks != nil {
+	if a := p.Decide(s); !a.Stable || a.Masks != nil {
 		t.Fatalf("io-iso with DDIO unchanged = %+v", a)
 	}
 	s.DDIOWays, s.DDIOMask = 6, cache.ContiguousMask(5, 6)
-	p.Observe(s)
-	a = p.Decide()
+	a = p.Decide(s)
 	want := []cache.WayMask{cache.ContiguousMask(0, 2), cache.ContiguousMask(2, 2), cache.ContiguousMask(3, 2)}
 	if a.Masks == nil || !slices.Equal(a.Masks, want) || a.DDIOWays != 6 {
 		t.Fatalf("io-iso after DDIO grew = %+v, masks %v, want %v", a, a.Masks, want)
@@ -158,8 +154,7 @@ func TestBaselineSnapshotMidRun(t *testing.T) {
 	for _, mk := range []func() *Baseline{NewCoreOnly, NewIOIso} {
 		orig, restored := mk(), mk()
 		for i := 0; i < 3; i++ {
-			orig.Observe(stream(i))
-			orig.Decide()
+			orig.Decide(stream(i))
 		}
 		snap, err := orig.AppendSnapshot(nil)
 		if err != nil {
@@ -173,9 +168,7 @@ func TestBaselineSnapshotMidRun(t *testing.T) {
 		}
 		s := stream(3)
 		s.Groups[0].MissPS, s.Groups[0].MissRate = 1e7, 0.5
-		orig.Observe(s)
-		restored.Observe(s)
-		a, b := orig.Decide(), restored.Decide()
+		a, b := orig.Decide(s), restored.Decide(s)
 		if a.Grow != b.Grow || !slices.Equal(a.Masks, b.Masks) {
 			t.Fatalf("%s: restored decision %+v %v, want %+v %v", orig.Name(), b, b.Masks, a, a.Masks)
 		}
@@ -199,7 +192,7 @@ func TestBaselineDecideAllocatesNothing(t *testing.T) {
 		hi.Groups[i].Width = 3
 	}
 	for _, p := range []*Baseline{NewCoreOnly(), NewIOIso()} {
-		i := 0
+		i, grows := 0, 0
 		step := func() {
 			s := lo
 			if i%2 == 1 {
@@ -207,17 +200,18 @@ func TestBaselineDecideAllocatesNothing(t *testing.T) {
 				s.DDIOWays, s.DDIOMask = 2+i%4, cache.ContiguousMask(9-i%4, 2+i%4)
 			}
 			i++
-			p.Observe(s)
-			p.Decide()
+			if Classify(p.Decide(s), s.DDIOWays) == "grow-tenant" {
+				grows++
+			}
 		}
 		for i < 4 {
 			step()
 		}
-		before := p.Health()
+		grows = 0
 		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-			t.Errorf("%s: Observe+Decide allocates %.1f times, want 0", p.Name(), allocs)
+			t.Errorf("%s: Decide allocates %.1f times, want 0", p.Name(), allocs)
 		}
-		if after := p.Health(); after.GrowTenant == before.GrowTenant {
+		if grows == 0 {
 			t.Errorf("%s: measured decisions never granted a way", p.Name())
 		}
 	}

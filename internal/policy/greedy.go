@@ -6,11 +6,7 @@ package policy
 // stability analysis, no hysteresis, and no reclaim. It demonstrates what
 // the IAT FSM's damping actually buys: under shifting load Greedy ratchets
 // allocations up until everything saturates and then can only hold.
-type Greedy struct {
-	cur  Sample
-	h    Health
-	snap greedyState // AppendSnapshot's scratch form
-}
+type Greedy struct{}
 
 // NewGreedy returns the grant-the-largest-demander policy.
 func NewGreedy() *Greedy { return &Greedy{} }
@@ -18,23 +14,12 @@ func NewGreedy() *Greedy { return &Greedy{} }
 // Name implements Policy.
 func (p *Greedy) Name() string { return "greedy" }
 
-// Kind implements Policy.
-func (p *Greedy) Kind() Kind { return KindGreedy }
-
-// Health implements Policy.
-func (p *Greedy) Health() Health { return p.h }
-
 // Reset implements Policy (memoryless).
 func (p *Greedy) Reset() {}
 
-// Observe implements Policy.
-func (p *Greedy) Observe(s Sample) { keep(&p.cur, s) }
-
 // Decide implements Policy.
-func (p *Greedy) Decide() Actions {
-	s := p.cur
+func (p *Greedy) Decide(s Sample) Actions {
 	L := s.Limits
-	p.h.Ticks++
 
 	// The demand floor reuses detect()'s reference-rate noise floor so an
 	// idle system reads as having no demander at all.
@@ -62,7 +47,6 @@ func (p *Greedy) Decide() Actions {
 		}
 	}
 
-	var a Actions
 	switch kind {
 	case demandDDIO:
 		if !L.DisableDDIOAdjust && s.DDIOWays < L.DDIOWaysMax {
@@ -71,20 +55,16 @@ func (p *Greedy) Decide() Actions {
 			if target >= L.DDIOWaysMax {
 				st = HighKeep
 			}
-			a = Actions{State: st, DDIOWays: target, Desc: desc(descGreedyDDIO, target)}
-		} else {
-			a = Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: desc(descGreedyDDIOFull, 0)}
+			return Actions{State: st, DDIOWays: target, Desc: desc(descGreedyDDIO, target)}
 		}
+		return Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: desc(descGreedyDDIOFull, 0)}
 	case demandGroup:
 		if !L.DisableTenantAdjust && s.totalWidth()+1 <= s.NumWays {
-			a = Actions{State: CoreDemand, DDIOWays: s.DDIOWays,
+			return Actions{State: CoreDemand, DDIOWays: s.DDIOWays,
 				Grow: Ref(bestG.CLOS), Desc: desc(descGreedyGrow, bestG.CLOS)}
-		} else {
-			a = Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: desc(descGreedyTenantFull, 0)}
 		}
+		return Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: desc(descGreedyTenantFull, 0)}
 	default:
-		a = Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
+		return Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
 	}
-	p.h.note(a, s.DDIOWays)
-	return a
 }

@@ -9,11 +9,8 @@ import "slices"
 // by the regression tests in internal/core); the daemon retains the
 // mechanism (packing, programming, shuffle resolution, self-healing).
 type IAT struct {
-	cur     Sample
-	haveCur bool
-	prev    Sample
-	have    bool
-	h       Health
+	prev Sample
+	have bool
 
 	// changed is detect's reused CLOS list, fallback backs a case-3
 	// shuffle's Fallback, and snap is AppendSnapshot's scratch form.
@@ -22,48 +19,33 @@ type IAT struct {
 	snap     iatState
 }
 
+// The two secondary thresholds of the paper's FSM: a relative DDIO-miss
+// decrease beyond missDropFactor is a "significant degradation" that
+// sends I/O Demand / High Keep to Reclaim, and a tenant whose LLC miss
+// rate is at most tenantMissRateFloor is a reclaim candidate.
+const (
+	missDropFactor      = 0.5
+	tenantMissRateFloor = 0.05
+)
+
 // NewIAT returns the paper's IAT policy.
 func NewIAT() *IAT { return &IAT{} }
 
 // Name implements Policy.
 func (p *IAT) Name() string { return "iat" }
 
-// Kind implements Policy.
-func (p *IAT) Kind() Kind { return KindIAT }
-
-// Health implements Policy.
-func (p *IAT) Health() Health { return p.h }
-
 // Reset implements Policy: the comparison baseline is dropped, so the next
 // Decide warms up again (tenant change or degradation recovery).
-func (p *IAT) Reset() {
-	p.haveCur = false
-	p.have = false
-}
-
-// Observe implements Policy.
-func (p *IAT) Observe(s Sample) {
-	keep(&p.cur, s)
-	p.haveCur = true
-}
+func (p *IAT) Reset() { p.have = false }
 
 // Decide implements Policy.
-func (p *IAT) Decide() Actions {
-	s := p.cur
-	p.h.Ticks++
-	if !p.haveCur {
-		a := Actions{Warmup: true, State: s.State, DDIOWays: s.DDIOWays}
-		p.h.note(a, s.DDIOWays)
-		return a
-	}
+func (p *IAT) Decide(s Sample) Actions {
 	if !p.have {
-		// First observed sample becomes the comparison baseline — the
-		// daemon's silent warmup tick.
+		// First sample becomes the comparison baseline — the daemon's
+		// silent warmup tick.
 		keep(&p.prev, s)
 		p.have = true
-		a := Actions{Warmup: true, State: s.State, DDIOWays: s.DDIOWays}
-		p.h.note(a, s.DDIOWays)
-		return a
+		return Actions{Warmup: true, State: s.State, DDIOWays: s.DDIOWays}
 	}
 	ch := detect(s, p.prev, p.changed[:0])
 	p.changed = ch.coreChanged
@@ -90,7 +72,6 @@ func (p *IAT) Decide() Actions {
 		a = p.decide(s, p.prev, ch)
 	}
 	keep(&p.prev, s)
-	p.h.note(a, s.DDIOWays)
 	return a
 }
 
@@ -139,7 +120,7 @@ func detect(cur, prev Sample, buf []int) changes {
 	ch.hitDown = relHit < -T
 	ch.missUp = relMiss > T
 	ch.missDown = relMiss < -T
-	ch.bigMissDrop = relMiss < -cur.Limits.MissDropFactor
+	ch.bigMissDrop = relMiss < -missDropFactor
 	ch.refsUp = relDelta(cur.TotalRefsPS, prev.TotalRefsPS, refsFloor) > T
 	ch.any = ch.ddio
 
@@ -418,7 +399,7 @@ func reclaimOne(s Sample) Actions {
 		var victim *GroupView
 		for i := range s.Groups {
 			g := &s.Groups[i]
-			if g.Width <= 1 || g.MissRate > L.TenantMissRateFloor {
+			if g.Width <= 1 || g.MissRate > tenantMissRateFloor {
 				continue
 			}
 			if victim == nil || g.RefsPS < victim.RefsPS {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -14,8 +15,6 @@ func limits() Limits {
 		ThresholdMissLowPerSec: 1e6,
 		DDIOWaysMin:            1,
 		DDIOWaysMax:            6,
-		MissDropFactor:         0.5,
-		TenantMissRateFloor:    0.05,
 	}
 }
 
@@ -147,24 +146,20 @@ func TestUCPGrowthSteps(t *testing.T) {
 // TestIATWarmupAdoptsBaseline: the first decided sample is a silent
 // warmup, and Reset() forces the next one to warm up again.
 func TestIATWarmupAdoptsBaseline(t *testing.T) {
-	p := NewIAT()
+	p, mix := NewIAT(), tally{}
 	s := sample(LowKeep, 2, 0)
-	p.Observe(s)
-	if a := p.Decide(); !a.Warmup {
+	if a := mix.decide(p, s); !a.Warmup {
 		t.Fatalf("first decision = %+v, want warmup", a)
 	}
-	p.Observe(s)
-	if a := p.Decide(); a.Warmup || !a.Stable || a.Desc.String() != "stable" {
+	if a := mix.decide(p, s); a.Warmup || !a.Stable || a.Desc.String() != "stable" {
 		t.Fatalf("identical second sample = %+v, want stable", a)
 	}
 	p.Reset()
-	p.Observe(s)
-	if a := p.Decide(); !a.Warmup {
+	if a := mix.decide(p, s); !a.Warmup {
 		t.Fatal("post-Reset decision should warm up")
 	}
-	h := p.Health()
-	if h.Ticks != 3 || h.Warmups != 2 || h.Stable != 1 {
-		t.Fatalf("health = %+v", h)
+	if want := (tally{"warmup": 2, "stable": 1}); !maps.Equal(mix, want) {
+		t.Fatalf("decision mix = %v, want %v", mix, want)
 	}
 }
 
@@ -173,16 +168,13 @@ func TestIATWarmupAdoptsBaseline(t *testing.T) {
 func TestIATContinueProgression(t *testing.T) {
 	p := NewIAT()
 	s := sample(Reclaim, 3, 0)
-	p.Observe(s)
-	p.Decide() // warmup
-	p.Observe(s)
-	a := p.Decide()
+	p.Decide(s) // warmup
+	a := p.Decide(s)
 	if !a.Continue || a.DDIOWays != 2 || a.Desc.String() != "continue: ddio=2" {
 		t.Fatalf("first continue = %+v", a)
 	}
 	s = sample(Reclaim, 2, 0)
-	p.Observe(s)
-	a = p.Decide()
+	a = p.Decide(s)
 	if !a.Continue || a.DDIOWays != 1 || a.Desc.String() != "continue: ddio=1 ->LowKeep" || a.State != LowKeep {
 		t.Fatalf("boundary continue = %+v", a)
 	}

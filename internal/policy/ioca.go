@@ -20,10 +20,8 @@ const (
 // holds otherwise. It only manages the DDIO/application boundary; tenant
 // widths are never touched.
 type IOCAStyle struct {
-	cur  Sample
-	hot  int // consecutive contended intervals
-	cold int // consecutive quiet intervals
-	h    Health
+	hot  int       // consecutive contended intervals
+	cold int       // consecutive quiet intervals
 	snap iocaState // AppendSnapshot's scratch form
 }
 
@@ -33,26 +31,15 @@ func NewIOCAStyle() *IOCAStyle { return &IOCAStyle{} }
 // Name implements Policy.
 func (p *IOCAStyle) Name() string { return "ioca" }
 
-// Kind implements Policy.
-func (p *IOCAStyle) Kind() Kind { return KindIOCA }
-
-// Health implements Policy.
-func (p *IOCAStyle) Health() Health { return p.h }
-
 // Reset implements Policy: the hysteresis streaks restart.
 func (p *IOCAStyle) Reset() {
 	p.hot = 0
 	p.cold = 0
 }
 
-// Observe implements Policy.
-func (p *IOCAStyle) Observe(s Sample) { keep(&p.cur, s) }
-
 // Decide implements Policy.
-func (p *IOCAStyle) Decide() Actions {
-	s := p.cur
+func (p *IOCAStyle) Decide(s Sample) Actions {
 	L := s.Limits
-	p.h.Ticks++
 
 	total := s.DDIOHitPS + s.DDIOMissPS
 	ratio := 0.0
@@ -74,7 +61,6 @@ func (p *IOCAStyle) Decide() Actions {
 		// a single borderline interval must not erase accumulated evidence.
 	}
 
-	var a Actions
 	switch {
 	case p.hot >= iocaPatience && !L.DisableDDIOAdjust && s.DDIOWays < L.DDIOWaysMax:
 		target := s.DDIOWays + 1
@@ -82,7 +68,7 @@ func (p *IOCAStyle) Decide() Actions {
 		if target >= L.DDIOWaysMax {
 			st = HighKeep
 		}
-		a = Actions{State: st, DDIOWays: target,
+		return Actions{State: st, DDIOWays: target,
 			Desc: Desc{kind: descIOCAHot, n: target, ratio: ratio}}
 	case p.cold >= iocaPatience && !L.DisableDDIOAdjust && s.DDIOWays > L.DDIOWaysMin:
 		target := s.DDIOWays - 1
@@ -90,11 +76,9 @@ func (p *IOCAStyle) Decide() Actions {
 		if target <= L.DDIOWaysMin {
 			st = LowKeep
 		}
-		a = Actions{State: st, DDIOWays: target,
+		return Actions{State: st, DDIOWays: target,
 			Desc: Desc{kind: descIOCACold, n: target, ratio: ratio}}
 	default:
-		a = Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
+		return Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
 	}
-	p.h.note(a, s.DDIOWays)
-	return a
 }

@@ -11,7 +11,7 @@
 // the active one.
 //
 // Policies are pure, deterministic state machines over the samples they
-// Observe: no wall clock, no global randomness, no goroutines — the same
+// Decide on: no wall clock, no global randomness, no goroutines — the same
 // sample sequence always yields the same action sequence, which is what
 // makes shadow evaluation and policy tournaments byte-reproducible.
 package policy
@@ -81,12 +81,6 @@ type Limits struct {
 	// DDIOWaysMin / DDIOWaysMax bound the DDIO way allocation.
 	DDIOWaysMin int
 	DDIOWaysMax int
-	// MissDropFactor is the relative DDIO-miss decrease treated as a
-	// significant degradation.
-	MissDropFactor float64
-	// TenantMissRateFloor is the per-tenant LLC miss rate below which a
-	// tenant is a reclaim candidate.
-	TenantMissRateFloor float64
 	// UCPGrowth selects the utility-style 1-3 way increment instead of
 	// one way per iteration.
 	UCPGrowth bool
@@ -134,7 +128,7 @@ type Sample struct {
 }
 
 // keep copies s into *dst, reusing dst's Groups array. The daemon
-// refills the array it hands to Observe on its next poll, so a policy
+// refills the array it hands to Decide on its next poll, so a policy
 // that retains a sample must retain its own copy.
 func keep(dst *Sample, s Sample) {
 	groups := dst.Groups
@@ -210,50 +204,14 @@ type Actions struct {
 	// group, in the sample's group order. The daemon programs it as is
 	// instead of re-running its own layout pass, and moves no DDIO ways
 	// for such a decision. Grow / Shrink still name the groups it widens
-	// or narrows, for health and shadow accounting. Masks points into the
+	// or narrows, for shadow accounting. Masks points into the
 	// policy and is valid until its next Decide.
 	Masks []cache.WayMask
 }
 
-// Health counts a policy's decision mix, for summaries and tournaments.
-type Health struct {
-	Ticks        uint64 // samples decided on (warmups included)
-	Warmups      uint64
-	Stable       uint64
-	GrowDDIO     uint64
-	ShrinkDDIO   uint64
-	GrowTenant   uint64
-	ShrinkTenant uint64
-	Shuffles     uint64
-	Holds        uint64
-}
-
-// note classifies one decision into the health counters. prevDDIO is the
-// sample's DDIO way count the decision was made against.
-func (h *Health) note(a Actions, prevDDIO int) {
-	switch {
-	case a.Warmup:
-		h.Warmups++
-	case a.Stable:
-		h.Stable++
-	case a.TryShuffle:
-		h.Shuffles++
-	case a.DDIOWays > prevDDIO:
-		h.GrowDDIO++
-	case a.DDIOWays < prevDDIO:
-		h.ShrinkDDIO++
-	case a.Grow.Set:
-		h.GrowTenant++
-	case a.Shrink.Set:
-		h.ShrinkTenant++
-	default:
-		h.Holds++
-	}
-}
-
 // Classify names the decision class of a — the agreement unit of shadow
-// evaluation. prevDDIO is the DDIO way count the decision was made
-// against.
+// evaluation and the one classifier of a decision. prevDDIO is the DDIO
+// way count the decision was made against.
 func Classify(a Actions, prevDDIO int) string {
 	switch {
 	case a.Warmup:
@@ -274,29 +232,24 @@ func Classify(a Actions, prevDDIO int) string {
 	return "hold"
 }
 
-// Policy is one LLC-allocation decision engine. The daemon drives it
-// strictly as Observe(sample) then Decide() once per accepted iteration;
-// Reset clears all internal baselines (tenant change, degradation, or
-// policy switch — old deltas are meaningless afterward).
+// Policy is one LLC-allocation decision engine. The daemon calls Decide
+// once per accepted iteration; Reset clears all internal baselines (tenant
+// change, degradation, or policy switch — old deltas are meaningless
+// afterward).
 type Policy interface {
 	// Name identifies the instance (e.g. "iat", "static:2") — used as
 	// the telemetry scope and in tournament rows.
 	Name() string
-	// Kind identifies the implementation.
-	Kind() Kind
 	// Reset drops all internal state (comparison baselines, hysteresis
 	// counters). The next Decide after a Reset is free to warm up.
 	Reset()
-	// Observe hands the policy the current sanity-screened sample.
-	Observe(s Sample)
-	// Decide returns the decision for the last observed sample.
-	Decide() Actions
-	// Health returns the running decision-mix counters.
-	Health() Health
+	// Decide returns the decision for sample s. The policy must copy
+	// whatever of s it keeps (see keep): the daemon refills s.Groups on
+	// its next poll.
+	Decide(s Sample) Actions
 	// AppendSnapshot appends the policy's serialised internal state
-	// (baselines, hysteresis streaks, health counters) to dst, for
-	// checkpointing. Deterministic: identical state yields identical
-	// bytes.
+	// (baselines, hysteresis streaks) to dst, for checkpointing.
+	// Deterministic: identical state yields identical bytes.
 	AppendSnapshot(dst []byte) ([]byte, error)
 	// Restore rewinds the policy to a snapshot taken from an instance
 	// with the same Name. A failed restore leaves the policy unchanged

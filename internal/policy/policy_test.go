@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"maps"
 	"strings"
 	"testing"
 )
@@ -51,10 +52,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		if err != nil || again != sp {
 			t.Errorf("round trip %q -> %q -> %+v (%v)", c.text, sp.String(), again, err)
 		}
-		p := sp.New()
-		if p.Kind() != c.kind || p.Name() != c.name {
-			t.Errorf("ParseSpec(%q).New() = kind %v name %q, want %v %q",
-				c.text, p.Kind(), p.Name(), c.kind, c.name)
+		if p := sp.New(); p.Name() != c.name {
+			t.Errorf("ParseSpec(%q).New() = name %q, want %q", c.text, p.Name(), c.name)
 		}
 	}
 }
@@ -165,37 +164,43 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// tally counts decisions by their Classify class, each against the DDIO
+// way count of the sample it was made on.
+type tally map[string]int
+
+// decide runs p on s and counts the decision's class.
+func (t tally) decide(p Policy, s Sample) Actions {
+	a := p.Decide(s)
+	t[Classify(a, s.DDIOWays)]++
+	return a
+}
+
 // TestStaticConvergesThenHolds: one corrective move to the target, then
 // stable forever; the target clamps into the configured DDIO bounds.
 func TestStaticConvergesThenHolds(t *testing.T) {
-	p := NewStatic(4)
-	p.Observe(sample(LowKeep, 2, 0))
-	a := p.Decide()
+	p, mix := NewStatic(4), tally{}
+	a := mix.decide(p, sample(LowKeep, 2, 0))
 	if a.Stable || a.DDIOWays != 4 || a.State != LowKeep || a.Desc.String() != "static: ddio=4" {
 		t.Fatalf("corrective move = %+v", a)
 	}
-	p.Observe(sample(LowKeep, 4, 0))
-	if a := p.Decide(); !a.Stable || a.DDIOWays != 4 || a.Desc.String() != "stable" {
+	if a := mix.decide(p, sample(LowKeep, 4, 0)); !a.Stable || a.DDIOWays != 4 || a.Desc.String() != "stable" {
 		t.Fatalf("at target = %+v", a)
 	}
-	h := p.Health()
-	if h.Ticks != 2 || h.GrowDDIO != 1 || h.Stable != 1 {
-		t.Fatalf("health = %+v", h)
+	if want := (tally{"grow-ddio": 1, "stable": 1}); !maps.Equal(mix, want) {
+		t.Fatalf("decision mix = %v, want %v", mix, want)
 	}
 }
 
 func TestStaticClampsAndRespectsDisable(t *testing.T) {
 	// A target above DDIOWaysMax clamps down; below DDIOWaysMin clamps up.
 	p := NewStatic(9)
-	p.Observe(sample(LowKeep, 2, 0))
-	if a := p.Decide(); a.DDIOWays != limits().DDIOWaysMax {
+	if a := p.Decide(sample(LowKeep, 2, 0)); a.DDIOWays != limits().DDIOWaysMax {
 		t.Fatalf("over-max target = %+v", a)
 	}
 	lo := NewStatic(1)
 	s := sample(LowKeep, 3, 0)
 	s.Limits.DDIOWaysMin = 2
-	lo.Observe(s)
-	if a := lo.Decide(); a.DDIOWays != 2 {
+	if a := lo.Decide(s); a.DDIOWays != 2 {
 		t.Fatalf("under-min target = %+v", a)
 	}
 	// NewStatic(0) falls back to the hardware default.
@@ -206,8 +211,7 @@ func TestStaticClampsAndRespectsDisable(t *testing.T) {
 	q := NewStatic(4)
 	s = sample(LowKeep, 2, 0)
 	s.Limits.DisableDDIOAdjust = true
-	q.Observe(s)
-	if a := q.Decide(); !a.Stable || a.DDIOWays != 2 {
+	if a := q.Decide(s); !a.Stable || a.DDIOWays != 2 {
 		t.Fatalf("disabled adjust still moved: %+v", a)
 	}
 }
@@ -225,27 +229,22 @@ func iocaSample(ddio int, hitPS, missPS float64) Sample {
 func TestIOCAPatience(t *testing.T) {
 	p := NewIOCAStyle()
 	hot := iocaSample(2, 1e7, 5e6) // ratio 0.33, pressing
-	p.Observe(hot)
-	if a := p.Decide(); !a.Stable {
+	if a := p.Decide(hot); !a.Stable {
 		t.Fatalf("one hot interval already acted: %+v", a)
 	}
-	p.Observe(hot)
-	a := p.Decide()
+	a := p.Decide(hot)
 	if a.DDIOWays != 3 || a.State != IODemand || !strings.HasPrefix(a.Desc.String(), "ioca: contended") {
 		t.Fatalf("second hot interval = %+v", a)
 	}
 	// At max-1 the grow enters High Keep.
 	q := NewIOCAStyle()
 	edge := iocaSample(limits().DDIOWaysMax-1, 1e7, 5e6)
-	q.Observe(edge)
-	q.Decide()
-	q.Observe(edge)
-	if a := q.Decide(); a.DDIOWays != limits().DDIOWaysMax || a.State != HighKeep {
+	q.Decide(edge)
+	if a := q.Decide(edge); a.DDIOWays != limits().DDIOWaysMax || a.State != HighKeep {
 		t.Fatalf("grow at max boundary = %+v", a)
 	}
 	// At max, even a sustained hot streak holds.
-	q.Observe(iocaSample(limits().DDIOWaysMax, 1e7, 5e6))
-	if a := q.Decide(); !a.Stable {
+	if a := q.Decide(iocaSample(limits().DDIOWaysMax, 1e7, 5e6)); !a.Stable {
 		t.Fatalf("grew past max: %+v", a)
 	}
 }
@@ -255,19 +254,15 @@ func TestIOCAPatience(t *testing.T) {
 func TestIOCAQuietShrinks(t *testing.T) {
 	p := NewIOCAStyle()
 	quiet := iocaSample(3, 1e7, 1e3) // not pressing
-	p.Observe(quiet)
-	p.Decide()
-	p.Observe(quiet)
-	a := p.Decide()
+	p.Decide(quiet)
+	a := p.Decide(quiet)
 	if a.DDIOWays != 2 || a.State != Reclaim || !strings.HasPrefix(a.Desc.String(), "ioca: quiet") {
 		t.Fatalf("second quiet interval = %+v", a)
 	}
-	p.Observe(iocaSample(2, 1e7, 1e3))
-	if a := p.Decide(); a.DDIOWays != 1 || a.State != LowKeep {
+	if a := p.Decide(iocaSample(2, 1e7, 1e3)); a.DDIOWays != 1 || a.State != LowKeep {
 		t.Fatalf("shrink to min = %+v", a)
 	}
-	p.Observe(iocaSample(1, 1e7, 1e3))
-	if a := p.Decide(); !a.Stable {
+	if a := p.Decide(iocaSample(1, 1e7, 1e3)); !a.Stable {
 		t.Fatalf("shrank below min: %+v", a)
 	}
 }
@@ -280,23 +275,18 @@ func TestIOCABandStallsStreaks(t *testing.T) {
 	p := NewIOCAStyle()
 	hot := iocaSample(2, 1e7, 5e6)   // ratio 0.33
 	band := iocaSample(2, 14e6, 2e6) // ratio 0.125, pressing
-	p.Observe(hot)
-	p.Decide()
-	p.Observe(band)
-	if a := p.Decide(); !a.Stable {
+	p.Decide(hot)
+	if a := p.Decide(band); !a.Stable {
 		t.Fatalf("band interval acted: %+v", a)
 	}
-	p.Observe(hot)
-	if a := p.Decide(); a.DDIOWays != 3 {
+	if a := p.Decide(hot); a.DDIOWays != 3 {
 		t.Fatalf("streak was erased by the band interval: %+v", a)
 	}
 
 	q := NewIOCAStyle()
-	q.Observe(hot)
-	q.Decide()
+	q.Decide(hot)
 	q.Reset()
-	q.Observe(hot)
-	if a := q.Decide(); !a.Stable {
+	if a := q.Decide(hot); !a.Stable {
 		t.Fatalf("Reset did not restart the streak: %+v", a)
 	}
 }
@@ -309,16 +299,14 @@ func TestGreedyDemandSelection(t *testing.T) {
 
 	// Idle (all rates at or under the noise floor): hold.
 	idle := sample(LowKeep, 2, limits().ThresholdMissLowPerSec/10)
-	p.Observe(idle)
-	if a := p.Decide(); !a.Stable || a.Desc.String() != "stable" {
+	if a := p.Decide(idle); !a.Stable || a.Desc.String() != "stable" {
 		t.Fatalf("idle = %+v", a)
 	}
 
 	// DDIO wins an exact tie with a tenant group.
 	s := sample(LowKeep, 2, 5e6)
 	s.Groups = []GroupView{{CLOS: 1, Width: 2, MissPS: 5e6}}
-	p.Observe(s)
-	a := p.Decide()
+	a := p.Decide(s)
 	if a.DDIOWays != 3 || a.State != IODemand || a.Grow.Set || a.Desc.String() != "greedy: ddio=3" {
 		t.Fatalf("ddio tie = %+v", a)
 	}
@@ -330,8 +318,7 @@ func TestGreedyDemandSelection(t *testing.T) {
 		{CLOS: 4, Width: 2, MissPS: 6e6},
 		{CLOS: 1, Width: 2, MissPS: 6e6},
 	}
-	p.Observe(s)
-	a = p.Decide()
+	a = p.Decide(s)
 	if a.State != CoreDemand || a.Grow != Ref(4) || a.Desc.String() != "greedy: +1 way clos 4" {
 		t.Fatalf("group demand = %+v", a)
 	}
@@ -342,14 +329,12 @@ func TestGreedySaturation(t *testing.T) {
 
 	// DDIO at max: demand can only hold in High Keep.
 	s := sample(HighKeep, limits().DDIOWaysMax, 5e6)
-	p.Observe(s)
-	if a := p.Decide(); a.State != HighKeep || a.DDIOWays != limits().DDIOWaysMax || a.Desc.String() != "greedy: ddio saturated" {
+	if a := p.Decide(s); a.State != HighKeep || a.DDIOWays != limits().DDIOWaysMax || a.Desc.String() != "greedy: ddio saturated" {
 		t.Fatalf("ddio saturated = %+v", a)
 	}
 	// Grow into High Keep at max-1.
 	s = sample(IODemand, limits().DDIOWaysMax-1, 5e6)
-	p.Observe(s)
-	if a := p.Decide(); a.State != HighKeep || a.DDIOWays != limits().DDIOWaysMax {
+	if a := p.Decide(s); a.State != HighKeep || a.DDIOWays != limits().DDIOWaysMax {
 		t.Fatalf("grow to max = %+v", a)
 	}
 
@@ -359,8 +344,7 @@ func TestGreedySaturation(t *testing.T) {
 		{CLOS: 1, Width: 6, MissPS: 6e6},
 		{CLOS: 2, Width: 5, MissPS: 1e5},
 	}
-	p.Observe(s)
-	if a := p.Decide(); a.Desc.String() != "greedy: tenants saturated" || a.Grow.Set {
+	if a := p.Decide(s); a.Desc.String() != "greedy: tenants saturated" || a.Grow.Set {
 		t.Fatalf("tenants saturated = %+v", a)
 	}
 }

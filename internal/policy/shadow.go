@@ -149,8 +149,7 @@ func (e *Evaluator) Tick(s Sample, active Actions, appliedDDIO cache.WayMask) {
 			sh.init = true
 		}
 		cs := e.rebase(s, sh)
-		sh.pol.Observe(cs)
-		a := sh.pol.Decide()
+		a := sh.pol.Decide(cs)
 		e.commit(sh, cs, a)
 
 		shadowClass := Classify(a, cs.DDIOWays)

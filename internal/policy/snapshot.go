@@ -9,25 +9,22 @@ import (
 )
 
 // Policy snapshot/restore: every policy can serialise its internal state
-// (comparison baselines, hysteresis streaks, health counters) so a
-// checkpointed daemon resumes deciding exactly where it left off. The
-// encodings are JSON over structs of exported scalar fields — field
-// order is the struct order and no maps are involved, so identical
-// state always yields identical bytes (the determinism regime the
-// checkpoint envelope's byte-compare guarantee rests on).
+// (comparison baselines, hysteresis streaks) so a checkpointed daemon
+// resumes deciding exactly where it left off. The encodings are JSON
+// over structs of exported scalar fields — field order is the struct
+// order and no maps are involved, so identical state always yields
+// identical bytes (the determinism regime the checkpoint envelope's
+// byte-compare guarantee rests on).
 
 // iatState is IAT's serialised form.
 type iatState struct {
-	Cur     Sample `json:"cur"`
-	HaveCur bool   `json:"have_cur"`
-	Prev    Sample `json:"prev"`
-	Have    bool   `json:"have"`
-	H       Health `json:"health"`
+	Prev Sample `json:"prev"`
+	Have bool   `json:"have"`
 }
 
 // AppendSnapshot implements Policy.
 func (p *IAT) AppendSnapshot(dst []byte) ([]byte, error) {
-	p.snap = iatState{Cur: p.cur, HaveCur: p.haveCur, Prev: p.prev, Have: p.have, H: p.h}
+	p.snap = iatState{Prev: p.prev, Have: p.have}
 	return jsonbuf.Append(dst, &p.snap)
 }
 
@@ -37,7 +34,7 @@ func (p *IAT) Restore(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("policy: restore iat: %w", err)
 	}
-	p.cur, p.haveCur, p.prev, p.have, p.h = st.Cur, st.HaveCur, st.Prev, st.Have, st.H
+	p.prev, p.have = st.Prev, st.Have
 	return nil
 }
 
@@ -45,14 +42,12 @@ func (p *IAT) Restore(data []byte) error {
 // is carried so a restore into a differently-configured instance is
 // rejected instead of silently changing the target.
 type staticState struct {
-	Ways int    `json:"ways"`
-	Cur  Sample `json:"cur"`
-	H    Health `json:"health"`
+	Ways int `json:"ways"`
 }
 
 // AppendSnapshot implements Policy.
 func (p *Static) AppendSnapshot(dst []byte) ([]byte, error) {
-	p.snap = staticState{Ways: p.ways, Cur: p.cur, H: p.h}
+	p.snap = staticState{Ways: p.ways}
 	return jsonbuf.Append(dst, &p.snap)
 }
 
@@ -65,21 +60,18 @@ func (p *Static) Restore(data []byte) error {
 	if st.Ways != p.ways {
 		return fmt.Errorf("policy: restore static: snapshot is for static:%d, this instance is static:%d", st.Ways, p.ways)
 	}
-	p.cur, p.h = st.Cur, st.H
 	return nil
 }
 
 // iocaState is IOCAStyle's serialised form.
 type iocaState struct {
-	Cur  Sample `json:"cur"`
-	Hot  int    `json:"hot"`
-	Cold int    `json:"cold"`
-	H    Health `json:"health"`
+	Hot  int `json:"hot"`
+	Cold int `json:"cold"`
 }
 
 // AppendSnapshot implements Policy.
 func (p *IOCAStyle) AppendSnapshot(dst []byte) ([]byte, error) {
-	p.snap = iocaState{Cur: p.cur, Hot: p.hot, Cold: p.cold, H: p.h}
+	p.snap = iocaState{Hot: p.hot, Cold: p.cold}
 	return jsonbuf.Append(dst, &p.snap)
 }
 
@@ -89,21 +81,17 @@ func (p *IOCAStyle) Restore(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("policy: restore ioca: %w", err)
 	}
-	p.cur, p.hot, p.cold, p.h = st.Cur, st.Hot, st.Cold, st.H
+	p.hot, p.cold = st.Hot, st.Cold
 	return nil
 }
 
-// greedyState is Greedy's serialised form (memoryless beyond the last
-// sample and the health counters).
-type greedyState struct {
-	Cur Sample `json:"cur"`
-	H   Health `json:"health"`
-}
+// greedyState is Greedy's serialised form: Greedy is memoryless, so it
+// is empty.
+type greedyState struct{}
 
 // AppendSnapshot implements Policy.
 func (p *Greedy) AppendSnapshot(dst []byte) ([]byte, error) {
-	p.snap = greedyState{Cur: p.cur, H: p.h}
-	return jsonbuf.Append(dst, &p.snap)
+	return jsonbuf.Append(dst, &greedyState{})
 }
 
 // Restore implements Policy.
@@ -112,7 +100,6 @@ func (p *Greedy) Restore(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("policy: restore greedy: %w", err)
 	}
-	p.cur, p.h = st.Cur, st.H
 	return nil
 }
 
@@ -120,18 +107,15 @@ func (p *Greedy) Restore(data []byte) error {
 // carried so a Core-only snapshot is not restored into I/O-iso or back.
 type baselineState struct {
 	IOIso bool          `json:"io_iso"`
-	Cur   Sample        `json:"cur"`
 	Prev  Sample        `json:"prev"`
 	Have  bool          `json:"have"`
 	Order []int         `json:"order,omitempty"`
 	DDIO  cache.WayMask `json:"ddio"`
-	H     Health        `json:"health"`
 }
 
 // AppendSnapshot implements Policy.
 func (p *Baseline) AppendSnapshot(dst []byte) ([]byte, error) {
-	p.snap = baselineState{IOIso: p.ioIso, Cur: p.cur, Prev: p.prev, Have: p.have,
-		Order: p.order, DDIO: p.ddio, H: p.h}
+	p.snap = baselineState{IOIso: p.ioIso, Prev: p.prev, Have: p.have, Order: p.order, DDIO: p.ddio}
 	return jsonbuf.Append(dst, &p.snap)
 }
 
@@ -144,7 +128,7 @@ func (p *Baseline) Restore(data []byte) error {
 	if st.IOIso != p.ioIso {
 		return fmt.Errorf("policy: restore %s: snapshot is for another baseline", p.Name())
 	}
-	p.cur, p.prev, p.have, p.ddio, p.h = st.Cur, st.Prev, st.Have, st.DDIO, st.H
+	p.prev, p.have, p.ddio = st.Prev, st.Have, st.DDIO
 	p.order = append(p.order[:0], st.Order...)
 	return nil
 }

@@ -15,8 +15,6 @@ const DefaultStaticWays = 2
 type Static struct {
 	ways int
 	name string
-	cur  Sample
-	h    Health
 	snap staticState // AppendSnapshot's scratch form
 }
 
@@ -31,22 +29,11 @@ func NewStatic(ways int) *Static {
 // Name implements Policy.
 func (p *Static) Name() string { return p.name }
 
-// Kind implements Policy.
-func (p *Static) Kind() Kind { return KindStatic }
-
-// Health implements Policy.
-func (p *Static) Health() Health { return p.h }
-
 // Reset implements Policy (stateless beyond the target).
 func (p *Static) Reset() {}
 
-// Observe implements Policy.
-func (p *Static) Observe(s Sample) { keep(&p.cur, s) }
-
 // Decide implements Policy: converge to the fixed target, then hold.
-func (p *Static) Decide() Actions {
-	s := p.cur
-	p.h.Ticks++
+func (p *Static) Decide(s Sample) Actions {
 	target := p.ways
 	if target < s.Limits.DDIOWaysMin {
 		target = s.Limits.DDIOWaysMin
@@ -54,12 +41,8 @@ func (p *Static) Decide() Actions {
 	if target > s.Limits.DDIOWaysMax {
 		target = s.Limits.DDIOWaysMax
 	}
-	var a Actions
 	if !s.Limits.DisableDDIOAdjust && target != s.DDIOWays {
-		a = Actions{State: LowKeep, DDIOWays: target, Desc: desc(descStatic, target)}
-	} else {
-		a = Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
+		return Actions{State: LowKeep, DDIOWays: target, Desc: desc(descStatic, target)}
 	}
-	p.h.note(a, s.DDIOWays)
-	return a
+	return Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: desc(descStable, 0)}
 }
