@@ -100,7 +100,10 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.telDir, "telemetry", "", "write controller and merged-host telemetry snapshots into this directory")
 	o.prof.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return options{}, err
+		if err == flag.ErrHelp {
+			return options{}, err
+		}
+		return options{}, usageError{err.Error()}
 	}
 	// Validate every flag before assembling anything: a bad value must
 	// fail fast (exit 2), not crash mid-run or complete a long simulation

@@ -44,9 +44,9 @@ import (
 	"iatsim/internal/workload"
 )
 
-// usageError marks a bad invocation (invalid flag value, unusable output
-// directory): main reports it on stderr and exits 2, like flag.ErrHelp,
-// instead of the exit-1 runtime-failure path.
+// usageError marks a bad invocation (flag syntax error, invalid flag
+// value, unusable output directory): main reports it on stderr and exits
+// 2, like flag.ErrHelp, instead of the exit-1 runtime-failure path.
 type usageError struct{ msg string }
 
 func (e usageError) Error() string { return e.msg }
@@ -149,7 +149,10 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.jsonDir, "json", "", "write the run manifest (with checkpoint provenance) as JSON into this directory")
 	o.prof.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return options{}, err
+		if err == flag.ErrHelp {
+			return options{}, err
+		}
+		return options{}, usageError{err.Error()}
 	}
 	if o.tenantsPath == "" {
 		fs.Usage()

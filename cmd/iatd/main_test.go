@@ -114,12 +114,17 @@ func TestTelemetryFlag(t *testing.T) {
 	}
 }
 
-// TestUsageErrors covers the CLI contract: a missing tenant file is a
-// usage error, not a crash.
+// TestUsageErrors covers the CLI contract: a missing -tenants flag and a
+// flag syntax error are usage errors (exit 2), and a missing tenant file
+// is an error, not a crash.
 func TestUsageErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{}, &out); err != flag.ErrHelp {
 		t.Fatalf("missing -tenants: err = %v, want flag.ErrHelp", err)
+	}
+	var ue usageError
+	if err := run([]string{"-tenants", "t.conf", "-duration", "abc"}, &out); !errors.As(err, &ue) {
+		t.Fatalf("-duration abc: err = %v, want usageError", err)
 	}
 	if err := run([]string{"-tenants", "/nonexistent/tenants.conf"}, &out); err == nil {
 		t.Fatal("nonexistent tenant file should error")
@@ -537,23 +542,8 @@ func TestCheckpointFileGolden(t *testing.T) {
 	}
 }
 
-// isFlagError reports whether err is one parseFlags may return: a
-// usageError, flag.ErrHelp, or the flag package's own syntax error.
-func isFlagError(err error) bool {
-	var ue usageError
-	if errors.As(err, &ue) || errors.Is(err, flag.ErrHelp) {
-		return true
-	}
-	for _, prefix := range []string{"flag provided but not defined", "bad flag syntax", "flag needs an argument", "invalid value", "invalid boolean"} {
-		if strings.HasPrefix(err.Error(), prefix) {
-			return true
-		}
-	}
-	return false
-}
-
 // FuzzIatdFlags feeds arbitrary command lines to the flag parser: it
-// never panics, fails only with a usage or flag error, and any options
+// never panics, fails only with a usageError or flag.ErrHelp, and any options
 // it accepts are finite and within the bounds a run needs.
 func FuzzIatdFlags(f *testing.F) {
 	f.Add("-tenants t.conf -interval NaN")
@@ -564,8 +554,9 @@ func FuzzIatdFlags(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line string) {
 		o, err := parseFlags(strings.Fields(line))
 		if err != nil {
-			if !isFlagError(err) {
-				t.Fatalf("%q: error %v is neither a usage nor a flag error", line, err)
+			var ue usageError
+			if !errors.As(err, &ue) && !errors.Is(err, flag.ErrHelp) {
+				t.Fatalf("%q: error %v is neither a usageError nor flag.ErrHelp", line, err)
 			}
 			return
 		}

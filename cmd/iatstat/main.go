@@ -16,6 +16,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,8 +29,21 @@ import (
 	"iatsim/internal/telemetry"
 )
 
+// usageError marks a bad invocation (a flag syntax error, an unknown
+// severity, a wrong number of files): main reports it on stderr and
+// exits 2, like flag.ErrHelp, instead of the exit-1 path of a file that
+// fails to read or validate.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
+		var ue usageError
+		if errors.As(err, &ue) {
+			fmt.Fprintf(os.Stderr, "iatstat: %v\n", err)
+			os.Exit(2)
+		}
 		if err == flag.ErrHelp {
 			os.Exit(2)
 		}
@@ -45,7 +59,10 @@ func run(args []string, stdout io.Writer) error {
 	events := fs.Int("events", 0, "also print the last N events of each snapshot")
 	sev := fs.String("sev", "debug", "minimum event severity to print (debug|info|warn)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if err == flag.ErrHelp {
+			return err
+		}
+		return usageError{err.Error()}
 	}
 	minSev, err := parseSeverity(*sev)
 	if err != nil {
@@ -55,12 +72,12 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case *diff:
 		if fs.NArg() != 2 {
-			return fmt.Errorf("iatstat: -diff wants exactly two snapshot files, got %d", fs.NArg())
+			return usageError{fmt.Sprintf("-diff wants exactly two snapshot files, got %d", fs.NArg())}
 		}
 		return runDiff(stdout, fs.Arg(0), fs.Arg(1))
 	case *validate:
 		if fs.NArg() == 0 {
-			return fmt.Errorf("iatstat: -validate wants at least one file or directory")
+			return usageError{"-validate wants at least one file or directory"}
 		}
 		return runValidate(stdout, fs.Args())
 	default:
@@ -86,7 +103,7 @@ func parseSeverity(name string) (telemetry.Severity, error) {
 	case "warn":
 		return telemetry.SevWarn, nil
 	}
-	return 0, fmt.Errorf("iatstat: unknown severity %q (want debug, info, or warn)", name)
+	return 0, usageError{fmt.Sprintf("-sev: unknown severity %q (want debug, info, or warn)", name)}
 }
 
 // printSnapshot renders one snapshot: a header, a metrics table, and

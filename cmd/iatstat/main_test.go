@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,6 +52,28 @@ func TestEventSeverityFilter(t *testing.T) {
 	}
 	if err := run([]string{"-sev", "bogus", path}, &out); err == nil {
 		t.Fatal("bad severity accepted")
+	}
+}
+
+// TestUsageErrors covers the exit-2 class: a flag syntax error, an
+// unknown severity and a wrong file count are usageErrors, no arguments
+// at all is flag.ErrHelp, and all fail before any file is read.
+func TestUsageErrors(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(nil, &out); err != flag.ErrHelp {
+		t.Fatalf("no arguments: err = %v, want flag.ErrHelp", err)
+	}
+	for _, args := range [][]string{
+		{"-bogus", "snap.json"},
+		{"-events", "x", "snap.json"},
+		{"-sev", "bogus", "snap.json"},
+		{"-diff", "before.json"},
+		{"-validate"},
+	} {
+		var ue usageError
+		if err := run(args, &out); !errors.As(err, &ue) {
+			t.Errorf("%v: err = %v, want usageError", args, err)
+		}
 	}
 }
 

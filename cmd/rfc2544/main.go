@@ -30,9 +30,9 @@ const (
 	maxFlows = 1 << 26
 )
 
-// usageError marks a bad invocation (an invalid flag value): main reports
-// it on one line and exits 2, like flag.ErrHelp, instead of the exit-1
-// runtime-failure path.
+// usageError marks a bad invocation (a flag syntax error or an invalid
+// value): main reports it on one line and exits 2, like flag.ErrHelp,
+// instead of the exit-1 runtime-failure path.
 type usageError struct{ msg string }
 
 func (e usageError) Error() string { return e.msg }
@@ -62,7 +62,10 @@ func parseFlags(args []string) (exp.Fig3Opts, error) {
 	warm := fs.Float64("warm", 0, "warmup per trial in simulated seconds (0 = default sweep setting)")
 	measure := fs.Float64("measure", 0, "measurement per trial in simulated seconds (0 = default sweep setting)")
 	if err := fs.Parse(args); err != nil {
-		return exp.Fig3Opts{}, err
+		if err == flag.ErrHelp {
+			return exp.Fig3Opts{}, err
+		}
+		return exp.Fig3Opts{}, usageError{err.Error()}
 	}
 	switch {
 	case *ring < 1 || *ring > maxRing:

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"math"
 	"strings"
 	"testing"
@@ -45,12 +46,16 @@ func TestSmokeDeterministicSearch(t *testing.T) {
 }
 
 // TestBadFlags covers the CLI contract for bad flags: an unparsable value
-// is a parse error, and every out-of-range value is a usageError (exit 2
-// in main) returned before any simulation runs.
+// and every out-of-range value is a usageError (exit 2 in main) returned
+// before any simulation runs.
 func TestBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-ring", "not-a-number"}, &out); err == nil {
-		t.Fatal("bad -ring value should error")
+	for _, args := range [][]string{{"-ring", "x"}, {"-bogus", "1"}} {
+		err := run(args, &out)
+		var ue usageError
+		if !errors.As(err, &ue) || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: err = %v, want a usageError naming %s", args, err, args[0])
+		}
 	}
 	for _, args := range [][]string{
 		{"-flows", "0"},
@@ -85,8 +90,9 @@ func TestBadFlags(t *testing.T) {
 }
 
 // FuzzRFC2544Flags feeds arbitrary command lines to the flag parser: it
-// never panics, and any options it accepts describe one point within
-// the bounds the search can run.
+// never panics, fails only with a usageError or flag.ErrHelp, and any
+// options it accepts describe one point within the bounds the search can
+// run.
 func FuzzRFC2544Flags(f *testing.F) {
 	f.Add("-flows 0")
 	f.Add("-ring -5")
@@ -96,6 +102,10 @@ func FuzzRFC2544Flags(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line string) {
 		o, err := parseFlags(strings.Fields(line))
 		if err != nil {
+			var ue usageError
+			if !errors.As(err, &ue) && !errors.Is(err, flag.ErrHelp) {
+				t.Fatalf("%q: error %v is neither a usageError nor flag.ErrHelp", line, err)
+			}
 			return
 		}
 		positiveFinite := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }

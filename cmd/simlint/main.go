@@ -6,39 +6,29 @@
 //
 // Usage:
 //
-//	simlint                                # lint the module, exit 1 on findings
-//	simlint -dir path/to/module            # lint another module root
-//	simlint -format json                   # machine-readable findings
-//	simlint -format sarif                  # SARIF 2.1.0 for code-scanning upload
-//	simlint -baseline results/simlint-baseline.csv -write  # regenerate baseline
-//	simlint -baseline results/simlint-baseline.csv -diff   # fail only on NEW findings
-//	simlint -timing                        # per-analyzer wall time on stderr
+//	simlint                        # lint the module
+//	simlint -dir path/to/module    # lint another module root
 //
-// Findings print as "file:line: [analyzer] message". A finding is
-// suppressed by an adjacent comment with a mandatory reason:
+// Each active finding prints as "file:line: [analyzer] message"; an
+// interprocedural finding's message carries its call chain. A clean run
+// prints one summary line and exits 0, any active finding exits 1, and a
+// usage or load error exits 2. A finding is suppressed by an adjacent
+// comment with a mandatory reason:
 //
 //	//simlint:ignore <analyzer> <reason>
 //
 // A directive on a function declaration additionally suppresses
-// interprocedural findings whose call chain passes through it.
-//
-// In -diff mode the exit code ignores pre-existing findings: only a
-// per-analyzer, per-package count above the baseline fails the run, so
-// the linter can be tightened (or a violation grandfathered) without
-// blocking unrelated work. See EXPERIMENTS.md ("Static analysis").
+// interprocedural findings whose call chain passes through it. The
+// repository's own suppressions are listed in internal/lint's
+// TestModuleIsCleanAtHead. See EXPERIMENTS.md ("Static analysis").
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
 
 	"iatsim/internal/lint"
 )
@@ -51,24 +41,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", ".", "module root to lint (any directory inside it works)")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
-	baseline := fs.String("baseline", "", "baseline CSV path (analyzer,package,findings,suppressed)")
-	diff := fs.Bool("diff", false, "exit nonzero only on findings NEW relative to -baseline")
-	write := fs.Bool("write", false, "write the current counts to -baseline and exit")
-	timing := fs.Bool("timing", false, "report per-analyzer wall time on stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(stderr, "simlint: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
-	}
-	if (*diff || *write) && *baseline == "" {
-		fmt.Fprintln(stderr, "simlint: -diff and -write need -baseline <path>")
-		return 2
-	}
-	if *diff && *write {
-		fmt.Fprintln(stderr, "simlint: -diff and -write are mutually exclusive")
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "simlint: unexpected argument %q (name the module with -dir)\n", fs.Arg(0))
 		return 2
 	}
 
@@ -78,90 +55,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	analyzers := lint.Analyzers()
-
-	// The suite front-loads directive collection and the interprocedural
-	// graph; per-analyzer timing brackets only each analyzer's own pass.
-	// (The wall clock lives here, not in internal/lint: cmd/ is outside
-	// detlint's simulation scope.)
-	suite := lint.NewSuite(mod, analyzers)
-	for _, a := range analyzers {
-		start := time.Now()
-		suite.Run(a)
-		if *timing {
-			fmt.Fprintf(stderr, "simlint: %-10s %8.1fms\n", a.Name, float64(time.Since(start).Microseconds())/1000)
-		}
-	}
-	findings := suite.Finish()
-	rows := countRows(analyzers, findings)
-
-	if *write {
-		if err := writeBaselineFile(*baseline, rows); err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "simlint: wrote %s (%d rows)\n", *baseline, len(rows))
-		return 0
-	}
-
-	active := 0
-	suppressed := 0
-	for _, f := range findings {
+	active, suppressed := 0, 0
+	for _, f := range lint.RunAnalyzers(mod, analyzers) {
 		if f.Suppressed {
 			suppressed++
-		} else {
-			active++
+			continue
 		}
+		active++
+		f.Pos.Filename = relPath(mod.Dir, f.Pos.Filename)
+		fmt.Fprintln(stdout, f.String())
 	}
-
-	switch *format {
-	case "json":
-		if err := writeJSON(stdout, mod, findings); err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-	case "sarif":
-		if err := writeSARIF(stdout, mod, analyzers, findings); err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-	default:
-		for _, f := range findings {
-			if f.Suppressed {
-				continue
-			}
-			f.Pos.Filename = relPath(mod.Dir, f.Pos.Filename)
-			fmt.Fprintln(stdout, f.String())
-		}
-	}
-
-	if *diff {
-		base, err := readBaselineFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-		increases := diffRows(rows, base)
-		for _, d := range increases {
-			fmt.Fprintf(stderr, "simlint: NEW findings: %s in %s: %d (baseline %d)\n",
-				d.Analyzer, d.Pkg, d.Findings, d.base)
-		}
-		if len(increases) > 0 {
-			fmt.Fprintf(stderr, "simlint: %d analyzer/package pair(s) above baseline %s\n", len(increases), *baseline)
-			return 1
-		}
-		fmt.Fprintf(stderr, "simlint: no new findings relative to %s (%d pre-existing, %d suppressed)\n",
-			*baseline, active, suppressed)
-		return 0
-	}
-
 	if active > 0 {
 		fmt.Fprintf(stderr, "simlint: %d finding(s) in %s\n", active, mod.Path)
 		return 1
 	}
-	if *format == "text" {
-		fmt.Fprintf(stdout, "simlint: clean — %d packages, %d analyzers, %d suppression(s)\n",
-			len(mod.Pkgs), len(analyzers), suppressed)
-	}
+	fmt.Fprintf(stdout, "simlint: clean — %d packages, %d analyzers, %d suppression(s)\n",
+		len(mod.Pkgs), len(analyzers), suppressed)
 	return 0
 }
 
@@ -171,250 +80,4 @@ func relPath(root, path string) string {
 		return rel
 	}
 	return path
-}
-
-// countRow is one baseline CSV row.
-type countRow struct {
-	Analyzer   string
-	Pkg        string
-	Findings   int
-	Suppressed int
-
-	base int // baseline findings count, filled by diffRows
-}
-
-// countRows aggregates findings per analyzer and package, with an
-// "(all)" total row per analyzer so the analyzer list is recorded even on
-// a clean tree. Rows are sorted, so baseline files are deterministic.
-func countRows(analyzers []*lint.Analyzer, findings []lint.Finding) []countRow {
-	type key struct{ analyzer, pkg string }
-	counts := map[key]*countRow{}
-	get := func(k key) *countRow {
-		if counts[k] == nil {
-			counts[k] = &countRow{Analyzer: k.analyzer, Pkg: k.pkg}
-		}
-		return counts[k]
-	}
-	for _, f := range findings {
-		for _, k := range []key{{f.Analyzer, f.Package}, {f.Analyzer, "(all)"}} {
-			c := get(k)
-			if f.Suppressed {
-				c.Suppressed++
-			} else {
-				c.Findings++
-			}
-		}
-	}
-	for _, a := range analyzers {
-		get(key{a.Name, "(all)"})
-	}
-	get(key{lint.MetaAnalyzer, "(all)"})
-
-	rows := make([]countRow, 0, len(counts))
-	for _, c := range counts {
-		rows = append(rows, *c)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Analyzer != rows[j].Analyzer {
-			return rows[i].Analyzer < rows[j].Analyzer
-		}
-		return rows[i].Pkg < rows[j].Pkg
-	})
-	return rows
-}
-
-const baselineHeader = "analyzer,package,findings,suppressed"
-
-func writeBaselineFile(path string, rows []countRow) error {
-	var b strings.Builder
-	b.WriteString(baselineHeader + "\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%d\n", r.Analyzer, r.Pkg, r.Findings, r.Suppressed)
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// readBaselineFile parses a baseline CSV into findings counts keyed by
-// analyzer and package.
-func readBaselineFile(path string) (map[[2]string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	out := map[[2]string]int{}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	for i, line := range lines {
-		if i == 0 {
-			if line != baselineHeader {
-				return nil, fmt.Errorf("baseline %s: header %q, want %q", path, line, baselineHeader)
-			}
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("baseline %s:%d: %d fields, want 4", path, i+1, len(parts))
-		}
-		n, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, fmt.Errorf("baseline %s:%d: findings count: %v", path, i+1, err)
-		}
-		out[[2]string{parts[0], parts[1]}] = n
-	}
-	return out, nil
-}
-
-// diffRows returns the rows whose active-finding count exceeds the
-// baseline. Unknown rows count against a baseline of zero; suppressed
-// counts never fail a diff (suppressions carry written reasons and are
-// reviewed in the PR that adds them).
-func diffRows(rows []countRow, base map[[2]string]int) []countRow {
-	var out []countRow
-	for _, r := range rows {
-		b := base[[2]string{r.Analyzer, r.Pkg}]
-		if r.Findings > b {
-			r.base = b
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// jsonFinding is the -format json shape of one finding.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line,omitempty"`
-	Column     int    `json:"column,omitempty"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Package    string `json:"package,omitempty"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
-}
-
-func writeJSON(w io.Writer, mod *lint.Module, findings []lint.Finding) error {
-	out := struct {
-		Module   string        `json:"module"`
-		Findings []jsonFinding `json:"findings"`
-	}{Module: mod.Path, Findings: []jsonFinding{}}
-	for _, f := range findings {
-		out.Findings = append(out.Findings, jsonFinding{
-			File:       relPath(mod.Dir, f.Pos.Filename),
-			Line:       f.Pos.Line,
-			Column:     f.Pos.Column,
-			Analyzer:   f.Analyzer,
-			Message:    f.Message,
-			Package:    f.Package,
-			Suppressed: f.Suppressed,
-			Reason:     f.Reason,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// SARIF 2.1.0 output — the minimal valid shape code-scanning services
-// ingest: one run, one rule per analyzer, one result per finding, with
-// suppressed findings carried as inSource suppressions.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID       string             `json:"ruleId"`
-	Level        string             `json:"level"`
-	Message      sarifMessage       `json:"message"`
-	Locations    []sarifLocation    `json:"locations,omitempty"`
-	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           *sarifRegion  `json:"region,omitempty"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine,omitempty"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-type sarifSuppression struct {
-	Kind          string `json:"kind"`
-	Justification string `json:"justification,omitempty"`
-}
-
-func writeSARIF(w io.Writer, mod *lint.Module, analyzers []*lint.Analyzer, findings []lint.Finding) error {
-	driver := sarifDriver{Name: "simlint"}
-	for _, a := range analyzers {
-		driver.Rules = append(driver.Rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-	}
-	driver.Rules = append(driver.Rules, sarifRule{
-		ID:               lint.MetaAnalyzer,
-		ShortDescription: sarifMessage{Text: "directive hygiene and loader diagnostics"},
-	})
-
-	results := []sarifResult{}
-	for _, f := range findings {
-		r := sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-		}
-		if f.Suppressed {
-			r.Level = "note"
-			r.Suppressions = []sarifSuppression{{Kind: "inSource", Justification: f.Reason}}
-		}
-		if f.Pos.Filename != "" {
-			loc := sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(relPath(mod.Dir, f.Pos.Filename))},
-			}
-			if f.Pos.Line > 0 {
-				loc.Region = &sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column}
-			}
-			r.Locations = []sarifLocation{{PhysicalLocation: loc}}
-		}
-		results = append(results, r)
-	}
-
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: driver}, Results: results}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
+
+	"iatsim/internal/lint"
 )
 
 // chainmod is a fixture module seeded with interprocedural findings —
@@ -28,240 +29,74 @@ func TestCleanTreeExitsZero(t *testing.T) {
 	}
 }
 
-// TestDiffAgainstCommittedBaseline is the no-new-findings gate at HEAD.
-func TestDiffAgainstCommittedBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
+// TestSeededFindingsExitOne lints the seeded chainmod fixture: stdout
+// is exactly the active findings, one module-relative
+// "file:line: [analyzer] message" line each (interprocedural ones with
+// their call chain), the fixture's suppressed findings stay silent, and
+// the run exits 1 with a count on stderr instead of the clean summary.
+func TestSeededFindingsExitOne(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", "../..", "-baseline", "../../results/simlint-baseline.csv", "-diff"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("diff exit %d at HEAD, want 0\nstderr:\n%s", code, errOut.String())
+	if code := run([]string{"-dir", chainmod}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d on seeded fixture, want 1\nstderr:\n%s", code, errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "no new findings") {
-		t.Fatalf("missing diff summary:\n%s", errOut.String())
-	}
-}
 
-// TestDiffFlagsNewFindings injects findings (the seeded chainmod fixture
-// against an empty baseline) and requires exit 1 naming them.
-func TestDiffFlagsNewFindings(t *testing.T) {
-	empty := filepath.Join(t.TempDir(), "empty.csv")
-	if err := os.WriteFile(empty, []byte("analyzer,package,findings,suppressed\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", chainmod, "-baseline", empty, "-diff"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("diff exit %d with seeded findings over empty baseline, want 1\nstderr:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "NEW findings") || !strings.Contains(errOut.String(), "detlint") {
-		t.Fatalf("diff should name the new findings:\n%s", errOut.String())
-	}
-}
-
-// TestWriteThenDiffRoundTrips regenerates a baseline and diffs against
-// it: grandfathered findings must not fail, and the file must be
-// deterministic.
-func TestWriteThenDiffRoundTrips(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "base.csv")
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-dir", chainmod, "-baseline", base, "-write"}, &out, &errOut); code != 0 {
-		t.Fatalf("write exit %d, want 0\nstderr:\n%s", code, errOut.String())
-	}
-	first, err := os.ReadFile(base)
+	mod, err := lint.LoadModule(chainmod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(first), "analyzer,package,findings,suppressed\n") {
-		t.Fatalf("baseline header wrong:\n%s", first)
+	var want strings.Builder
+	active, suppressed := 0, 0
+	for _, f := range lint.RunAnalyzers(mod, lint.Analyzers()) {
+		if f.Suppressed {
+			suppressed++
+			continue
+		}
+		active++
+		f.Pos.Filename = relPath(mod.Dir, f.Pos.Filename)
+		want.WriteString(f.String() + "\n")
 	}
-	for _, name := range []string{"detlint", "maporder", "msrlint", "seedflow", "statelint", "telemlint", "simlint"} {
-		if !strings.Contains(string(first), "\n"+name+",(all),") {
-			t.Fatalf("baseline missing analyzer %q:\n%s", name, first)
+	if active == 0 || suppressed == 0 {
+		t.Fatalf("fixture has %d active and %d suppressed findings; the test needs both", active, suppressed)
+	}
+	if out.String() != want.String() {
+		t.Fatalf("stdout:\n%s\nwant the active findings:\n%s", out.String(), want.String())
+	}
+	form := regexp.MustCompile(`^[^/:][^:]*\.go:\d+: \[[a-z]+\] \S`)
+	chains := 0
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if !form.MatchString(line) {
+			t.Errorf("finding %q is not a module-relative file:line: [analyzer] message", line)
+		}
+		if strings.Contains(line, " -> ") {
+			chains++
 		}
 	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-dir", chainmod, "-baseline", base, "-diff"}, &out, &errOut); code != 0 {
-		t.Fatalf("diff exit %d against just-written baseline, want 0\nstderr:\n%s", code, errOut.String())
+	if chains == 0 {
+		t.Error("no finding carries its call chain")
 	}
-
-	// Determinism: a second write must be byte-identical.
-	if code := run([]string{"-dir", chainmod, "-baseline", base, "-write"}, &out, &errOut); code != 0 {
-		t.Fatalf("second write exit %d", code)
-	}
-	second, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("baseline not deterministic:\n--- first\n%s\n--- second\n%s", first, second)
+	if want := fmt.Sprintf("simlint: %d finding(s) in iatsim\n", active); errOut.String() != want {
+		t.Errorf("stderr %q, want %q", errOut.String(), want)
 	}
 }
 
-// TestJSONFormat checks the machine-readable finding list.
-func TestJSONFormat(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", chainmod, "-format", "json"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d on seeded fixture, want 1", code)
-	}
-	var doc struct {
-		Module   string `json:"module"`
-		Findings []struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
-	}
-	if doc.Module != "iatsim" || len(doc.Findings) == 0 {
-		t.Fatalf("unexpected JSON document: %+v", doc)
-	}
-	for _, f := range doc.Findings {
-		if f.Analyzer == "" || f.Message == "" || f.File == "" {
-			t.Fatalf("finding missing fields: %+v", f)
-		}
-		if filepath.IsAbs(f.File) {
-			t.Fatalf("finding path should be module-relative: %q", f.File)
-		}
-	}
-}
-
-// TestSARIFFormat validates the structural SARIF 2.1.0 contract: schema
-// and version fields, one run, a rule per analyzer, results referencing
-// declared rules with physical locations, and suppressed findings
-// carried as inSource suppressions.
-func TestSARIFFormat(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", chainmod, "-format", "sarif"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d on seeded fixture, want 1", code)
-	}
-	var doc struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID               string `json:"id"`
-						ShortDescription struct {
-							Text string `json:"text"`
-						} `json:"shortDescription"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Level   string `json:"level"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-				Suppressions []struct {
-					Kind          string `json:"kind"`
-					Justification string `json:"justification"`
-				} `json:"suppressions"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid SARIF JSON: %v", err)
-	}
-	if doc.Version != "2.1.0" || !strings.Contains(doc.Schema, "sarif-2.1.0") {
-		t.Fatalf("wrong SARIF version/schema: %q %q", doc.Version, doc.Schema)
-	}
-	if len(doc.Runs) != 1 {
-		t.Fatalf("want exactly 1 run, got %d", len(doc.Runs))
-	}
-	run0 := doc.Runs[0]
-	if run0.Tool.Driver.Name != "simlint" {
-		t.Fatalf("driver name %q", run0.Tool.Driver.Name)
-	}
-	rules := map[string]bool{}
-	for _, r := range run0.Tool.Driver.Rules {
-		if r.ShortDescription.Text == "" {
-			t.Fatalf("rule %s lacks a description", r.ID)
-		}
-		rules[r.ID] = true
-	}
-	for _, name := range []string{"detlint", "maporder", "msrlint", "seedflow", "statelint", "telemlint", "simlint"} {
-		if !rules[name] {
-			t.Fatalf("SARIF rules missing %q", name)
-		}
-	}
-	if len(run0.Results) == 0 {
-		t.Fatal("seeded fixture should produce results")
-	}
-	sawSuppressed := false
-	for _, r := range run0.Results {
-		if !rules[r.RuleID] {
-			t.Fatalf("result references undeclared rule %q", r.RuleID)
-		}
-		if r.Message.Text == "" {
-			t.Fatalf("result without message: %+v", r)
-		}
-		if len(r.Locations) == 0 || r.Locations[0].PhysicalLocation.ArtifactLocation.URI == "" {
-			t.Fatalf("result without location: %+v", r)
-		}
-		if strings.Contains(r.Locations[0].PhysicalLocation.ArtifactLocation.URI, "\\") {
-			t.Fatalf("SARIF URI must use forward slashes: %+v", r.Locations[0])
-		}
-		if len(r.Suppressions) > 0 {
-			sawSuppressed = true
-			if r.Level != "note" || r.Suppressions[0].Kind != "inSource" || r.Suppressions[0].Justification == "" {
-				t.Fatalf("suppressed result malformed: %+v", r)
-			}
-		}
-	}
-	if !sawSuppressed {
-		t.Fatal("chainmod has suppressed findings; SARIF should carry them as suppressions")
-	}
-}
-
-// TestTimingFlag pins the per-analyzer timing lines.
-func TestTimingFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	run([]string{"-dir", chainmod, "-timing"}, &out, &errOut)
-	for _, name := range []string{"detlint", "seedflow", "telemlint"} {
-		if !strings.Contains(errOut.String(), name) {
-			t.Fatalf("timing output missing %s:\n%s", name, errOut.String())
-		}
-	}
-	if !strings.Contains(errOut.String(), "ms") {
-		t.Fatalf("timing output lacks a unit:\n%s", errOut.String())
-	}
-}
-
-// TestUsageErrorsExitTwo pins the usage-error exit code.
+// TestUsageErrorsExitTwo pins the usage-error exit code, including the
+// output and gate modes simlint no longer has.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	cases := [][]string{
 		{"-dir", "/nonexistent-simlint-dir"},
-		{"-format", "xml"},
-		{"-diff"},
+		{"-format", "json"},
+		{"-baseline", "x.csv", "-diff"},
 		{"-write"},
-		{"-baseline", "x.csv", "-diff", "-write"},
+		{"-timing"},
+		{"-dir", chainmod, "extra"},
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {
-			t.Fatalf("args %v: exit %d, want 2", args, code)
+			t.Errorf("args %v: exit %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: printed %q on stdout", args, out.String())
 		}
 	}
 }

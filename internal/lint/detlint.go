@@ -24,7 +24,6 @@ import (
 //     results in submission order).
 var DetLint = &Analyzer{
 	Name: detLintName,
-	Doc:  "forbid wall-clock time, global math/rand, and goroutines in simulation packages",
 	Run:  runDetLint,
 }
 

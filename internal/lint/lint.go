@@ -14,9 +14,6 @@ type Analyzer struct {
 	// Name is the analyzer's identifier, used in "[name]" finding tags
 	// and in //simlint:ignore directives.
 	Name string
-	// Doc is a one-line description, shown by cmd/simlint and recorded
-	// in results/simlint-baseline.csv.
-	Doc string
 	// Run reports findings on one package through the pass.
 	Run func(*Pass)
 }
@@ -31,8 +28,8 @@ func Analyzers() []*Analyzer {
 // load (syntax errors are findings, not crashes).
 const MetaAnalyzer = "simlint"
 
-// Finding is one reported violation (or suppressed violation — baseline
-// accounting keeps both).
+// Finding is one reported violation, or one that a directive
+// suppressed (the suppression count is part of simlint's summary).
 type Finding struct {
 	Pos      token.Position
 	Analyzer string
@@ -245,105 +242,40 @@ func knownList(known map[string]bool) string {
 	return strings.Join(names, "|")
 }
 
-// Suite runs analyzers over a loaded module with shared interprocedural
-// state: the directive index is collected once up front (so summaries
-// respect sanctioned origins) and the call graph is built before the
-// first analyzer runs. Callers that want per-analyzer timing drive Run
-// themselves; RunAnalyzers wraps the whole lifecycle.
-type Suite struct {
-	mod      *Module
-	known    map[string]bool
-	findings []Finding
-	dirs     *directiveIndex
-	graph    *Graph
-	finished bool
-}
-
-// NewSuite collects directives, reports malformed ones, and builds the
-// module call graph with summaries.
-func NewSuite(m *Module, analyzers []*Analyzer) *Suite {
-	s := &Suite{mod: m, known: map[string]bool{}}
+// RunAnalyzers runs the analyzers over every package of m and returns
+// all findings (suppressed ones included, marked), sorted by position.
+// The directives are collected before any analyzer runs, so the call
+// graph's summaries respect sanctioned origins; malformed directives and
+// the loader's parse failures are meta findings.
+func RunAnalyzers(m *Module, analyzers []*Analyzer) []Finding {
+	known := map[string]bool{}
 	for _, a := range analyzers {
-		s.known[a.Name] = true
+		known[a.Name] = true
 	}
-	s.dirs = &directiveIndex{byFile: map[string][]*directive{}}
+	var findings []Finding
+	dirs := &directiveIndex{byFile: map[string][]*directive{}}
 	for _, pkg := range m.Pkgs {
-		for _, d := range collectDirectives(m.Fset, pkg, s.known, &s.findings) {
-			s.dirs.all = append(s.dirs.all, d)
-			s.dirs.byFile[d.pos.Filename] = append(s.dirs.byFile[d.pos.Filename], d)
+		for _, d := range collectDirectives(m.Fset, pkg, known, &findings) {
+			dirs.all = append(dirs.all, d)
+			dirs.byFile[d.pos.Filename] = append(dirs.byFile[d.pos.Filename], d)
 		}
 	}
-	s.graph = buildGraph(m, s.dirs)
-	return s
-}
-
-// Run executes one analyzer over every package of the module.
-func (s *Suite) Run(a *Analyzer) {
-	for _, pkg := range s.mod.Pkgs {
-		pass := &Pass{Fset: s.mod.Fset, Pkg: pkg, analyzer: a, findings: &s.findings, graph: s.graph}
-		a.Run(pass)
+	graph := buildGraph(m, dirs)
+	for _, a := range analyzers {
+		for _, pkg := range m.Pkgs {
+			a.Run(&Pass{Fset: m.Fset, Pkg: pkg, analyzer: a, findings: &findings, graph: graph})
+		}
 	}
-}
-
-// Finish applies suppression and returns all findings (suppressed ones
-// included, marked), sorted by position. Line-level directives suppress
-// findings on their own line or the line directly below; declaration-
-// level directives additionally suppress interprocedural findings whose
-// chain passes through the annotated function. Unused directives are
-// findings: a suppression that no longer masks anything must be deleted,
-// so enforcement cannot silently drift. Parse failures recorded by the
-// loader are surfaced as meta findings.
-func (s *Suite) Finish() []Finding {
-	if s.finished {
-		return s.findings
-	}
-	s.finished = true
-
-	for _, pe := range s.mod.ParseErrors {
-		s.findings = append(s.findings, Finding{
+	for _, pe := range m.ParseErrors {
+		findings = append(findings, Finding{
 			Pos: pe.Pos, Analyzer: MetaAnalyzer, Package: pe.Package,
 			Message: "syntax error: " + pe.Msg,
 		})
 	}
+	findings = suppress(findings, dirs, graph)
 
-	for i := range s.findings {
-		f := &s.findings[i]
-		if f.Analyzer == MetaAnalyzer {
-			continue
-		}
-		for _, d := range s.dirs.covering(f.Pos.Filename, f.Pos.Line) {
-			if d.analyzer == f.Analyzer {
-				f.Suppressed, f.Reason = true, d.reason
-				d.used = true
-			}
-		}
-		if f.Suppressed || len(f.chain) == 0 {
-			continue
-		}
-		for _, fn := range f.chain {
-			node := s.graph.nodeFor(fn)
-			if node == nil {
-				continue
-			}
-			if d := node.declIgnore[f.Analyzer]; d != nil {
-				f.Suppressed, f.Reason = true, d.reason
-				d.used = true
-				break
-			}
-		}
-	}
-
-	for _, d := range s.dirs.all {
-		if !d.used {
-			s.findings = append(s.findings, Finding{
-				Pos: d.pos, Analyzer: MetaAnalyzer, Package: d.pkg,
-				Message: fmt.Sprintf("unused suppression: no %s finding on this or the next line (or reachable call chain for a declaration directive); delete the directive", d.analyzer),
-			})
-		}
-	}
-
-	sort.Slice(s.findings, func(i, j int) bool {
-		a, b := s.findings[i], s.findings[j]
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -358,15 +290,50 @@ func (s *Suite) Finish() []Finding {
 		}
 		return a.Message < b.Message
 	})
-	return s.findings
+	return findings
 }
 
-// RunAnalyzers runs the suite over every package of m and returns all
-// findings (suppressed ones included, marked), sorted by position.
-func RunAnalyzers(m *Module, analyzers []*Analyzer) []Finding {
-	s := NewSuite(m, analyzers)
-	for _, a := range analyzers {
-		s.Run(a)
+// suppress marks the findings the directives cover and appends one meta
+// finding per unused directive. Line-level directives suppress findings
+// on their own line or the line directly below; declaration-level
+// directives additionally suppress interprocedural findings whose chain
+// passes through the annotated function. An unused directive is a
+// finding: a suppression that no longer masks anything must be deleted,
+// so enforcement cannot silently drift.
+func suppress(findings []Finding, dirs *directiveIndex, graph *Graph) []Finding {
+	for i := range findings {
+		f := &findings[i]
+		if f.Analyzer == MetaAnalyzer {
+			continue
+		}
+		for _, d := range dirs.covering(f.Pos.Filename, f.Pos.Line) {
+			if d.analyzer == f.Analyzer {
+				f.Suppressed, f.Reason = true, d.reason
+				d.used = true
+			}
+		}
+		if f.Suppressed || len(f.chain) == 0 {
+			continue
+		}
+		for _, fn := range f.chain {
+			node := graph.nodeFor(fn)
+			if node == nil {
+				continue
+			}
+			if d := node.declIgnore[f.Analyzer]; d != nil {
+				f.Suppressed, f.Reason = true, d.reason
+				d.used = true
+				break
+			}
+		}
 	}
-	return s.Finish()
+	for _, d := range dirs.all {
+		if !d.used {
+			findings = append(findings, Finding{
+				Pos: d.pos, Analyzer: MetaAnalyzer, Package: d.pkg,
+				Message: fmt.Sprintf("unused suppression: no %s finding on this or the next line (or reachable call chain for a declaration directive); delete the directive", d.analyzer),
+			})
+		}
+	}
+	return findings
 }

@@ -29,7 +29,6 @@ import (
 // first, or a //simlint:ignore maporder <reason> annotation.
 var MapOrder = &Analyzer{
 	Name: mapOrderName,
-	Doc:  "flag map iteration feeding output sinks (CSV rows, prints, escaping appends) without sorting",
 	Run:  runMapOrder,
 }
 

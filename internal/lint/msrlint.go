@@ -19,7 +19,6 @@ import (
 // addresses, and matching decimals would trip ordinary scalar constants.
 var MSRLint = &Analyzer{
 	Name: "msrlint",
-	Doc:  "flag raw MSR addresses (CAT masks, IIO_LLC_WAYS, PQR_ASSOC, counter blocks) outside internal/msr",
 	Run:  runMSRLint,
 }
 

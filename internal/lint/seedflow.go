@@ -26,7 +26,6 @@ import (
 // the standard library (rand.NewSource(seed int64)).
 var SeedFlow = &Analyzer{
 	Name: "seedflow",
-	Doc:  "forbid constant seeds and package-level shared RNG streams in simulation packages",
 	Run:  runSeedFlow,
 }
 

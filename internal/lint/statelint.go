@@ -22,7 +22,6 @@ import (
 // analyzer cannot claim non-exhaustiveness.
 var StateLint = &Analyzer{
 	Name: "statelint",
-	Doc:  "require switches over //simlint:enum types to be exhaustive or carry an explicit default",
 	Run:  runStateLint,
 }
 

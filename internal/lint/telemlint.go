@@ -27,7 +27,6 @@ import (
 //     opening the schema.
 var TelemLint = &Analyzer{
 	Name: "telemlint",
-	Doc:  "require Registry-built telemetry handles and compile-time-constant metric names",
 	Run:  runTelemLint,
 }
 

@@ -159,3 +159,36 @@ func TestWriteFilesRoundTrip(t *testing.T) {
 		t.Fatal("unsorted snapshot JSON accepted")
 	}
 }
+
+// FuzzValidateSnapshotJSON feeds arbitrary bytes to the two validators
+// behind `iatstat -validate`: neither panics, and any snapshot
+// ValidateSnapshotJSON accepts re-encodes with WriteJSON into a file it
+// accepts again.
+func FuzzValidateSnapshotJSON(f *testing.F) {
+	for _, name := range []string{"snapshot.json", "snapshot.trace.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"metrics":[{"subsystem":"a","name":"h","kind":"histogram","histogram":{"bounds":[1],"counts":[0,0]}}]}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"x","ph":"C","ts":1e400,"pid":1,"tid":1}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = ValidateChromeTrace(data)
+		if ValidateSnapshotJSON(data) != nil {
+			return
+		}
+		var s Snapshot
+		if err := json.Unmarshal(data, &s); err != nil {
+			t.Fatalf("validated snapshot does not decode: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := s.WriteJSON(&buf); err != nil {
+			t.Fatalf("accepted snapshot does not re-encode: %v", err)
+		}
+		if err := ValidateSnapshotJSON(buf.Bytes()); err != nil {
+			t.Fatalf("re-encoded snapshot fails validation: %v\n%s", err, buf.Bytes())
+		}
+	})
+}
