@@ -7,7 +7,7 @@ GO      ?= go
 JOBS    ?= 4
 TMP     ?= /tmp/iatsim
 
-.PHONY: all build lint simlint vet fmtcheck test race perfbench-check smoke telemetry-smoke ckpt-smoke regen-check bench bench-baseline bench-diff bench-ab scaling clean
+.PHONY: all build lint simlint vet fmtcheck test race perfbench-check telemetry-smoke ckpt-smoke regen-check bench bench-baseline bench-diff bench-ab scaling clean
 
 all: build lint test race perfbench-check telemetry-smoke ckpt-smoke
 
@@ -48,14 +48,6 @@ race: build
 perfbench-check: build
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -short ./...
-
-# smoke: one figure through the full parallel path — CSV + manifest out,
-# and the manifest must report zero failed jobs.
-smoke: build
-	rm -rf $(TMP)/smoke && mkdir -p $(TMP)/smoke
-	$(GO) run ./cmd/experiments -fig 3 -jobs $(JOBS) -csv $(TMP)/smoke -json $(TMP)/smoke
-	grep -q '"failures": 0' $(TMP)/smoke/manifest.json
-	@echo "smoke OK: $(TMP)/smoke/manifest.json"
 
 # telemetry-smoke: one figure with per-job telemetry collection, then
 # iatstat -validate schema-checks every produced snapshot and Chrome

@@ -14,19 +14,23 @@
 //
 // Sweep points run as independent jobs on a bounded worker pool; rows come
 // back in submission order, so the output is identical at any -jobs value.
-// Every run prints the same rows/series the paper reports; see
+// Stdout prints each experiment's rows as an aligned table under its
+// title: the same columns, header and cells as its -csv file. See
 // EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
 
+	"iatsim/internal/cli"
 	"iatsim/internal/exp"
 	"iatsim/internal/faults"
 	"iatsim/internal/harness"
@@ -42,153 +46,193 @@ var validTabs = []string{"1", "2"}
 var ablationSelectors = []string{"abl-mech", "abl-growth", "abl-ddioext", "abl-mba", "abl-policy", "abl-storage", "abl-remote", "abl-sens", "abl-resq"}
 
 func main() {
-	figs := flag.String("fig", "", "comma-separated figure numbers to run ("+strings.Join(validFigs, ",")+")")
-	tabs := flag.String("tab", "", "comma-separated table numbers to print ("+strings.Join(validTabs, ",")+")")
-	all := flag.Bool("all", false, "run every table and figure")
-	full := flag.Bool("full", false, "use the paper's full sweeps (slower) instead of the quick defaults")
-	ablations := flag.Bool("ablations", false, "also run the beyond-the-paper ablations (mechanisms, growth policy, future-DDIO, MBA)")
-	csvDir := flag.String("csv", "", "also write each experiment's rows as CSV into this directory")
-	jsonDir := flag.String("json", "", "write a per-run manifest (timings, failures) as JSON into this directory")
-	telDir := flag.String("telemetry", "", "write a per-job telemetry snapshot (<dir>/<job>.{json,csv,trace.json}) into this directory")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "number of sweep points to simulate concurrently")
-	seed := flag.Int64("seed", 0, "base RNG seed; 0 selects the canonical per-point seeds used by results/")
-	retries := flag.Int("retries", 0, "re-run a crashed sweep point up to this many times before reporting it failed")
-	chaos := flag.String("chaos", "", "run the stability-under-faults experiment with this fault profile ("+strings.Join(faults.ProfileNames(), ",")+" or kind=rate,... spec)")
-	fleetGrid := flag.Bool("fleet", false, "run the fleet rollout grid (strategies x canary-cohort fault storm)")
-	tournament := flag.Bool("policytournament", false, "run the policy tournament (allocation policies x workloads x fault profiles, ranked)")
-	var pf prof.Opts
-	pf.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	os.Exit(cli.Exit("experiments", os.Stderr, run(os.Args[1:], os.Stdout, os.Stderr)))
+}
+
+// options is one parsed and validated experiments command line.
+type options struct {
+	want                    map[string]bool
+	selectors               []string
+	full                    bool
+	csvDir, jsonDir, telDir string
+	jobs, retries           int
+	seed                    int64
+	chaos                   string
+	prof                    prof.Opts
+}
+
+// parseFlags parses and validates the command line; a syntax error and
+// the usage go to stderr. It creates no directory: run checks the output
+// directories.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	figs := fs.String("fig", "", "comma-separated figure numbers to run ("+strings.Join(validFigs, ",")+")")
+	tabs := fs.String("tab", "", "comma-separated table numbers to print ("+strings.Join(validTabs, ",")+")")
+	all := fs.Bool("all", false, "run every table and figure")
+	fs.BoolVar(&o.full, "full", false, "use the paper's full sweeps (slower) instead of the quick defaults")
+	ablations := fs.Bool("ablations", false, "also run the beyond-the-paper ablations (mechanisms, growth policy, future-DDIO, MBA)")
+	fs.StringVar(&o.csvDir, "csv", "", "also write each experiment's rows as CSV into this directory")
+	fs.StringVar(&o.jsonDir, "json", "", "write a per-run manifest (timings, failures) as JSON into this directory")
+	fs.StringVar(&o.telDir, "telemetry", "", "write a per-job telemetry snapshot (<dir>/<job>.{json,csv,trace.json}) into this directory")
+	fs.IntVar(&o.jobs, "jobs", runtime.GOMAXPROCS(0), "number of sweep points to simulate concurrently")
+	fs.Int64Var(&o.seed, "seed", 0, "base RNG seed; 0 selects the canonical per-point seeds used by results/")
+	fs.IntVar(&o.retries, "retries", 0, "re-run a crashed sweep point up to this many times before reporting it failed")
+	fs.StringVar(&o.chaos, "chaos", "", "run the stability-under-faults experiment with this fault profile ("+strings.Join(faults.ProfileNames(), ",")+" or kind=rate,... spec)")
+	fleetGrid := fs.Bool("fleet", false, "run the fleet rollout grid (strategies x canary-cohort fault storm)")
+	tournament := fs.Bool("policytournament", false, "run the policy tournament (allocation policies x workloads x fault profiles, ranked)")
+	o.prof.RegisterFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
+		return options{}, err
+	}
 
 	want, selectors, err := parseSelectors(*figs, *tabs, *all, *ablations)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+		return options{}, cli.Usagef("%v", err)
 	}
-	if *chaos != "" {
+	if o.chaos != "" {
 		// Validate the profile up front: a typo must fail fast, not after
 		// an hour of figure regeneration. Chaos is deliberately NOT part
 		// of -all — committed results stay fault-free.
-		if _, err := faults.ProfileByName(*chaos); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -chaos: %v\n", err)
-			os.Exit(2)
+		if _, err := faults.ProfileByName(o.chaos); err != nil {
+			return options{}, cli.Usagef("-chaos: %v", err)
 		}
 		want["chaos"] = true
 		selectors = append(selectors, "chaos")
-		sort.Strings(selectors)
 	}
+	// Like chaos, the fleet grid and the policy tournament are opt-in
+	// rather than part of -all: committed results stay fault- and
+	// policy-free.
 	if *fleetGrid {
-		// Like chaos, the fleet grid is opt-in rather than part of -all.
 		want["fleet"] = true
 		selectors = append(selectors, "fleet")
-		sort.Strings(selectors)
 	}
 	if *tournament {
-		// Opt-in like chaos and fleet: committed results stay policy-free.
 		want["tournament"] = true
 		selectors = append(selectors, "tournament")
-		sort.Strings(selectors)
 	}
 	if len(want) == 0 {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return options{}, flag.ErrHelp
 	}
-	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -jobs must be >= 1 (got %d)\n", *jobs)
-		os.Exit(2)
+	if o.jobs < 1 {
+		return options{}, cli.Usagef("-jobs must be >= 1 (got %d)", o.jobs)
+	}
+	sort.Strings(selectors)
+	o.want, o.selectors = want, selectors
+	return o, nil
+}
+
+// run is the testable body of the CLI: tables and rows go to stdout,
+// progress to stderr. An unusable output directory is a usage error found
+// before any sweep runs; a CSV that fails to write ends the run with
+// exit 1.
+func run(args []string, stdout, stderr io.Writer) error {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	for _, d := range []struct{ flag, dir string }{
+		{"-csv", o.csvDir}, {"-json", o.jsonDir}, {"-telemetry", o.telDir},
+	} {
+		if d.dir != "" {
+			if err := cli.EnsureWritableDir(d.dir); err != nil {
+				return cli.Usagef("%s: %v", d.flag, err)
+			}
+		}
 	}
 	// Profiling is host-side observability, outside the determinism
 	// guarantee: rows and CSVs are byte-identical with it on or off. A bad
 	// profile path or listen address is a usage error (exit 2), caught
 	// before any sweep runs.
-	profiler, err := pf.Start()
+	profiler, err := o.prof.Start()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+		return cli.Usagef("%v", err)
 	}
 	if profiler.Addr != "" {
-		fmt.Fprintf(os.Stderr, "experiments: pprof listening on http://%s/debug/pprof/\n", profiler.Addr)
+		fmt.Fprintf(stderr, "experiments: pprof listening on http://%s/debug/pprof/\n", profiler.Addr)
 	}
 
 	// The chaos profile (and the seed its fault schedules derive from) is
 	// recorded for every run — "off" included — so any CSV is reproducible
 	// from its manifest alone.
 	var chaosSeed int64
-	if *chaos != "" {
-		chaosSeed = *seed // per-point schedules derive from the job seeds
+	if o.chaos != "" {
+		chaosSeed = o.seed // per-point schedules derive from the job seeds
 	}
 	manifest := harness.NewManifest(harness.RunOptions{
-		Jobs: *jobs, Seed: *seed, Retries: *retries,
-		Selectors: selectors, Full: *full, Chaos: *chaos, ChaosSeed: chaosSeed,
+		Jobs: o.jobs, Seed: o.seed, Retries: o.retries,
+		Selectors: o.selectors, Full: o.full, Chaos: o.chaos, ChaosSeed: chaosSeed,
 	})
 	exp.SetExec(exp.Exec{
-		Jobs: *jobs, Seed: *seed, Retries: *retries,
-		Progress: os.Stderr, Manifest: manifest,
-		TelemetryDir: *telDir,
+		Jobs: o.jobs, Seed: o.seed, Retries: o.retries,
+		Progress: stderr, Manifest: manifest,
+		TelemetryDir: o.telDir,
 	})
 
-	// run executes one experiment; fn returns the rows to (optionally)
-	// persist as CSV.
-	run := func(name string, fn func() any) {
-		if !want[name] {
-			return
+	// Each experiment returns the rows to (optionally) persist as CSV.
+	w, full := stdout, o.full
+	experiments := []struct {
+		name string
+		fn   func() any
+	}{
+		{"tab1", func() any { exp.PrintTable1(w); return nil }},
+		{"tab2", func() any { exp.PrintTable2(w); return nil }},
+		{"fig3", func() any { return exp.RunFig3(w, fig3Opts(full)) }},
+		{"fig4", func() any { return exp.RunFig4(w, fig4Opts(full)) }},
+		{"fig8", func() any { return exp.RunFig8(w, fig8Opts(full)) }},
+		{"fig9", func() any { return exp.RunFig9(w, fig9Opts(full)) }},
+		{"fig10", func() any { return exp.RunFig10(w, fig10Opts(full)) }},
+		{"fig11", func() any { return exp.RunFig11(w, fig10Opts(full)) }},
+		{"fig12", func() any { return exp.RunFig12(w, fig12Opts(full)) }},
+		{"fig13", func() any { return exp.RunFig13(w, fig13Opts(full)) }},
+		{"fig14", func() any { return exp.RunFig14(w, fig13Opts(full)) }},
+		{"fig15", func() any { return exp.RunFig15(w, fig15Opts(full)) }},
+		{"abl-mech", func() any { return exp.RunAblationMechanisms(w) }},
+		{"abl-growth", func() any { return exp.RunAblationGrowth(w) }},
+		{"abl-ddioext", func() any { return exp.RunAblationDDIOExt(w) }},
+		{"abl-mba", func() any { return exp.RunAblationMBA(w) }},
+		{"abl-policy", func() any { return exp.RunAblationReplacement(w) }},
+		{"abl-storage", func() any { return exp.RunAblationStorage(w) }},
+		{"abl-remote", func() any { return exp.RunAblationRemoteSocket(w) }},
+		{"abl-sens", func() any { return exp.RunSensitivity(w) }},
+		{"abl-resq", func() any { return exp.RunAblationResQ(w) }},
+		{"chaos", func() any { return exp.RunChaos(w, chaosOpts(full, o.chaos)) }},
+		{"fleet", func() any { return exp.RunFleetGrid(w, fleetOpts(full, o.chaos, o.seed)) }},
+		{"tournament", func() any { return exp.RunPolicyTournament(w, tournamentOpts(full)) }},
+	}
+	var runErr error
+	for _, e := range experiments {
+		if !o.want[e.name] {
+			continue
 		}
 		start := time.Now()
-		rows := fn()
-		if *csvDir != "" && rows != nil {
-			if err := exp.SaveRowsCSV(*csvDir, name, rows); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: csv %s: %v\n", name, err)
+		rows := e.fn()
+		if o.csvDir != "" && rows != nil {
+			if err := exp.SaveRowsCSV(o.csvDir, e.name, rows); err != nil {
+				runErr = fmt.Errorf("csv %s: %w", e.name, err)
+				break
 			}
 		}
-		fmt.Printf("  [%s done in %.1fs]\n\n", name, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "  [%s done in %.1fs]\n\n", e.name, time.Since(start).Seconds())
 	}
 
-	w := os.Stdout
-	run("tab1", func() any { exp.PrintTable1(w); return nil })
-	run("tab2", func() any { exp.PrintTable2(w); return nil })
-	run("fig3", func() any { return exp.RunFig3(w, fig3Opts(*full)) })
-	run("fig4", func() any { return exp.RunFig4(w, fig4Opts(*full)) })
-	run("fig8", func() any { return exp.RunFig8(w, fig8Opts(*full)) })
-	run("fig9", func() any { return exp.RunFig9(w, fig9Opts(*full)) })
-	run("fig10", func() any { return exp.RunFig10(w, fig10Opts(*full)) })
-	run("fig11", func() any { return exp.RunFig11(w, fig10Opts(*full)) })
-	run("fig12", func() any { return exp.RunFig12(w, fig12Opts(*full)) })
-	run("fig13", func() any { return exp.RunFig13(w, fig13Opts(*full)) })
-	run("fig14", func() any { return exp.RunFig14(w, fig13Opts(*full)) })
-	run("fig15", func() any { return exp.RunFig15(w, fig15Opts(*full)) })
-	run("abl-mech", func() any { return exp.RunAblationMechanisms(w) })
-	run("abl-growth", func() any { return exp.RunAblationGrowth(w) })
-	run("abl-ddioext", func() any { return exp.RunAblationDDIOExt(w) })
-	run("abl-mba", func() any { return exp.RunAblationMBA(w) })
-	run("abl-policy", func() any { return exp.RunAblationReplacement(w) })
-	run("abl-storage", func() any { return exp.RunAblationStorage(w) })
-	run("abl-remote", func() any { return exp.RunAblationRemoteSocket(w) })
-	run("abl-sens", func() any { return exp.RunSensitivity(w) })
-	run("abl-resq", func() any { return exp.RunAblationResQ(w) })
-	run("chaos", func() any { return exp.RunChaos(w, chaosOpts(*full, *chaos)) })
-	run("fleet", func() any { return exp.RunFleetGrid(w, fleetOpts(*full, *chaos, *seed)) })
-	run("tournament", func() any { return exp.RunPolicyTournament(w, tournamentOpts(*full)) })
-
-	// Stop explicitly (not via defer): the failure paths below leave
-	// through os.Exit, which would skip the CPU-profile flush.
 	if err := profiler.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: profiling: %v\n", err)
-		os.Exit(1)
+		runErr = cmp.Or(runErr, fmt.Errorf("profiling: %w", err))
 	}
-
 	manifest.Finish()
-	if *jsonDir != "" {
-		path, err := manifest.Write(*jsonDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: manifest: %v\n", err)
-			os.Exit(1)
+	if o.jsonDir != "" {
+		if path, err := manifest.Write(o.jsonDir); err != nil {
+			runErr = cmp.Or(runErr, fmt.Errorf("manifest: %w", err))
+		} else {
+			fmt.Fprintf(stderr, "manifest: %s\n", path)
 		}
-		fmt.Fprintf(os.Stderr, "manifest: %s\n", path)
 	}
 	if manifest.Failures > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: %d of %d jobs failed\n", manifest.Failures, manifest.TotalJobs)
-		os.Exit(1)
+		runErr = cmp.Or(runErr, fmt.Errorf("%d of %d jobs failed", manifest.Failures, manifest.TotalJobs))
 	}
+	return runErr
 }
 
 // parseSelectors validates -fig/-tab and expands -all/-ablations into the

@@ -19,18 +19,17 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 
+	"iatsim/internal/cli"
 	"iatsim/internal/exp"
 	"iatsim/internal/faults"
 	"iatsim/internal/fleet"
@@ -40,24 +39,8 @@ import (
 	"iatsim/internal/telemetry"
 )
 
-// usageError marks a bad invocation: main reports it on stderr and exits
-// 2, like flag.ErrHelp, instead of the exit-1 runtime-failure path.
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		var ue usageError
-		if errors.As(err, &ue) {
-			fmt.Fprintf(os.Stderr, "fleetd: %v\n", err)
-			os.Exit(2)
-		}
-		if err == flag.ErrHelp {
-			os.Exit(2)
-		}
-		log.Fatal(err)
-	}
+	os.Exit(cli.Exit("fleetd", os.Stderr, run(os.Args[1:], os.Stdout, os.Stderr)))
 }
 
 // options is one parsed and validated fleetd command line.
@@ -71,16 +54,13 @@ type options struct {
 	prof                           prof.Opts
 }
 
-// positiveFinite reports whether v is positive and v*unit is finite (a
-// span in seconds must still be finite in nanoseconds). NaN fails the
-// comparison.
-func positiveFinite(v, unit float64) bool { return v > 0 && !math.IsInf(v*unit, 1) }
-
-// parseFlags parses and validates the command line. It creates no
-// directory: the output directories are checked by run.
-func parseFlags(args []string) (options, error) {
+// parseFlags parses and validates the command line; a syntax error and
+// the usage go to stderr. It creates no directory: the output directories
+// are checked by run.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("fleetd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	fs.IntVar(&o.hosts, "hosts", 8, "number of simulated hosts")
 	fs.StringVar(&o.topology, "topology", "striped", "workload-mix assignment across hosts ("+strings.Join(exp.TopologyNames(), ",")+")")
 	fs.StringVar(&o.rollout, "rollout", "canary", "policy rollout strategy ("+strings.Join(fleet.StrategyNames(), ",")+")")
@@ -99,63 +79,60 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.jsonDir, "json", "", "write the run manifest as JSON into this directory")
 	fs.StringVar(&o.telDir, "telemetry", "", "write controller and merged-host telemetry snapshots into this directory")
 	o.prof.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return options{}, err
-		}
-		return options{}, usageError{err.Error()}
+	if err := cli.Parse(fs, args); err != nil {
+		return options{}, err
 	}
 	// Validate every flag before assembling anything: a bad value must
 	// fail fast (exit 2), not crash mid-run or complete a long simulation
 	// and then fail to write its outputs.
 	switch {
 	case o.hosts < 1:
-		return options{}, usageError{fmt.Sprintf("-hosts must be >= 1 (got %d)", o.hosts)}
+		return options{}, cli.Usagef("-hosts must be >= 1 (got %d)", o.hosts)
 	case o.rounds < 1:
-		return options{}, usageError{fmt.Sprintf("-rounds must be >= 1 (got %d)", o.rounds)}
-	case !positiveFinite(o.roundSecs, 1e9):
-		return options{}, usageError{fmt.Sprintf("-round must be positive and finite (got %g)", o.roundSecs)}
-	case !positiveFinite(o.interval, 1e9):
-		return options{}, usageError{fmt.Sprintf("-interval must be positive and finite (got %g)", o.interval)}
-	case !positiveFinite(o.scale, 1):
-		return options{}, usageError{fmt.Sprintf("-scale must be positive and finite (got %g)", o.scale)}
+		return options{}, cli.Usagef("-rounds must be >= 1 (got %d)", o.rounds)
+	case !cli.PositiveFinite(o.roundSecs, 1e9):
+		return options{}, cli.Usagef("-round must be positive and finite (got %g)", o.roundSecs)
+	case !cli.PositiveFinite(o.interval, 1e9):
+		return options{}, cli.Usagef("-interval must be positive and finite (got %g)", o.interval)
+	case !cli.PositiveFinite(o.scale, 1):
+		return options{}, cli.Usagef("-scale must be positive and finite (got %g)", o.scale)
 	case o.jobs < 1:
-		return options{}, usageError{fmt.Sprintf("-jobs must be >= 1 (got %d)", o.jobs)}
+		return options{}, cli.Usagef("-jobs must be >= 1 (got %d)", o.jobs)
 	case o.ckptEvery < 0:
-		return options{}, usageError{fmt.Sprintf("-checkpoint-every must be >= 0 (got %d)", o.ckptEvery)}
+		return options{}, cli.Usagef("-checkpoint-every must be >= 0 (got %d)", o.ckptEvery)
 	case !slices.Contains(exp.TopologyNames(), o.topology):
-		return options{}, usageError{fmt.Sprintf("-topology: unknown topology %q (valid: %s)", o.topology, strings.Join(exp.TopologyNames(), ", "))}
+		return options{}, cli.Usagef("-topology: unknown topology %q (valid: %s)", o.topology, strings.Join(exp.TopologyNames(), ", "))
 	}
 	if _, err := fleet.StrategyByName(o.rollout); err != nil {
-		return options{}, usageError{fmt.Sprintf("-rollout: %v", err)}
+		return options{}, cli.Usagef("-rollout: %v", err)
 	}
 	if o.chaos != "" {
 		if _, err := faults.ProfileByName(o.chaos); err != nil {
-			return options{}, usageError{fmt.Sprintf("-chaos: %v", err)}
+			return options{}, cli.Usagef("-chaos: %v", err)
 		}
 	}
 	if o.polFlag != "" {
 		if _, err := policy.ParseSpec(o.polFlag); err != nil {
-			return options{}, usageError{fmt.Sprintf("-policy: %v", err)}
+			return options{}, cli.Usagef("-policy: %v", err)
 		}
 	}
 	if _, err := policy.ParseShadowSpecs(o.shadowFlag); err != nil {
-		return options{}, usageError{fmt.Sprintf("-shadow: %v", err)}
+		return options{}, cli.Usagef("-shadow: %v", err)
 	}
 	return o, nil
 }
 
 // run is the testable body of the CLI. Output on stdout is deterministic
 // for a given flag set.
-func run(args []string, stdout io.Writer) error {
-	o, err := parseFlags(args)
+func run(args []string, stdout, stderr io.Writer) error {
+	o, err := parseFlags(args, stderr)
 	if err != nil {
 		return err
 	}
 	for _, dir := range []string{o.csvDir, o.jsonDir, o.telDir} {
 		if dir != "" {
-			if err := ensureWritableDir(dir); err != nil {
-				return usageError{err.Error()}
+			if err := cli.EnsureWritableDir(dir); err != nil {
+				return cli.Usagef("%v", err)
 			}
 		}
 	}
@@ -163,7 +140,7 @@ func run(args []string, stdout io.Writer) error {
 	// guarantee: the run's stdout is byte-identical with it on or off.
 	profiler, err := o.prof.Start()
 	if err != nil {
-		return usageError{fmt.Sprintf("profiling: %v", err)}
+		return cli.Usagef("profiling: %v", err)
 	}
 	defer func() {
 		if err := profiler.Stop(); err != nil {
@@ -171,7 +148,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}()
 	if profiler.Addr != "" {
-		fmt.Fprintf(os.Stderr, "fleetd: pprof listening on http://%s/debug/pprof/\n", profiler.Addr)
+		fmt.Fprintf(stderr, "fleetd: pprof listening on http://%s/debug/pprof/\n", profiler.Addr)
 	}
 
 	// The storm profile and its seed are recorded for every run — "off"
@@ -269,23 +246,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "fleetd: manifest written to %s\n", path)
 	}
 	if manifest.Failures > 0 {
-		return fmt.Errorf("fleetd: %d of %d step jobs failed", manifest.Failures, manifest.TotalJobs)
+		return fmt.Errorf("%d of %d step jobs failed", manifest.Failures, manifest.TotalJobs)
 	}
 	return nil
-}
-
-// ensureWritableDir creates dir if needed and probes that files can
-// actually be created in it, so a typo'd or read-only output target is
-// caught before the simulation runs.
-func ensureWritableDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	probe, err := os.CreateTemp(dir, ".fleetd-probe-*")
-	if err != nil {
-		return fmt.Errorf("directory %s is not writable: %w", dir, err)
-	}
-	name := probe.Name()
-	probe.Close()
-	return os.Remove(name)
 }

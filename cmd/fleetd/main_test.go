@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"iatsim/internal/cli"
 	"iatsim/internal/exp"
 	"iatsim/internal/harness"
 	"iatsim/internal/telemetry"
@@ -58,7 +60,7 @@ func runFleetd(t *testing.T, jobs string) fleetdRun {
 	err := run(smokeArgs(
 		"-jobs", jobs, "-chaos", "default",
 		"-csv", dir, "-telemetry", dir,
-	), &out)
+	), &out, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -84,7 +86,7 @@ func runFleetd(t *testing.T, jobs string) fleetdRun {
 func TestTelemetrySnapshotsValidate(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	if err := run(smokeArgs("-telemetry", dir), &out); err != nil {
+	if err := run(smokeArgs("-telemetry", dir), &out, io.Discard); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	for _, name := range []string{"controller.json", "hosts.json"} {
@@ -108,7 +110,7 @@ func TestManifestRecordsChaos(t *testing.T) {
 		t.Helper()
 		dir := t.TempDir()
 		var out bytes.Buffer
-		if err := run(smokeArgs(append(extra, "-json", dir)...), &out); err != nil {
+		if err := run(smokeArgs(append(extra, "-json", dir)...), &out, io.Discard); err != nil {
 			t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 		}
 		b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
@@ -146,7 +148,7 @@ func TestManifestRecordsChaos(t *testing.T) {
 // storm cold start on rejoin).
 func TestCheckpointEveryDisabled(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(smokeArgs("-chaos", "heavy", "-checkpoint-every", "0"), &out); err != nil {
+	if err := run(smokeArgs("-chaos", "heavy", "-checkpoint-every", "0"), &out, io.Discard); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "fleetd: done;") {
@@ -183,10 +185,25 @@ func TestUsageErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out bytes.Buffer
-		err := run(args, &out)
-		var ue usageError
+		err := run(args, &out, io.Discard)
+		var ue cli.UsageError
 		if !errors.As(err, &ue) {
-			t.Errorf("args %v: got %v, want usageError", args, err)
+			t.Errorf("args %v: got %v, want cli.UsageError", args, err)
+		}
+	}
+	// A flag syntax error is printed by the flag package above the usage,
+	// a bad value by cli.Exit: either way once, with exit 2.
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-bogus"}, "flag provided but not defined: -bogus"},
+		{[]string{"-hosts", "0"}, "-hosts must be >= 1"},
+	} {
+		var stderr bytes.Buffer
+		code := cli.Exit("fleetd", &stderr, run(tc.args, io.Discard, &stderr))
+		if code != 2 || strings.Count(stderr.String(), tc.msg) != 1 {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q once", tc.args, code, stderr.String(), tc.msg)
 		}
 	}
 }
@@ -199,7 +216,7 @@ func TestPolicyRolloutSmoke(t *testing.T) {
 		t.Skip("simulates several rounds of platform time")
 	}
 	var out bytes.Buffer
-	err := run(smokeArgs("-policy", "static:2", "-shadow", "greedy"), &out)
+	err := run(smokeArgs("-policy", "static:2", "-shadow", "greedy"), &out, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -216,7 +233,7 @@ func TestPolicyRolloutSmoke(t *testing.T) {
 }
 
 // FuzzFleetdFlags feeds arbitrary command lines to the flag parser: it
-// never panics, fails only with a usageError or flag.ErrHelp, and any options
+// never panics, fails only with a cli.UsageError or flag.ErrHelp, and any options
 // it accepts are finite and within the bounds a fleet run needs.
 func FuzzFleetdFlags(f *testing.F) {
 	f.Add("-scale NaN")
@@ -225,11 +242,11 @@ func FuzzFleetdFlags(f *testing.F) {
 	f.Add("-hosts 4 -rounds 4 -round 0.2 -interval 0.05 -scale 3200 -chaos heavy -checkpoint-every 1")
 	f.Add("-policy static:2 -shadow greedy,ioca -topology striped -rollout bigbang")
 	f.Fuzz(func(t *testing.T, line string) {
-		o, err := parseFlags(strings.Fields(line))
+		o, err := parseFlags(strings.Fields(line), io.Discard)
 		if err != nil {
-			var ue usageError
+			var ue cli.UsageError
 			if !errors.As(err, &ue) && !errors.Is(err, flag.ErrHelp) {
-				t.Fatalf("%q: error %v is neither a usageError nor flag.ErrHelp", line, err)
+				t.Fatalf("%q: error %v is neither a cli.UsageError nor flag.ErrHelp", line, err)
 			}
 			return
 		}

@@ -13,12 +13,10 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,6 +26,7 @@ import (
 	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/ckpt"
+	"iatsim/internal/cli"
 	"iatsim/internal/core"
 	"iatsim/internal/faults"
 	"iatsim/internal/harness"
@@ -44,23 +43,18 @@ import (
 	"iatsim/internal/workload"
 )
 
-// usageError marks a bad invocation (flag syntax error, invalid flag
-// value, unusable output directory): main reports it on stderr and exits
-// 2, like flag.ErrHelp, instead of the exit-1 runtime-failure path.
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
 // ckptFileName is the checkpoint file -checkpoint maintains inside its
 // directory; each write replaces it atomically (write-temp + rename).
 const ckptFileName = "iatd.ckpt"
 
 // crashError is the -crash-after panic sentinel: the run dies mid-flight
 // exactly as a real daemon crash would — no done line, no summaries, all
-// state beyond the last checkpoint lost. main maps it to exit 137 (the
-// SIGKILL convention) so scripts can tell a simulated crash from both
-// clean exits and usage errors.
+// state beyond the last checkpoint lost. Its ExitCode, 137 (the SIGKILL
+// convention), is what cli.Exit returns, so scripts can tell a simulated
+// crash from both clean exits and usage errors.
 type crashError struct{ iter uint64 }
+
+func (crashError) ExitCode() int { return 137 }
 
 func (e crashError) Error() string {
 	return fmt.Sprintf("simulated crash after iteration %d (state since the last checkpoint is lost)", e.iter)
@@ -82,22 +76,7 @@ func (m *mutingWriter) Write(p []byte) (int, error) {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		var ue usageError
-		if errors.As(err, &ue) {
-			fmt.Fprintf(os.Stderr, "iatd: %v\n", err)
-			os.Exit(2)
-		}
-		var ce crashError
-		if errors.As(err, &ce) {
-			fmt.Fprintf(os.Stderr, "iatd: %v\n", err)
-			os.Exit(137)
-		}
-		if err == flag.ErrHelp {
-			os.Exit(2)
-		}
-		log.Fatal(err)
-	}
+	os.Exit(cli.Exit("iatd", os.Stderr, run(os.Args[1:], os.Stdout, os.Stderr)))
 }
 
 // options is one parsed and validated iatd command line.
@@ -120,17 +99,13 @@ type options struct {
 	prof                      prof.Opts
 }
 
-// positiveFinite reports whether v is positive and v*unit is finite (a
-// span in seconds must still be finite in nanoseconds). NaN fails the
-// comparison.
-func positiveFinite(v, unit float64) bool { return v > 0 && !math.IsInf(v*unit, 1) }
-
-// parseFlags parses and validates the command line. It creates no
-// directory and reads no file: the output directories and the -resume
-// checkpoint are checked by run.
-func parseFlags(args []string) (options, error) {
+// parseFlags parses and validates the command line; a syntax error and
+// the usage go to stderr. It creates no directory and reads no file: the
+// output directories and the -resume checkpoint are checked by run.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("iatd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	fs.StringVar(&o.tenantsPath, "tenants", "", "tenant description file (required)")
 	fs.Float64Var(&o.duration, "duration", 20, "simulated seconds to run")
 	fs.Float64Var(&o.interval, "interval", 1, "IAT polling interval in simulated seconds")
@@ -148,11 +123,8 @@ func parseFlags(args []string) (options, error) {
 	fs.Uint64Var(&o.crashAfter, "crash-after", 0, "simulate a daemon crash immediately after this iteration (0 = never; exits 137)")
 	fs.StringVar(&o.jsonDir, "json", "", "write the run manifest (with checkpoint provenance) as JSON into this directory")
 	o.prof.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return options{}, err
-		}
-		return options{}, usageError{err.Error()}
+	if err := cli.Parse(fs, args); err != nil {
+		return options{}, err
 	}
 	if o.tenantsPath == "" {
 		fs.Usage()
@@ -162,19 +134,19 @@ func parseFlags(args []string) (options, error) {
 	// fast with a clear message, not crash mid-run or — worse for -telemetry
 	// — complete a multi-minute simulation and then fail to write it out.
 	switch {
-	case !positiveFinite(o.duration, 1e9):
-		return options{}, usageError{fmt.Sprintf("-duration must be positive and finite (got %g)", o.duration)}
-	case !positiveFinite(o.interval, 1e9):
-		return options{}, usageError{fmt.Sprintf("-interval must be positive and finite (got %g)", o.interval)}
-	case !positiveFinite(o.scale, 1):
-		return options{}, usageError{fmt.Sprintf("-scale must be positive and finite (got %g)", o.scale)}
+	case !cli.PositiveFinite(o.duration, 1e9):
+		return options{}, cli.Usagef("-duration must be positive and finite (got %g)", o.duration)
+	case !cli.PositiveFinite(o.interval, 1e9):
+		return options{}, cli.Usagef("-interval must be positive and finite (got %g)", o.interval)
+	case !cli.PositiveFinite(o.scale, 1):
+		return options{}, cli.Usagef("-scale must be positive and finite (got %g)", o.scale)
 	case o.ckptEvery < 1:
-		return options{}, usageError{fmt.Sprintf("-checkpoint-every must be >= 1 (got %d)", o.ckptEvery)}
+		return options{}, cli.Usagef("-checkpoint-every must be >= 1 (got %d)", o.ckptEvery)
 	}
 	if o.chaos != "" {
 		var err error
 		if o.faults, err = faults.ProfileByName(o.chaos); err != nil {
-			return options{}, usageError{fmt.Sprintf("-chaos: %v", err)}
+			return options{}, cli.Usagef("-chaos: %v", err)
 		}
 	}
 	everySet := false
@@ -184,17 +156,17 @@ func parseFlags(args []string) (options, error) {
 		}
 	})
 	if everySet && o.ckptDir == "" {
-		return options{}, usageError{"-checkpoint-every requires -checkpoint"}
+		return options{}, cli.Usagef("-checkpoint-every requires -checkpoint")
 	}
 	var err error
 	if o.polSpec, err = policy.ParseSpec(o.polFlag); err != nil {
-		return options{}, usageError{fmt.Sprintf("-policy: %v", err)}
+		return options{}, cli.Usagef("-policy: %v", err)
 	}
 	if o.shadowSpecs, err = policy.ParseShadowSpecs(o.shadowFlag); err != nil {
-		return options{}, usageError{fmt.Sprintf("-shadow: %v", err)}
+		return options{}, cli.Usagef("-shadow: %v", err)
 	}
 	if o.shadowCSV != "" && len(o.shadowSpecs) == 0 {
-		return options{}, usageError{"-shadow-csv requires -shadow"}
+		return options{}, cli.Usagef("-shadow-csv requires -shadow")
 	}
 	return o, nil
 }
@@ -202,8 +174,8 @@ func parseFlags(args []string) (options, error) {
 // run is the testable body of the daemon CLI: it parses args, assembles
 // the platform, runs the IAT loop, and prints every decision to stdout.
 // The output is deterministic for a given tenant file and flag set.
-func run(args []string, stdout io.Writer) error {
-	o, err := parseFlags(args)
+func run(args []string, stdout, stderr io.Writer) error {
+	o, err := parseFlags(args, stderr)
 	if err != nil {
 		return err
 	}
@@ -211,8 +183,8 @@ func run(args []string, stdout io.Writer) error {
 		{"-telemetry", o.telDir}, {"-checkpoint", o.ckptDir}, {"-json", o.jsonDir},
 	} {
 		if d.dir != "" {
-			if err := ensureWritableDir(d.dir); err != nil {
-				return usageError{fmt.Sprintf("%s: %v", d.flag, err)}
+			if err := cli.EnsureWritableDir(d.dir); err != nil {
+				return cli.Usagef("%s: %v", d.flag, err)
 			}
 		}
 	}
@@ -220,7 +192,7 @@ func run(args []string, stdout io.Writer) error {
 	// guarantee: the run's stdout is byte-identical with it on or off.
 	profiler, err := o.prof.Start()
 	if err != nil {
-		return usageError{fmt.Sprintf("profiling: %v", err)}
+		return cli.Usagef("profiling: %v", err)
 	}
 	defer func() {
 		if err := profiler.Stop(); err != nil {
@@ -228,7 +200,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}()
 	if profiler.Addr != "" {
-		fmt.Fprintf(os.Stderr, "iatd: pprof listening on http://%s/debug/pprof/\n", profiler.Addr)
+		fmt.Fprintf(stderr, "iatd: pprof listening on http://%s/debug/pprof/\n", profiler.Addr)
 	}
 	// Read and validate the resume checkpoint before any simulation work:
 	// a missing file, corrupt envelope or future version must exit 2 up
@@ -238,10 +210,10 @@ func run(args []string, stdout io.Writer) error {
 	if o.resumePath != "" {
 		c, err := ckpt.ReadFile(o.resumePath)
 		if err != nil {
-			return usageError{fmt.Sprintf("-resume: %v", err)}
+			return cli.Usagef("-resume: %v", err)
 		}
 		if c.Iteration == 0 {
-			return usageError{fmt.Sprintf("-resume: %s records no completed iteration", o.resumePath)}
+			return cli.Usagef("-resume: %s records no completed iteration", o.resumePath)
 		}
 		h, err := ckpt.FileHash(o.resumePath)
 		if err != nil {
@@ -266,9 +238,9 @@ func run(args []string, stdout io.Writer) error {
 		fmtFlag(o.duration), fmtFlag(o.interval), fmtFlag(o.scale),
 		o.chaos, strconv.FormatInt(o.chaosSeed, 10), o.polFlag, o.shadowFlag)
 	if resume != nil && resume.ConfigHash != cfgHash {
-		return usageError{fmt.Sprintf(
+		return cli.Usagef(
 			"-resume: checkpoint config hash %s does not match this invocation (%s); rerun with the tenant file and flags of the checkpointed run",
-			resume.ConfigHash, cfgHash)}
+			resume.ConfigHash, cfgHash)
 	}
 
 	// All run output funnels through out so a resumed run can replay the
@@ -401,7 +373,7 @@ func run(args []string, stdout io.Writer) error {
 			return replayErr
 		}
 		if iter < resume.Iteration {
-			return fmt.Errorf("iatd: resume: checkpoint iteration %d was never reached (run ended after %d iterations)",
+			return fmt.Errorf("resume: checkpoint iteration %d was never reached (run ended after %d iterations)",
 				resume.Iteration, iter)
 		}
 	}
@@ -515,7 +487,7 @@ func writeCheckpoint(path, cfgHash string, iter uint64, nowNS float64, d *core.D
 func restoreFromCheckpoint(d *core.Daemon, inj *faults.Injector, chaosActive bool, c *ckpt.Checkpoint, cfgHash string, nowNS float64, iter uint64) error {
 	replayed := &ckpt.Checkpoint{Iteration: iter, SimTimeNS: nowNS, ConfigHash: cfgHash}
 	if err := d.SnapshotState(&replayed.Daemon); err != nil {
-		return fmt.Errorf("iatd: resume: %w", err)
+		return fmt.Errorf("resume: %w", err)
 	}
 	if chaosActive {
 		s := inj.Snapshot()
@@ -523,17 +495,17 @@ func restoreFromCheckpoint(d *core.Daemon, inj *faults.Injector, chaosActive boo
 	}
 	a, err := ckpt.Marshal(replayed)
 	if err != nil {
-		return fmt.Errorf("iatd: resume: %w", err)
+		return fmt.Errorf("resume: %w", err)
 	}
 	b, err := ckpt.Marshal(c)
 	if err != nil {
-		return fmt.Errorf("iatd: resume: %w", err)
+		return fmt.Errorf("resume: %w", err)
 	}
 	if !bytes.Equal(a, b) {
-		return fmt.Errorf("iatd: resume: replayed state diverged from the checkpoint at iteration %d", iter)
+		return fmt.Errorf("resume: replayed state diverged from the checkpoint at iteration %d", iter)
 	}
 	if err := d.RestoreState(c.Daemon); err != nil {
-		return fmt.Errorf("iatd: resume: %w", err)
+		return fmt.Errorf("resume: %w", err)
 	}
 	if c.Injector != nil {
 		inj.Restore(*c.Injector)
@@ -546,23 +518,6 @@ func joinNames() string {
 	return strings.Join(faults.ProfileNames(), ",")
 }
 
-// ensureWritableDir creates dir if needed and probes that files can
-// actually be created in it, so a typo'd or read-only -telemetry target is
-// caught before the simulation runs rather than when the snapshot is
-// written at exit.
-func ensureWritableDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	probe, err := os.CreateTemp(dir, ".iatd-probe-*")
-	if err != nil {
-		return fmt.Errorf("directory %s is not writable: %w", dir, err)
-	}
-	name := probe.Name()
-	probe.Close()
-	return os.Remove(name)
-}
-
 // build assembles tenants and their workloads onto the platform, packing
 // initial CAT masks bottom-up in file order. It returns each tenant's X-Mem
 // workers so '@' events can retune working sets at runtime.
@@ -573,7 +528,7 @@ func build(p *sim.Platform, entries []tenantfile.Entry) (map[string][]*workload.
 	for _, e := range entries {
 		mask := cache.ContiguousMask(pos, e.Ways)
 		if mask.Highest() >= p.RDT.NumWays() {
-			return nil, fmt.Errorf("iatd: tenant %q overflows the LLC ways", e.Name)
+			return nil, fmt.Errorf("tenant %q overflows the LLC ways", e.Name)
 		}
 		if err := p.RDT.SetCLOSMask(clos, mask); err != nil {
 			return nil, err
@@ -653,7 +608,7 @@ func buildWorkers(p *sim.Platform, e tenantfile.Entry) ([]sim.Worker, bool, erro
 		if arg != "" {
 			v, err := strconv.Atoi(arg)
 			if err != nil {
-				return nil, false, fmt.Errorf("iatd: bad testpmd packet size %q", arg)
+				return nil, false, fmt.Errorf("bad testpmd packet size %q", arg)
 			}
 			size = v
 		}
@@ -673,7 +628,7 @@ func buildWorkers(p *sim.Platform, e tenantfile.Entry) ([]sim.Worker, bool, erro
 		if arg != "" {
 			v, err := strconv.Atoi(arg)
 			if err != nil {
-				return nil, false, fmt.Errorf("iatd: bad xmem size %q", arg)
+				return nil, false, fmt.Errorf("bad xmem size %q", arg)
 			}
 			mb = v
 		}
@@ -697,7 +652,7 @@ func buildWorkers(p *sim.Platform, e tenantfile.Entry) ([]sim.Worker, bool, erro
 		if arg != "" {
 			v, err := strconv.Atoi(arg)
 			if err != nil || v < 1 {
-				return nil, false, fmt.Errorf("iatd: bad l3fwd flow count %q", arg)
+				return nil, false, fmt.Errorf("bad l3fwd flow count %q", arg)
 			}
 			flows = v
 		}
@@ -717,7 +672,7 @@ func buildWorkers(p *sim.Platform, e tenantfile.Entry) ([]sim.Worker, bool, erro
 		if arg != "" {
 			v, err := strconv.Atoi(arg)
 			if err != nil || v < 1 {
-				return nil, false, fmt.Errorf("iatd: bad nfchain flow count %q", arg)
+				return nil, false, fmt.Errorf("bad nfchain flow count %q", arg)
 			}
 			flows = v
 		}
@@ -736,7 +691,7 @@ func buildWorkers(p *sim.Platform, e tenantfile.Entry) ([]sim.Worker, bool, erro
 		qd, blockKB := 64, 128
 		if arg != "" {
 			if _, err := fmt.Sscanf(arg, "%dx%d", &qd, &blockKB); err != nil {
-				return nil, false, fmt.Errorf("iatd: bad spdk spec %q (want QDxBLOCK_KB, e.g. 64x128)", arg)
+				return nil, false, fmt.Errorf("bad spdk spec %q (want QDxBLOCK_KB, e.g. 64x128)", arg)
 			}
 		}
 		cfg := nvme.DefaultConfig("ssd-" + e.Name)
@@ -757,7 +712,7 @@ func buildWorkers(p *sim.Platform, e tenantfile.Entry) ([]sim.Worker, bool, erro
 		}
 		return workers, false, nil
 	}
-	return nil, false, fmt.Errorf("iatd: unknown workload %q", e.Workload)
+	return nil, false, fmt.Errorf("unknown workload %q", e.Workload)
 }
 
 // idleWorker leaves its core halted.

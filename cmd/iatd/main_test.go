@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"iatsim/internal/ckpt"
+	"iatsim/internal/cli"
 	"iatsim/internal/harness"
 	"iatsim/internal/telemetry"
 )
@@ -34,7 +36,7 @@ func runSmoke(t *testing.T) string {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run([]string{"-tenants", path, "-duration", "1", "-interval", "0.2"}, &out)
+	err := run([]string{"-tenants", path, "-duration", "1", "-interval", "0.2"}, &out, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -79,7 +81,7 @@ func TestTelemetryFlag(t *testing.T) {
 	}
 	telDir := filepath.Join(dir, "tel")
 	var out bytes.Buffer
-	err := run([]string{"-tenants", path, "-duration", "1", "-interval", "0.2", "-telemetry", telDir}, &out)
+	err := run([]string{"-tenants", path, "-duration", "1", "-interval", "0.2", "-telemetry", telDir}, &out, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -119,15 +121,30 @@ func TestTelemetryFlag(t *testing.T) {
 // is an error, not a crash.
 func TestUsageErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{}, &out); err != flag.ErrHelp {
+	if err := run([]string{}, &out, io.Discard); err != flag.ErrHelp {
 		t.Fatalf("missing -tenants: err = %v, want flag.ErrHelp", err)
 	}
-	var ue usageError
-	if err := run([]string{"-tenants", "t.conf", "-duration", "abc"}, &out); !errors.As(err, &ue) {
-		t.Fatalf("-duration abc: err = %v, want usageError", err)
+	var ue cli.UsageError
+	if err := run([]string{"-tenants", "t.conf", "-duration", "abc"}, &out, io.Discard); !errors.As(err, &ue) {
+		t.Fatalf("-duration abc: err = %v, want cli.UsageError", err)
 	}
-	if err := run([]string{"-tenants", "/nonexistent/tenants.conf"}, &out); err == nil {
+	if err := run([]string{"-tenants", "/nonexistent/tenants.conf"}, &out, io.Discard); err == nil {
 		t.Fatal("nonexistent tenant file should error")
+	}
+	// A flag syntax error is printed by the flag package above the usage,
+	// a bad value by cli.Exit: either way once, with exit 2.
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-tenants", "t.conf", "-bogus"}, "flag provided but not defined: -bogus"},
+		{[]string{"-tenants", "t.conf", "-duration", "0"}, "-duration must be positive"},
+	} {
+		var stderr bytes.Buffer
+		code := cli.Exit("iatd", &stderr, run(tc.args, io.Discard, &stderr))
+		if code != 2 || strings.Count(stderr.String(), tc.msg) != 1 {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q once", tc.args, code, stderr.String(), tc.msg)
+		}
 	}
 }
 
@@ -164,10 +181,10 @@ func TestFlagValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var out bytes.Buffer
-		err := run(tc.args, &out)
-		var ue usageError
+		err := run(tc.args, &out, io.Discard)
+		var ue cli.UsageError
 		if !errors.As(err, &ue) {
-			t.Errorf("%s: err = %v, want usageError", tc.name, err)
+			t.Errorf("%s: err = %v, want cli.UsageError", tc.name, err)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -191,7 +208,7 @@ func TestPolicyAndShadowFlags(t *testing.T) {
 	csvPath := filepath.Join(dir, "shadow.csv")
 	var out bytes.Buffer
 	err := run([]string{"-tenants", path, "-duration", "1", "-interval", "0.2",
-		"-policy", "static:4", "-shadow", "iat,greedy", "-shadow-csv", csvPath}, &out)
+		"-policy", "static:4", "-shadow", "iat,greedy", "-shadow-csv", csvPath}, &out, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -230,10 +247,10 @@ func TestTelemetryDirValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run([]string{"-tenants", path, "-telemetry", filepath.Join(ro, "tel")}, &out)
-	var ue usageError
+	err := run([]string{"-tenants", path, "-telemetry", filepath.Join(ro, "tel")}, &out, io.Discard)
+	var ue cli.UsageError
 	if !errors.As(err, &ue) {
-		t.Fatalf("unwritable -telemetry: err = %v, want usageError", err)
+		t.Fatalf("unwritable -telemetry: err = %v, want cli.UsageError", err)
 	}
 	if !strings.Contains(err.Error(), "-telemetry") {
 		t.Fatalf("message %q does not name -telemetry", err)
@@ -254,7 +271,7 @@ func TestChaosRunDeterministic(t *testing.T) {
 	chaosRun := func(seed string) string {
 		var out bytes.Buffer
 		err := run([]string{"-tenants", path, "-duration", "1", "-interval", "0.2",
-			"-chaos", "default", "-chaos-seed", seed}, &out)
+			"-chaos", "default", "-chaos-seed", seed}, &out, io.Discard)
 		if err != nil {
 			t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 		}
@@ -335,12 +352,12 @@ func TestCheckpointResumeDeterministic(t *testing.T) {
 
 	var full bytes.Buffer
 	if err := run(sub("-trace", filepath.Join(dir, "full.csv"), "-telemetry", filepath.Join(dir, "tel-full"),
-		"-checkpoint", ckFull, "-checkpoint-every", "3"), &full); err != nil {
+		"-checkpoint", ckFull, "-checkpoint-every", "3"), &full, io.Discard); err != nil {
 		t.Fatalf("uninterrupted run: %v\noutput:\n%s", err, full.String())
 	}
 
 	var crashed bytes.Buffer
-	err := run(sub("-checkpoint", ckCrash, "-checkpoint-every", "3", "-crash-after", "10"), &crashed)
+	err := run(sub("-checkpoint", ckCrash, "-checkpoint-every", "3", "-crash-after", "10"), &crashed, io.Discard)
 	var ce crashError
 	if !errors.As(err, &ce) || ce.iter != 10 {
 		t.Fatalf("crashed run: err = %v, want crashError at iteration 10", err)
@@ -360,7 +377,7 @@ func TestCheckpointResumeDeterministic(t *testing.T) {
 	jsonDir := filepath.Join(dir, "json")
 	var resumed bytes.Buffer
 	if err := run(sub("-resume", ckFile, "-trace", filepath.Join(dir, "resumed.csv"), "-telemetry", filepath.Join(dir, "tel-res"),
-		"-checkpoint", ckRes, "-checkpoint-every", "3", "-json", jsonDir), &resumed); err != nil {
+		"-checkpoint", ckRes, "-checkpoint-every", "3", "-json", jsonDir), &resumed, io.Discard); err != nil {
 		t.Fatalf("resumed run: %v\noutput:\n%s", err, resumed.String())
 	}
 	if !strings.Contains(resumed.String(), "iatd: resuming from") {
@@ -436,10 +453,10 @@ func TestResumeAndCheckpointValidation(t *testing.T) {
 	expectUsage := func(name string, args []string, want string) {
 		t.Helper()
 		var out bytes.Buffer
-		err := run(args, &out)
-		var ue usageError
+		err := run(args, &out, io.Discard)
+		var ue cli.UsageError
 		if !errors.As(err, &ue) {
-			t.Errorf("%s: err = %v, want usageError", name, err)
+			t.Errorf("%s: err = %v, want cli.UsageError", name, err)
 			return
 		}
 		if !strings.Contains(err.Error(), want) {
@@ -524,7 +541,7 @@ func TestCheckpointFileGolden(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-tenants", path, "-duration", "1.6", "-interval", "0.2",
 		"-chaos", "light", "-chaos-seed", "3", "-shadow", "static:2,ioca",
-		"-checkpoint", ck, "-checkpoint-every", "2"}, &out); err != nil {
+		"-checkpoint", ck, "-checkpoint-every", "2"}, &out, io.Discard); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	data, err := os.ReadFile(filepath.Join(ck, ckptFileName))
@@ -543,7 +560,7 @@ func TestCheckpointFileGolden(t *testing.T) {
 }
 
 // FuzzIatdFlags feeds arbitrary command lines to the flag parser: it
-// never panics, fails only with a usageError or flag.ErrHelp, and any options
+// never panics, fails only with a cli.UsageError or flag.ErrHelp, and any options
 // it accepts are finite and within the bounds a run needs.
 func FuzzIatdFlags(f *testing.F) {
 	f.Add("-tenants t.conf -interval NaN")
@@ -552,11 +569,11 @@ func FuzzIatdFlags(f *testing.F) {
 	f.Add("-tenants t.conf -duration 4 -interval 0.2 -chaos default -chaos-seed 7 -checkpoint ck -checkpoint-every 3")
 	f.Add("-tenants t.conf -policy core-only -shadow static,ioca,greedy,io-iso -shadow-csv s.csv")
 	f.Fuzz(func(t *testing.T, line string) {
-		o, err := parseFlags(strings.Fields(line))
+		o, err := parseFlags(strings.Fields(line), io.Discard)
 		if err != nil {
-			var ue usageError
+			var ue cli.UsageError
 			if !errors.As(err, &ue) && !errors.Is(err, flag.ErrHelp) {
-				t.Fatalf("%q: error %v is neither a usageError nor flag.ErrHelp", line, err)
+				t.Fatalf("%q: error %v is neither a cli.UsageError nor flag.ErrHelp", line, err)
 			}
 			return
 		}

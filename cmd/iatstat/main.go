@@ -16,53 +16,36 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"iatsim/internal/cli"
 	"iatsim/internal/telemetry"
 )
 
-// usageError marks a bad invocation (a flag syntax error, an unknown
-// severity, a wrong number of files): main reports it on stderr and
-// exits 2, like flag.ErrHelp, instead of the exit-1 path of a file that
-// fails to read or validate.
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
+// main exits 2 on a bad invocation (a flag syntax error, an unknown
+// severity, a wrong number of files) and 1 on a file that fails to read
+// or validate.
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		var ue usageError
-		if errors.As(err, &ue) {
-			fmt.Fprintf(os.Stderr, "iatstat: %v\n", err)
-			os.Exit(2)
-		}
-		if err == flag.ErrHelp {
-			os.Exit(2)
-		}
-		log.Fatal(err)
-	}
+	os.Exit(cli.Exit("iatstat", os.Stderr, run(os.Args[1:], os.Stdout, os.Stderr)))
 }
 
-// run is the testable body of the CLI.
-func run(args []string, stdout io.Writer) error {
+// run is the testable body of the CLI; a flag syntax error and the usage
+// go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("iatstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	diff := fs.Bool("diff", false, "diff two snapshots (args: before.json after.json)")
 	validate := fs.Bool("validate", false, "schema-check snapshot/Chrome-trace JSON files or directories")
 	events := fs.Int("events", 0, "also print the last N events of each snapshot")
 	sev := fs.String("sev", "debug", "minimum event severity to print (debug|info|warn)")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return err
-		}
-		return usageError{err.Error()}
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	minSev, err := parseSeverity(*sev)
 	if err != nil {
@@ -72,12 +55,12 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case *diff:
 		if fs.NArg() != 2 {
-			return usageError{fmt.Sprintf("-diff wants exactly two snapshot files, got %d", fs.NArg())}
+			return cli.Usagef("-diff wants exactly two snapshot files, got %d", fs.NArg())
 		}
 		return runDiff(stdout, fs.Arg(0), fs.Arg(1))
 	case *validate:
 		if fs.NArg() == 0 {
-			return usageError{"-validate wants at least one file or directory"}
+			return cli.Usagef("-validate wants at least one file or directory")
 		}
 		return runValidate(stdout, fs.Args())
 	default:
@@ -103,7 +86,7 @@ func parseSeverity(name string) (telemetry.Severity, error) {
 	case "warn":
 		return telemetry.SevWarn, nil
 	}
-	return 0, usageError{fmt.Sprintf("-sev: unknown severity %q (want debug, info, or warn)", name)}
+	return 0, cli.Usagef("-sev: unknown severity %q (want debug, info, or warn)", name)
 }
 
 // printSnapshot renders one snapshot: a header, a metrics table, and

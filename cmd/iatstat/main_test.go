@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"iatsim/internal/cli"
 	"iatsim/internal/telemetry"
 )
 
@@ -30,7 +32,7 @@ func TestPrintSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnap(t, dir, "snap", 41)
 	var out bytes.Buffer
-	if err := run([]string{"-events", "10", path}, &out); err != nil {
+	if err := run([]string{"-events", "10", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"cache/slice0/hits", "41", "nic/vf0/occ", "mem/lat", "count=1", "daemon/state", "LowKeep->IODemand"} {
@@ -44,23 +46,23 @@ func TestEventSeverityFilter(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnap(t, dir, "snap", 1)
 	var out bytes.Buffer
-	if err := run([]string{"-events", "10", "-sev", "warn", path}, &out); err != nil {
+	if err := run([]string{"-events", "10", "-sev", "warn", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "daemon/state") {
 		t.Errorf("-sev warn must hide the info event:\n%s", out.String())
 	}
-	if err := run([]string{"-sev", "bogus", path}, &out); err == nil {
+	if err := run([]string{"-sev", "bogus", path}, &out, io.Discard); err == nil {
 		t.Fatal("bad severity accepted")
 	}
 }
 
 // TestUsageErrors covers the exit-2 class: a flag syntax error, an
-// unknown severity and a wrong file count are usageErrors, no arguments
+// unknown severity and a wrong file count are cli.UsageErrors, no arguments
 // at all is flag.ErrHelp, and all fail before any file is read.
 func TestUsageErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(nil, &out); err != flag.ErrHelp {
+	if err := run(nil, &out, io.Discard); err != flag.ErrHelp {
 		t.Fatalf("no arguments: err = %v, want flag.ErrHelp", err)
 	}
 	for _, args := range [][]string{
@@ -70,9 +72,24 @@ func TestUsageErrors(t *testing.T) {
 		{"-diff", "before.json"},
 		{"-validate"},
 	} {
-		var ue usageError
-		if err := run(args, &out); !errors.As(err, &ue) {
-			t.Errorf("%v: err = %v, want usageError", args, err)
+		var ue cli.UsageError
+		if err := run(args, &out, io.Discard); !errors.As(err, &ue) {
+			t.Errorf("%v: err = %v, want cli.UsageError", args, err)
+		}
+	}
+	// A flag syntax error is printed by the flag package above the usage,
+	// a bad value by cli.Exit: either way once, with exit 2.
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-bogus", "snap.json"}, "flag provided but not defined: -bogus"},
+		{[]string{"-sev", "bogus", "snap.json"}, "-sev: unknown severity"},
+	} {
+		var stderr bytes.Buffer
+		code := cli.Exit("iatstat", &stderr, run(tc.args, io.Discard, &stderr))
+		if code != 2 || strings.Count(stderr.String(), tc.msg) != 1 {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q once", tc.args, code, stderr.String(), tc.msg)
 		}
 	}
 }
@@ -82,7 +99,7 @@ func TestDiffSnapshots(t *testing.T) {
 	before := writeSnap(t, dir, "before", 10)
 	after := writeSnap(t, dir, "after", 25)
 	var out bytes.Buffer
-	if err := run([]string{"-diff", before, after}, &out); err != nil {
+	if err := run([]string{"-diff", before, after}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "cache/slice0/hits") || !strings.Contains(out.String(), "10 -> 25 (+15)") {
@@ -95,7 +112,7 @@ func TestDiffSnapshots(t *testing.T) {
 	if !strings.Contains(out.String(), "1 metric(s) changed") {
 		t.Errorf("diff summary wrong:\n%s", out.String())
 	}
-	if err := run([]string{"-diff", before}, &out); err == nil {
+	if err := run([]string{"-diff", before}, &out, io.Discard); err == nil {
 		t.Fatal("-diff with one file accepted")
 	}
 }
@@ -104,7 +121,7 @@ func TestValidateDirectory(t *testing.T) {
 	dir := t.TempDir()
 	writeSnap(t, dir, "snap", 1)
 	var out bytes.Buffer
-	if err := run([]string{"-validate", dir}, &out); err != nil {
+	if err := run([]string{"-validate", dir}, &out, io.Discard); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	// Both the snapshot JSON and the Chrome trace get recognised.
@@ -117,7 +134,7 @@ func TestValidateDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run([]string{"-validate", dir}, &out); err == nil {
+	if err := run([]string{"-validate", dir}, &out, io.Discard); err == nil {
 		t.Fatal("invalid file accepted")
 	}
 	if !strings.Contains(out.String(), "FAIL") {

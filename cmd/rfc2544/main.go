@@ -8,14 +8,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"os"
 
+	"iatsim/internal/cli"
 	"iatsim/internal/exp"
 	"iatsim/internal/nic"
 )
@@ -30,56 +29,38 @@ const (
 	maxFlows = 1 << 26
 )
 
-// usageError marks a bad invocation (a flag syntax error or an invalid
-// value): main reports it on one line and exits 2, like flag.ErrHelp,
-// instead of the exit-1 runtime-failure path.
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		var ue usageError
-		if errors.As(err, &ue) {
-			fmt.Fprintf(os.Stderr, "rfc2544: %v\n", err)
-			os.Exit(2)
-		}
-		if err == flag.ErrHelp {
-			os.Exit(2)
-		}
-		log.Fatal(err)
-	}
+	os.Exit(cli.Exit("rfc2544", os.Stderr, run(os.Args[1:], os.Stdout, os.Stderr)))
 }
 
 // parseFlags parses and validates the command line into the search's
-// options, one ring size and one packet size. It runs no simulation.
-func parseFlags(args []string) (exp.Fig3Opts, error) {
+// options, one ring size and one packet size; a syntax error and the
+// usage go to stderr. It runs no simulation.
+func parseFlags(args []string, stderr io.Writer) (exp.Fig3Opts, error) {
 	fs := flag.NewFlagSet("rfc2544", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	ring := fs.Int("ring", 1024, "Rx ring entries")
 	size := fs.Int("size", 64, "packet size in bytes")
 	flows := fs.Int("flows", 1<<20, "distinct flows in the traffic / flow table")
 	scale := fs.Float64("scale", 100, "simulation scale factor")
 	warm := fs.Float64("warm", 0, "warmup per trial in simulated seconds (0 = default sweep setting)")
 	measure := fs.Float64("measure", 0, "measurement per trial in simulated seconds (0 = default sweep setting)")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return exp.Fig3Opts{}, err
-		}
-		return exp.Fig3Opts{}, usageError{err.Error()}
+	if err := cli.Parse(fs, args); err != nil {
+		return exp.Fig3Opts{}, err
 	}
 	switch {
 	case *ring < 1 || *ring > maxRing:
-		return exp.Fig3Opts{}, usageError{fmt.Sprintf("-ring must be in [1, %d] (got %d)", maxRing, *ring)}
+		return exp.Fig3Opts{}, cli.Usagef("-ring must be in [1, %d] (got %d)", maxRing, *ring)
 	case *size < 64 || *size > nic.BufSize:
-		return exp.Fig3Opts{}, usageError{fmt.Sprintf("-size must be in [64, %d] bytes (got %d)", nic.BufSize, *size)}
+		return exp.Fig3Opts{}, cli.Usagef("-size must be in [64, %d] bytes (got %d)", nic.BufSize, *size)
 	case *flows < 1 || *flows > maxFlows:
-		return exp.Fig3Opts{}, usageError{fmt.Sprintf("-flows must be in [1, %d] (got %d)", maxFlows, *flows)}
-	case !(*scale > 0) || math.IsInf(*scale, 1):
-		return exp.Fig3Opts{}, usageError{fmt.Sprintf("-scale must be positive and finite (got %g)", *scale)}
+		return exp.Fig3Opts{}, cli.Usagef("-flows must be in [1, %d] (got %d)", maxFlows, *flows)
+	case !cli.PositiveFinite(*scale, 1):
+		return exp.Fig3Opts{}, cli.Usagef("-scale must be positive and finite (got %g)", *scale)
 	case !(*warm >= 0) || math.IsInf(*warm, 1):
-		return exp.Fig3Opts{}, usageError{fmt.Sprintf("-warm must be >= 0 and finite (got %g)", *warm)}
+		return exp.Fig3Opts{}, cli.Usagef("-warm must be >= 0 and finite (got %g)", *warm)
 	case !(*measure >= 0) || math.IsInf(*measure, 1):
-		return exp.Fig3Opts{}, usageError{fmt.Sprintf("-measure must be >= 0 and finite (got %g)", *measure)}
+		return exp.Fig3Opts{}, cli.Usagef("-measure must be >= 0 and finite (got %g)", *measure)
 	}
 
 	o := exp.DefaultFig3Opts()
@@ -98,14 +79,14 @@ func parseFlags(args []string) (exp.Fig3Opts, error) {
 
 // run is the testable body of the CLI: one deterministic RFC 2544 search
 // for the given ring/packet-size/flow-count point.
-func run(args []string, stdout io.Writer) error {
-	o, err := parseFlags(args)
+func run(args []string, stdout, stderr io.Writer) error {
+	o, err := parseFlags(args, stderr)
 	if err != nil {
 		return err
 	}
 	rows := exp.RunFig3(nil, o)
 	if len(rows) == 0 {
-		return fmt.Errorf("rfc2544: the search for a %dB packet, %d-entry ring returned no result", o.Sizes[0], o.Rings[0])
+		return fmt.Errorf("the search for a %dB packet, %d-entry ring returned no result", o.Sizes[0], o.Rings[0])
 	}
 	r := rows[0]
 	fmt.Fprintf(stdout, "l3fwd, %dB packets, %d-entry ring, %d flows:\n", r.PktSize, r.RingSize, o.Flows)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
+	"iatsim/internal/cli"
 	"iatsim/internal/nic"
 )
 
@@ -27,7 +29,7 @@ func TestSmokeDeterministicSearch(t *testing.T) {
 	}
 	search := func() string {
 		var out bytes.Buffer
-		if err := run(smokeArgs, &out); err != nil {
+		if err := run(smokeArgs, &out, io.Discard); err != nil {
 			t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 		}
 		return out.String()
@@ -46,15 +48,15 @@ func TestSmokeDeterministicSearch(t *testing.T) {
 }
 
 // TestBadFlags covers the CLI contract for bad flags: an unparsable value
-// and every out-of-range value is a usageError (exit 2 in main) returned
+// and every out-of-range value is a cli.UsageError (exit 2 in main) returned
 // before any simulation runs.
 func TestBadFlags(t *testing.T) {
 	var out bytes.Buffer
 	for _, args := range [][]string{{"-ring", "x"}, {"-bogus", "1"}} {
-		err := run(args, &out)
-		var ue usageError
+		err := run(args, &out, io.Discard)
+		var ue cli.UsageError
 		if !errors.As(err, &ue) || !strings.Contains(err.Error(), args[0]) {
-			t.Errorf("%v: err = %v, want a usageError naming %s", args, err, args[0])
+			t.Errorf("%v: err = %v, want a cli.UsageError naming %s", args, err, args[0])
 		}
 	}
 	for _, args := range [][]string{
@@ -74,10 +76,10 @@ func TestBadFlags(t *testing.T) {
 		{"-measure", "Inf"},
 	} {
 		out.Reset()
-		err := run(args, &out)
-		var ue usageError
+		err := run(args, &out, io.Discard)
+		var ue cli.UsageError
 		if !errors.As(err, &ue) {
-			t.Errorf("%v: err = %v, want a usageError", args, err)
+			t.Errorf("%v: err = %v, want a cli.UsageError", args, err)
 			continue
 		}
 		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.HasPrefix(msg, args[0]+" ") {
@@ -87,10 +89,25 @@ func TestBadFlags(t *testing.T) {
 			t.Errorf("%v: printed %q before rejecting", args, out.String())
 		}
 	}
+	// A flag syntax error is printed by the flag package above the usage,
+	// a bad value by cli.Exit: either way once, with exit 2.
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-bogus", "1"}, "flag provided but not defined: -bogus"},
+		{[]string{"-ring", "0"}, "-ring must be in"},
+	} {
+		var stderr bytes.Buffer
+		code := cli.Exit("rfc2544", &stderr, run(tc.args, io.Discard, &stderr))
+		if code != 2 || strings.Count(stderr.String(), tc.msg) != 1 {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q once", tc.args, code, stderr.String(), tc.msg)
+		}
+	}
 }
 
 // FuzzRFC2544Flags feeds arbitrary command lines to the flag parser: it
-// never panics, fails only with a usageError or flag.ErrHelp, and any
+// never panics, fails only with a cli.UsageError or flag.ErrHelp, and any
 // options it accepts describe one point within the bounds the search can
 // run.
 func FuzzRFC2544Flags(f *testing.F) {
@@ -100,11 +117,11 @@ func FuzzRFC2544Flags(f *testing.F) {
 	f.Add("-size 0 -scale 0")
 	f.Add("-ring 512 -size 1500 -flows 4096 -warm 0.05 -measure 0.1")
 	f.Fuzz(func(t *testing.T, line string) {
-		o, err := parseFlags(strings.Fields(line))
+		o, err := parseFlags(strings.Fields(line), io.Discard)
 		if err != nil {
-			var ue usageError
+			var ue cli.UsageError
 			if !errors.As(err, &ue) && !errors.Is(err, flag.ErrHelp) {
-				t.Fatalf("%q: error %v is neither a usageError nor flag.ErrHelp", line, err)
+				t.Fatalf("%q: error %v is neither a cli.UsageError nor flag.ErrHelp", line, err)
 			}
 			return
 		}

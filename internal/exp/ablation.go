@@ -62,13 +62,7 @@ func RunAblationMechanisms(w io.Writer) []AblationMechRow {
 			}))
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Ablation — IAT mechanisms on the Leaky DMA scenario (1.5KB line rate)\n")
-		fmt.Fprintf(w, "%14s %14s %10s\n", "variant", "DDIOmiss/s", "mem GB/s")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%14s %14.3e %10.2f\n", r.Variant, r.DDIOMissPS, r.MemGBps)
-		}
-	}
+	writeRowsTable(w, "Ablation — IAT mechanisms on the Leaky DMA scenario (1.5KB line rate)", rows)
 	return rows
 }
 
@@ -106,17 +100,7 @@ func RunAblationGrowth(w io.Writer) []AblationGrowthRow {
 			}))
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Ablation — growth policy convergence (Leaky DMA, 1.5KB)\n")
-		fmt.Fprintf(w, "%10s %14s %10s\n", "policy", "converge(s)", "ddio ways")
-		for _, r := range rows {
-			c := "never"
-			if r.ConvergeNS > 0 {
-				c = fmt.Sprintf("%.1f", r.ConvergeNS/1e9)
-			}
-			fmt.Fprintf(w, "%10s %14s %10d\n", r.Policy, c, r.FinalWays)
-		}
-	}
+	writeRowsTable(w, "Ablation — growth policy convergence (Leaky DMA, 1.5KB)", rows)
 	return rows
 }
 
@@ -199,14 +183,7 @@ func RunAblationDDIOExt(w io.Writer) []AblationDDIOExtRow {
 			}))
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Ablation — future-DDIO extensions (Sec. VII) on the Latent Contender scenario\n")
-		fmt.Fprintf(w, "%12s %12s %12s %12s %10s\n", "variant", "victim lat", "victim Mops", "fwd pps", "mem GB/s")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%12s %10.1fns %12.2f %12.3e %10.2f\n",
-				r.Variant, r.VictimLatNS, r.VictimMops, r.FwdPPS, r.MemGBps)
-		}
-	}
+	writeRowsTable(w, "Ablation — future-DDIO extensions (Sec. VII) on the Latent Contender scenario", rows)
 	return rows
 }
 
@@ -274,13 +251,7 @@ func RunAblationMBA(w io.Writer) []AblationMBARow {
 			}))
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Ablation — MBA on memory-bandwidth interference (narrow 2GB/s memory)\n")
-		fmt.Fprintf(w, "%12s %14s %14s\n", "BE throttle", "PC lat (ns)", "BE ops/s")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%11d%% %14.1f %14.3e\n", r.ThrottlePct, r.PCLatNS, r.BEOpsPS)
-		}
-	}
+	writeRowsTable(w, "Ablation — MBA on memory-bandwidth interference (narrow 2GB/s memory)", rows)
 	return rows
 }
 
@@ -360,14 +331,7 @@ func RunAblationReplacement(w io.Writer) []AblationPolicyRow {
 			}))
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Ablation — replacement policy vs mask squatting (tenant shuffled off the DDIO ways)\n")
-		fmt.Fprintf(w, "%8s %12s %14s %10s\n", "policy", "moved Mops", "control Mops", "ratio")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%8s %12.2f %14.2f %10.2f\n",
-				r.Policy, r.MovedMops, r.ControlMops, r.MovedMops/r.ControlMops)
-		}
-	}
+	writeRowsTable(w, "Ablation — replacement policy vs mask squatting (tenant shuffled off the DDIO ways)", rows)
 	return rows
 }
 
@@ -434,14 +398,7 @@ func RunAblationStorage(w io.Writer) []AblationStorageRow {
 			}))
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Ablation — storage Leaky DMA: SPDK server, 64 x 128KB reads in flight\n")
-		fmt.Fprintf(w, "%10s %14s %10s %12s %12s %6s\n", "mode", "DDIOmiss/s", "mem GB/s", "IOPS", "lat(ns)", "dWays")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%10s %14.3e %10.2f %12.0f %12.0f %6d\n",
-				r.Mode, r.DDIOMissPS, r.MemGBps, r.IOPS, r.MeanLatNS, r.DDIOWays)
-		}
-	}
+	writeRowsTable(w, "Ablation — storage Leaky DMA: SPDK server, 64 x 128KB reads in flight", rows)
 	return rows
 }
 
@@ -506,13 +463,7 @@ func RunAblationRemoteSocket(w io.Writer) []AblationRemoteRow {
 	// socket-direct == local in this model (the multi-socket NIC makes
 	// the consumer's socket the delivery target); keep the label so the
 	// output reads as the three deployment choices.
-	if w != nil {
-		fmt.Fprintf(w, "Ablation — remote-socket consumer (Sec. VI-A footnote / Sec. VII)\n")
-		fmt.Fprintf(w, "%14s %14s %10s %12s\n", "consumer", "fwd pps", "cyc/pkt", "svc ns/pkt")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%14s %14.3e %10.0f %12.1f\n", r.Consumer, r.FwdPPS, r.CPP, r.MeanLatNS)
-		}
-	}
+	writeRowsTable(w, "Ablation — remote-socket consumer (Sec. VI-A footnote / Sec. VII)", rows)
 	return rows
 }
 
@@ -570,14 +521,7 @@ func RunSensitivity(w io.Writer) []SensitivityRow {
 			}))
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Sensitivity — IAT parameters on the Leaky DMA scenario (1.5KB)\n")
-		fmt.Fprintf(w, "%14s %8s %14s %10s %10s %6s\n", "param", "value", "DDIOmiss/s", "mem GB/s", "unstable", "dWays")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%14s %8s %14.3e %10.2f %10d %6d\n",
-				r.Param, r.Value, r.DDIOMissPS, r.MemGBps, r.Unstable, r.FinalWays)
-		}
-	}
+	writeRowsTable(w, "Sensitivity — IAT parameters on the Leaky DMA scenario (1.5KB)", rows)
 	return rows
 }
 
@@ -653,12 +597,6 @@ func RunAblationResQ(w io.Writer) []AblationResQRow {
 			}))
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Ablation — ResQ (ring sizing, %d entries) vs IAT (DDIO sizing)\n", resqRing)
-		fmt.Fprintf(w, "%10s %14s %10s %16s\n", "mode", "DDIOmiss/s", "mem GB/s", "64B bursty Mpps")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%10s %14.3e %10.2f %16.2f\n", r.Mode, r.DDIOMissPS, r.MemGBps, r.SmallPktMpps)
-		}
-	}
+	writeRowsTable(w, fmt.Sprintf("Ablation — ResQ (ring sizing, %d entries) vs IAT (DDIO sizing)", resqRing), rows)
 	return rows
 }

@@ -90,19 +90,7 @@ func RunChaos(w io.Writer, o ChaosOpts) []ChaosRow {
 		}
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Chaos — stability under faults: profile %q, baseline vs hardened IAT\n", o.Profile)
-		fmt.Fprintf(w, "%6s %9s %6s %6s %6s %6s | %5s %5s %5s %5s %5s %7s | %5s %-10s %9s\n",
-			"xrate", "mode", "msr", "ctr", "nic", "poll",
-			"rej", "retry", "wfail", "degr", "rearm", "invalid",
-			"dWays", "state", "mem GB/s")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%6g %9s %6d %6d %6d %6d | %5d %5d %5d %5d %5d %7d | %5d %-10s %9.2f\n",
-				r.FaultScale, r.Mode, r.MSRFaults, r.CtrGlitches, r.NICFaults, r.PollSkips,
-				r.SampleRejects, r.WriteRetries, r.WriteFailures, r.Degradations, r.Rearms,
-				r.InvalidMaskWrites, r.DDIOWays, r.FinalState, r.MemGBps)
-		}
-	}
+	writeRowsTable(w, fmt.Sprintf("Chaos — stability under faults: profile %q, baseline vs hardened IAT", o.Profile), rows)
 	return rows
 }
 

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"encoding/csv"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -464,4 +466,70 @@ func TestWriteRowsCSV(t *testing.T) {
 	if err := WriteRowsCSV(&sb, []Fig3Row{}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// tableRow exercises every cell kind the renderers share: a Stringer
+// mask, a bool, strings, an int, floats, and the fields both skip (an
+// unexported scalar and a slice).
+type tableRow struct {
+	Mode   string
+	Ways   cache.WayMask
+	Iters  int
+	Rate   float64
+	Ratio  float64
+	Down   bool
+	State  string
+	hidden int
+	Series []float64
+}
+
+// TestWriteRowsTable checks the stdout table against WriteRowsCSV on the
+// same slice, with no simulation: a title line, then the CSV's header
+// and cells, column for column, and nothing at all for an empty slice or
+// a nil writer.
+func TestWriteRowsTable(t *testing.T) {
+	rows := []tableRow{
+		{Mode: "baseline", Ways: cache.ContiguousMask(9, 2), Iters: 12, Rate: 1.234567891e7, Ratio: 0.5,
+			State: "static", hidden: 3, Series: []float64{1}},
+		{Mode: "iat", Ways: cache.ContiguousMask(3, 4), Iters: 0, Rate: 3, Ratio: 1.0 / 3, Down: true,
+			State: "LowKeep"},
+	}
+	var csvOut, table strings.Builder
+	if err := WriteRowsCSV(&csvOut, rows); err != nil {
+		t.Fatal(err)
+	}
+	writeRowsTable(&table, "Title — with (dynamic) parts 7", rows)
+	records, err := csv.NewReader(strings.NewReader(csvOut.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(table.String(), "\n"), "\n")
+	if lines[0] != "Title — with (dynamic) parts 7" {
+		t.Fatalf("title line = %q", lines[0])
+	}
+	lines = lines[1:]
+	if len(lines) != len(records) {
+		t.Fatalf("table has %d lines under its title, CSV %d records:\n%s", len(lines), len(records), table.String())
+	}
+	if want := []string{"Mode", "Ways", "Iters", "Rate", "Ratio", "Down", "State"}; !reflect.DeepEqual(records[0], want) {
+		t.Fatalf("CSV header = %v, want %v", records[0], want)
+	}
+	for i, line := range lines {
+		if got := strings.Fields(line); !reflect.DeepEqual(got, records[i]) {
+			t.Errorf("table line %d cells %q, CSV record %q", i, got, records[i])
+		}
+		if len(line) != len(lines[0]) || strings.HasSuffix(line, " ") {
+			t.Errorf("table line %d %q is not aligned with the header %q", i, line, lines[0])
+		}
+	}
+	if records[1][1] != cache.ContiguousMask(9, 2).String() || records[2][5] != "true" {
+		t.Errorf("mask or bool cell not rendered as in the CSV: %v", records)
+	}
+
+	table.Reset()
+	writeRowsTable(&table, "empty", []tableRow{})
+	if table.Len() != 0 {
+		t.Errorf("empty slice printed %q", table.String())
+	}
+	writeRowsTable(nil, "nil writer", rows) // must not panic
 }

@@ -72,14 +72,7 @@ func RunFig3(w io.Writer, o Fig3Opts) []Fig3Row {
 		}
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Fig 3 — RFC2544 zero-drop throughput of l3fwd vs Rx ring size\n")
-		fmt.Fprintf(w, "%8s %9s %12s %14s %7s\n", "pkt(B)", "ring", "max Mpps", "line-rate Mpps", "trials")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%8d %9d %12.2f %14.2f %7d\n",
-				r.PktSize, r.RingSize, r.MaxMpps, r.LineRateMpps, r.Trials)
-		}
-	}
+	writeRowsTable(w, "Fig 3 — RFC2544 zero-drop throughput of l3fwd vs Rx ring size", rows)
 	return rows
 }
 

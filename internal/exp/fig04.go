@@ -66,17 +66,7 @@ func RunFig4(w io.Writer, o Fig4Opts) []Fig4Row {
 		}
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Fig 4 — Latent Contender: X-Mem with dedicated vs DDIO-overlapped ways\n")
-		fmt.Fprintf(w, "%7s %9s %10s %12s\n", "WS(MB)", "ways", "Mops/s", "avg lat(ns)")
-		for _, r := range rows {
-			kind := "dedicated"
-			if r.Overlap {
-				kind = "ddio-ovlp"
-			}
-			fmt.Fprintf(w, "%7d %9s %10.2f %12.1f\n", r.WorkingSetMB, kind, r.MopsPerSec, r.AvgLatencyNS)
-		}
-	}
+	writeRowsTable(w, "Fig 4 — Latent Contender: X-Mem with dedicated vs DDIO-overlapped ways", rows)
 	return rows
 }
 

@@ -60,15 +60,7 @@ func RunFig8(w io.Writer, o Fig8Opts) []Fig8Row {
 		}
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Fig 8 — Leaky DMA: 2x testpmd via OVS, line rate, baseline vs IAT\n")
-		fmt.Fprintf(w, "%8s %9s %12s %12s %9s %8s %9s %6s %-10s\n",
-			"pkt(B)", "mode", "DDIOhit/s", "DDIOmiss/s", "mem GB/s", "OVS IPC", "OVS CPP", "dWays", "state")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%8d %9s %12.3e %12.3e %9.2f %8.3f %9.0f %6d %-10s\n",
-				r.PktSize, r.Mode, r.DDIOHitPS, r.DDIOMissPS, r.MemGBps, r.OVSIPC, r.OVSCPP, r.DDIOWays, r.FinalState)
-		}
-	}
+	writeRowsTable(w, "Fig 8 — Leaky DMA: 2x testpmd via OVS, line rate, baseline vs IAT", rows)
 	return rows
 }
 

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"io"
 
 	"iatsim/internal/pkt"
@@ -58,14 +57,7 @@ func RunFig9(w io.Writer, o Fig9Opts) []Fig9Row {
 	for _, ramp := range sweep(points) {
 		rows = append(rows, ramp...)
 	}
-	if w != nil {
-		fmt.Fprintf(w, "Fig 9 — flow scaling: 64B line rate through OVS, flow table ramp\n")
-		fmt.Fprintf(w, "%9s %9s %12s %8s %9s %8s\n", "flows", "mode", "OVSmiss/s", "OVS IPC", "OVS CPP", "OVSways")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%9d %9s %12.3e %8.3f %9.0f %8d\n",
-				r.Flows, r.Mode, r.OVSMissPS, r.OVSIPC, r.OVSCPP, r.OVSWays)
-		}
-	}
+	writeRowsTable(w, "Fig 9 — flow scaling: 64B line rate through OVS, flow table ramp", rows)
 	return rows
 }
 

@@ -124,14 +124,7 @@ func RunFig10(w io.Writer, o Fig10Opts) []Fig10Row {
 		}
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Fig 10 — Latent Contender: container-4 X-Mem, phases 2 (WS=10MB) and 3 (DDIO=4 ways)\n")
-		fmt.Fprintf(w, "%8s %10s %10s %12s %10s %12s\n", "pkt(B)", "mode", "P2 Mops/s", "P2 lat(ns)", "P3 Mops/s", "P3 lat(ns)")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%8d %10s %10.2f %12.1f %10.2f %12.1f\n",
-				r.PktSize, r.Mode, r.P2Mops, r.P2LatNS, r.P3Mops, r.P3LatNS)
-		}
-	}
+	writeRowsTable(w, "Fig 10 — Latent Contender: container-4 X-Mem, phases 2 (WS=10MB) and 3 (DDIO=4 ways)", rows)
 	return rows
 }
 
@@ -254,14 +247,6 @@ func RunFig11(w io.Writer, o Fig10Opts) []Fig11Sample {
 	for _, s := range sweep([]point[[]Fig11Sample]{pt}) {
 		series = append(series, s...)
 	}
-	if w != nil {
-		fmt.Fprintf(w, "Fig 11 — IAT dynamics over time (1.5KB packets)\n")
-		fmt.Fprintf(w, "%8s %12s %12s %12s %12s %12s %-10s\n",
-			"t(s)", "c4 miss/s", "c4 ways", "ddio", "BE2", "BE3", "state")
-		for _, s := range series {
-			fmt.Fprintf(w, "%8.1f %12.3e %12s %12s %12s %12s %-10s\n",
-				s.TimeNS/1e9, s.C4MissPS, s.C4Ways, s.DDIOMask, s.BE2Ways, s.BE3Ways, s.State)
-		}
-	}
+	writeRowsTable(w, "Fig 11 — IAT dynamics over time (1.5KB packets)", series)
 	return series
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"io"
 	"strings"
 
@@ -175,14 +174,7 @@ func fig12Row(c appMixCell, solo AppMixResult, corners []AppMixResult, iat AppMi
 // (slicing), baseline placement range vs IAT.
 func RunFig12(w io.Writer, o Fig12Opts) []Fig12Row {
 	rows := runAppMixCells(fig12Cells(o), fig12Row)
-	if w != nil {
-		fmt.Fprintf(w, "Fig 12 — normalised execution time (co-run / solo)\n")
-		fmt.Fprintf(w, "%-10s %-12s %9s %9s %9s %9s\n", "net", "app", "solo(s)", "base-min", "base-max", "IAT")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-10s %-12s %9.2f %9.3f %9.3f %9.3f\n",
-				r.Net, r.App, r.SoloNS/1e9, r.BaseMin, r.BaseMax, r.IAT)
-		}
-	}
+	writeRowsTable(w, "Fig 12 — normalised execution time (co-run / solo)", rows)
 	return rows
 }
 
@@ -231,13 +223,7 @@ func fig13Row(c appMixCell, solo AppMixResult, corners []AppMixResult, iat AppMi
 // RocksDB under YCSB A-F, co-running with the two networking applications.
 func RunFig13(w io.Writer, o Fig12Opts) []Fig13Row {
 	rows := runAppMixCells(fig13Cells(o), fig13Row)
-	if w != nil {
-		fmt.Fprintf(w, "Fig 13 — RocksDB normalised weighted latency (co-run / solo)\n")
-		fmt.Fprintf(w, "%-10s %-9s %9s %9s %9s\n", "net", "workload", "base-min", "base-max", "IAT")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-10s %-9s %9.3f %9.3f %9.3f\n", r.Net, r.Workload, r.BaseMin, r.BaseMax, r.IAT)
-		}
-	}
+	writeRowsTable(w, "Fig 13 — RocksDB normalised weighted latency (co-run / solo)", rows)
 	return rows
 }
 
@@ -309,14 +295,6 @@ func fig14Row(c appMixCell, solo AppMixResult, corners []AppMixResult, iat AppMi
 // range vs IAT.
 func RunFig14(w io.Writer, o Fig12Opts) []Fig14Row {
 	rows := runAppMixCells(fig14Cells(o), fig14Row)
-	if w != nil {
-		fmt.Fprintf(w, "Fig 14 — Redis under co-location (normalised to networking-solo)\n")
-		fmt.Fprintf(w, "%-9s %9s %9s %9s %9s %9s %9s %9s\n",
-			"workload", "tput-min", "tput-max", "IAT-tput", "avg-max", "IAT-avg", "p99-max", "IAT-p99")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-9s %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f\n",
-				r.Workload, r.BaseTputMin, r.BaseTputMax, r.IATTput, r.BaseAvgMax, r.IATAvg, r.BaseP99Max, r.IATP99)
-		}
-	}
+	writeRowsTable(w, "Fig 14 — Redis under co-location (normalised to networking-solo)", rows)
 	return rows
 }

@@ -73,13 +73,7 @@ func RunFig15(w io.Writer, o Fig15Opts) []Fig15Row {
 		}
 	}
 	rows := sweep(points)
-	if w != nil {
-		fmt.Fprintf(w, "Fig 15 — IAT per-iteration execution time (wall clock)\n")
-		fmt.Fprintf(w, "%8s %10s %12s %12s\n", "tenants", "cores/ten", "stable(us)", "unstable(us)")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%8d %10d %12.1f %12.1f\n", r.Tenants, r.CoresPerTenant, r.StableUS, r.UnstableUS)
-		}
-	}
+	writeRowsTable(w, "Fig 15 — IAT per-iteration execution time (wall clock)", rows)
 	return rows
 }
 

@@ -284,28 +284,12 @@ func RunFleet(w io.Writer, o FleetOpts) (*fleet.Report, []*fleet.Host, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if w != nil {
-		stormName := o.Storm
-		if stormName == "" {
-			stormName = "off"
-		}
-		fmt.Fprintf(w, "Fleet — %d hosts (%s), rollout %s (%s -> %s), storm %s\n",
-			o.Hosts, o.Topology, o.Rollout, plan.Old.Name, plan.New.Name, stormName)
-		fmt.Fprintf(w, "%5s %-11s %5s %5s | %7s %7s %12s %12s | %5s %4s %5s %4s %6s | %7s %7s %3s\n",
-			"round", "phase", "onNew", "storm", "p50ipc", "p99ipc", "p50thru/s", "p99thru/s",
-			"degr", "down", "churn", "rej", "faults", "cIPC", "ctlIPC", "rb")
-		for _, r := range rep.Rows {
-			rb := ""
-			if r.RolledBack {
-				rb = "RB"
-			}
-			fmt.Fprintf(w, "%5d %-11s %5d %5d | %7.3f %7.3f %12.3g %12.3g | %5d %4d %5d %4d %6d | %7.3f %7.3f %3s\n",
-				r.Round, r.Phase, r.NewPolicyHosts, r.StormHosts,
-				r.P50IPC, r.P99IPC, r.P50ThroughputPS, r.P99ThroughputPS,
-				r.DegradedHosts, r.HostsDown, r.MaskChurn, r.SampleRejects, r.Faults,
-				r.CanaryIPC, r.ControlIPC, rb)
-		}
+	stormName := o.Storm
+	if stormName == "" {
+		stormName = "off"
 	}
+	writeRowsTable(w, fmt.Sprintf("Fleet — %d hosts (%s), rollout %s (%s -> %s), storm %s",
+		o.Hosts, o.Topology, o.Rollout, plan.Old.Name, plan.New.Name, stormName), rep.Rows)
 	return rep, hosts, nil
 }
 
@@ -362,17 +346,8 @@ func RunFleetGrid(w io.Writer, o FleetOpts) []FleetGridRow {
 			rows = append(rows, row)
 		}
 	}
-	if w != nil {
-		fmt.Fprintf(w, "Fleet grid — %d hosts (%s), rollout strategies × canary-cohort fault storm\n",
-			o.Hosts, o.Topology)
-		fmt.Fprintf(w, "%8s %9s %11s %7s | %7s %5s %6s %7s\n",
-			"rollout", "storm", "final", "onNew", "p50ipc", "degr", "churn", "faults")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%8s %9s %11s %7d | %7.3f %5d %6d %7d\n",
-				r.Rollout, r.Storm, r.FinalPhase, r.FinalOnNew,
-				r.P50IPC, r.DegradedHosts, r.MaskChurn, r.Faults)
-		}
-	}
+	writeRowsTable(w, fmt.Sprintf("Fleet grid — %d hosts (%s), rollout strategies × canary-cohort fault storm",
+		o.Hosts, o.Topology), rows)
 	return rows
 }
 

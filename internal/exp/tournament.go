@@ -126,18 +126,9 @@ func RunPolicyTournament(w io.Writer, o TournamentOpts) []TournamentRow {
 		}
 	}
 
+	writeRowsTable(w, fmt.Sprintf("Policy tournament — %d policies × %d workloads × %d fault profiles (ranked by OVS IPC per cell)",
+		len(o.Policies), len(o.Workloads), len(o.Profiles)), ranked)
 	if w != nil {
-		fmt.Fprintf(w, "Policy tournament — %d policies × %d workloads × %d fault profiles (ranked by OVS IPC per cell)\n",
-			len(o.Policies), len(o.Workloads), len(o.Profiles))
-		fmt.Fprintf(w, "%8s %8s %9s %4s | %7s %12s %12s %9s | %5s %-10s %5s %4s\n",
-			"mix", "faults", "policy", "rank", "ovsIPC", "ddioHit/s", "ddioMiss/s", "mem GB/s",
-			"dWays", "state", "churn", "rej")
-		for _, r := range ranked {
-			fmt.Fprintf(w, "%8s %8s %9s %4d | %7.3f %12.3g %12.3g %9.2f | %5d %-10s %5d %4d\n",
-				r.Workload, r.Faults, r.Policy, r.Rank,
-				r.OVSIPC, r.DDIOHitPS, r.DDIOMissPS, r.MemGBps,
-				r.DDIOWays, r.FinalState, r.Unstable, r.Rejects)
-		}
 		// Leaderboard: mean rank across cells, best first; ties break on
 		// the o.Policies entry order via the stable sort.
 		type standing struct {
@@ -146,11 +137,9 @@ func RunPolicyTournament(w io.Writer, o TournamentOpts) []TournamentRow {
 			cells int
 		}
 		standings := make([]standing, len(o.Policies))
-		for i, p := range o.Policies {
-			standings[i].name = p
-		}
 		pos := map[string]int{}
 		for i, p := range o.Policies {
+			standings[i].name = p
 			pos[p] = i
 		}
 		for _, r := range ranked {
